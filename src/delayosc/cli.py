@@ -27,15 +27,8 @@ import sys
 
 import numpy as np
 
-from .criteria import CheckReport, check_all
-from .envelope import combined_envelope
-from .kernel import (
-    DEFAULT_TOL,
-    KernelCache,
-    inner_criterion_integral,
-    outer_criterion_integral,
-)
-from .criteria import _window_start  # shared scan window policy
+from .criteria import CheckReport, check_all, criterion_profile
+from .kernel import DEFAULT_TOL
 from .model import DelayEquation, PiecewisePeriodic
 from .sim import History, count_sign_changes, integrate
 
@@ -225,30 +218,14 @@ def cmd_check(args) -> int:
 
 def cmd_scan(args) -> int:
     eq = load_equation(args.config)
-    env = combined_envelope(eq)
-    cache = KernelCache()
-    w0 = _window_start(eq, env, args.r)
-    w1 = w0 + eq.period
-    knots = np.asarray(env.knots(w0, w1))
-    ts = np.unique(
-        np.concatenate([np.linspace(w0, w1, args.grid + 1), np.clip(knots, w0, w1)])
-    )
-    ts = ts[ts < w1 - 1e-12]  # half-open period window: t mod period in [0, P)
-    if args.kind == "inner":
-        value_at = lambda t: inner_criterion_integral(
-            eq, args.r, t, tol=args.tol, cache=cache, env=env
-        )
-    else:
-        value_at = lambda t: outer_criterion_integral(
-            eq, args.r, t, tol=args.tol, cache=cache, env=env
-        )
+    f, w0, ts = criterion_profile(eq, args.r, args.kind, tol=args.tol, n_grid=args.grid)
+    ts = ts[ts < w0 + eq.period - 1e-12]  # half-open period window: t mod period in [0, P)
+    values = f(ts)
     out, close = _open_out(args.out)
     try:
         out.write("t,F\n")
-        for t in ts:
-            out.write(
-                (_FMT % (float(t) - w0)) + "," + (_FMT % value_at(float(t))) + "\n"
-            )
+        for t, value in zip(ts, values):
+            out.write((_FMT % (t - w0)) + "," + (_FMT % value) + "\n")
     finally:
         if close:
             out.close()

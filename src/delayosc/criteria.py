@@ -33,6 +33,7 @@ __all__ = [
     "alpha",
     "alpha_over_envelope",
     "check_all",
+    "criterion_profile",
     "hunt_yorke_liminf",
     "kwong_limsup",
     "lambda0",
@@ -107,25 +108,25 @@ def _golden_min(f, a: float, b: float, xtol: float):
     return x, f(x)
 
 
-def _scan_extremum(f_scalar, w0, w1, knots, n_grid, mode, f_vec=None, xtol=_GOLDEN_XTOL):
-    """Extremum of f over [w0, w1]: dense grid + seeded knots, then
-    golden-section refinement of every local extremum bracket."""
+def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
+    """Uniform grid over [w0, w1] joined with the knots that fall inside."""
     cand = np.unique(
         np.concatenate(
             [np.linspace(w0, w1, n_grid + 1), np.asarray(list(knots), dtype=float)]
         )
     )
-    cand = cand[(cand >= w0) & (cand <= w1)]
-    if f_vec is not None:
-        vals = np.asarray(f_vec(cand), dtype=float)
-    else:
-        vals = np.array([f_scalar(t) for t in cand])
+    return cand[(cand >= w0) & (cand <= w1)]
 
+
+def _scan_extremum(f, cand, mode, xtol=_GOLDEN_XTOL):
+    """Extremum of the vectorised function f over the sorted candidates
+    ``cand``, with golden-section refinement of every local extremum bracket."""
+    vals = np.asarray(f(cand), dtype=float)
     sign = 1.0 if mode == "min" else -1.0
     g = sign * vals
 
     def refine_target(x):
-        return sign * f_scalar(x)
+        return sign * float(f(np.array([x]))[0])
 
     n = len(cand)
     best_val = float(g.min())
@@ -149,7 +150,7 @@ def _scan_extremum(f_scalar, w0, w1, knots, n_grid, mode, f_vec=None, xtol=_GOLD
         if gx < best_val:
             best_val = gx
             best_t = x
-    return sign * best_val, best_t
+    return float(sign * best_val), float(best_t)
 
 
 def _window_start(eq: DelayEquation, env: EnvelopeFunction, depth: int) -> float:
@@ -194,14 +195,11 @@ def _refine_xtol(tol: float) -> float:
 def _liminf_coeff_integral(eq, lower_values, poly, w0, w1, n_grid, mode, xtol):
     anti = eq.coeff_sum_antiderivative
 
-    def f_vec(ts):
+    def f(ts):
         return anti(ts) - anti(lower_values(ts))
 
-    def f_scalar(t):
-        return float(f_vec(np.asarray([t], dtype=float))[0])
-
-    knots = _integral_profile_knots(eq, poly, w0, w1)
-    return _scan_extremum(f_scalar, w0, w1, knots, n_grid, mode, f_vec=f_vec, xtol=xtol)
+    cand = _scan_grid(w0, w1, _integral_profile_knots(eq, poly, w0, w1), n_grid)
+    return _scan_extremum(f, cand, mode, xtol)
 
 
 # -- liminf quantities -----------------------------------------------------
@@ -288,20 +286,15 @@ def hunt_yorke_liminf(
     w0 = _window_start(eq, env, 0)
     w1 = w0 + eq.period
 
-    def f_vec(ts):
+    def f(ts):
         acc = None
         for c, d in zip(eq.coefficients, eq.lags):
             term = c.values(ts) * d.values(ts)
             acc = term if acc is None else acc + term
         return acc
 
-    def f_scalar(t):
-        return sum(c(t) * d(t) for c, d in zip(eq.coefficients, eq.lags))
-
     knots = breakpoint_times(list(eq.coefficients) + list(eq.lags), w0, w1)
-    value, _ = _scan_extremum(
-        f_scalar, w0, w1, knots, n_grid, "min", f_vec=f_vec, xtol=_refine_xtol(tol)
-    )
+    value, _ = _scan_extremum(f, _scan_grid(w0, w1, knots, n_grid), "min", _refine_xtol(tol))
     return value
 
 
@@ -312,6 +305,40 @@ def hunt_yorke_liminf(
 class ScanExtremum:
     value: float
     t: float
+
+
+def criterion_profile(
+    eq: DelayEquation,
+    r: int,
+    kind: str = "inner",
+    *,
+    tol: float = DEFAULT_TOL,
+    n_grid: int = 500,
+    cache: KernelCache | None = None,
+    env: EnvelopeFunction | None = None,
+):
+    """A criterion integral over one steady-state period.
+
+    Returns ``(f, w0, ts)``: ``f`` maps an array of times to the integral,
+    ``[w0, w0 + P]`` is the scan window and ``ts`` the scan grid on it, a
+    uniform grid joined with every coefficient, lag and envelope knot.
+    ``kind`` selects the sliding-envelope ("inner") or frozen-envelope
+    ("outer") integrand.
+    """
+    if kind not in ("inner", "outer"):
+        raise ValueError(f"kind must be 'inner' or 'outer', got {kind!r}")
+    env = env if env is not None else combined_envelope(eq)
+    cache = cache if cache is not None else KernelCache()
+    w0 = _window_start(eq, env, r)
+    w1 = w0 + eq.period
+    fn = inner_criterion_integral if kind == "inner" else outer_criterion_integral
+
+    def f(ts):
+        return fn(eq, r, ts, tol=tol, cache=cache, env=env)
+
+    knots = set(breakpoint_times(list(eq.coefficients) + list(eq.lags), w0, w1))
+    knots.update(env.knots(w0, w1))
+    return f, w0, _scan_grid(w0, w1, knots, n_grid)
 
 
 def limsup_envelope_integral(
@@ -329,22 +356,10 @@ def limsup_envelope_integral(
     ``kind`` selects the sliding-envelope ("inner") or frozen-envelope
     ("outer") integrand.
     """
-    if kind not in ("inner", "outer"):
-        raise ValueError(f"kind must be 'inner' or 'outer', got {kind!r}")
-    env = env if env is not None else combined_envelope(eq)
-    cache = cache if cache is not None else KernelCache()
-    w0 = _window_start(eq, env, r)
-    w1 = w0 + eq.period
-    fn = inner_criterion_integral if kind == "inner" else outer_criterion_integral
-
-    def f_scalar(t):
-        return fn(eq, r, t, tol=tol, cache=cache, env=env)
-
-    knots = set(breakpoint_times(list(eq.coefficients) + list(eq.lags), w0, w1))
-    knots.update(env.knots(w0, w1))
-    value, t_at = _scan_extremum(
-        f_scalar, w0, w1, sorted(knots), n_grid, "max", xtol=_refine_xtol(tol)
+    f, _, ts = criterion_profile(
+        eq, r, kind, tol=tol, n_grid=n_grid, cache=cache, env=env
     )
+    value, t_at = _scan_extremum(f, ts, "max", _refine_xtol(tol))
     return ScanExtremum(value=value, t=t_at)
 
 

@@ -14,9 +14,23 @@ The criterion integrals weight the coefficient sum by kernel values looked
 up at the delay-argument envelope:
 
     sliding:  integral_a^b sum_i p_i(z) K_r(h(z), tau_i(z)) dz
-    frozen:   same with h(z) replaced by a fixed reference value
+    frozen:   same with h(z) replaced by a fixed reference value c
 
 with h the combined envelope of the equation.
+
+Every value is a lookup in an antiderivative table built by ``_fit_table``
+(degree-16 Chebyshev pieces, kept once their trailing coefficients fall
+below ``tol``, bisected otherwise):
+
+    G_L  of g_L(z) = sum_i p_i(z) K_L(z, tau_i(z)), one period;
+         K_r(t, s) = exp(G_{r-1}(t) - G_{r-1}(s)), G_0 exact
+    F    of the sliding integrand, one period past env.t_stab plus one
+         non-periodic piece below it; sliding = F(b) - F(a)
+    W    of w(z) = sum_i p_i(z) exp(-G_{r-1}(tau_i(z))), one period, as
+         w(z + P) = e^{-T} w(z); frozen = e^{G_{r-1}(c)} (W(b) - W(a))
+
+Kernel exponents past 709 saturate to +inf (reciprocals to 0.0), and so
+does every integral over a table whose integrand overflows.
 """
 
 from __future__ import annotations
@@ -24,9 +38,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .envelope import EnvelopeFunction, _tau_polyline, combined_envelope
-from .model import DelayEquation, breakpoint_times
+from .model import DelayEquation
 
 __all__ = [
     "KernelCache",
@@ -40,103 +55,41 @@ __all__ = [
 MAX_DEPTH = 8
 DEFAULT_TOL = 1e-8
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_CHEB_DEG = 16
+_CHEB_U = np.cos(
+    np.pi * (2.0 * np.arange(_CHEB_DEG + 1) + 1.0) / (2.0 * (_CHEB_DEG + 1))
+)
+# values at _CHEB_U -> Chebyshev coefficients of the interpolant
+_CHEB_FIT = np.linalg.inv(cheb.chebvander(_CHEB_U, _CHEB_DEG))
+# A piece whose tail sits at the rounding noise of its samples cannot improve
+# by bisection, whatever ``tol`` asks for.  Samples exp(x) carry a relative
+# error of about eps * |x|, so the floor grows with the log of the scale.
+_TAIL_FLOOR = 1e-14
+# bisection rounds per seed piece, and pieces per table, past which the
+# remaining pieces are kept as they are
+_MAX_BISECT = 40
+_MAX_PIECES = 1 << 16
+# kink phases per level past which the set is frozen: the seeds then miss
+# kinks, and the tail rule bounds the error by bisecting where they fall
+_MAX_KINKS = 20000
+_EXP_MAX = 709.0
 
 
 class KernelCache:
-    """Pure memo for kernel values keyed by (depth, quantised s, quantised t).
+    """Antiderivative tables keyed by (kind, equation, level, terms, envelope,
+    tol), plus the kink phases that seed them.
 
-    Results with and without a cache agree up to the quantisation error,
-    which is far below the quadrature tolerance for the default step.
+    A table is built on first use and read by every later lookup, so results
+    with and without a shared cache are identical.
     """
 
-    def __init__(self, step: float = 1e-9):
-        if step <= 0.0:
-            raise ValueError(f"quantisation step must be positive, got {step}")
-        self.step = step
-        self._data: dict[tuple[int, int, int], float] = {}
-        self._profiles: dict = {}  # periodic antiderivative tables, see _profile
+    def __init__(self):
+        self._tables: dict = {}
 
-    def _key(self, r: int, s: float, t: float):
-        q = self.step
-        return (r, round(s / q), round(t / q))
-
-    def get(self, r: int, s: float, t: float):
-        return self._data.get(self._key(r, s, t))
-
-    def put(self, r: int, s: float, t: float, value: float) -> None:
-        self._data.setdefault(self._key(r, s, t), value)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-def _adaptive_gl(fvec, a: float, b: float, splits, tol: float, max_depth: int = 24):
-    """Composite 8-point Gauss-Legendre with mandatory splits and adaptive
-    bisection.  ``fvec`` maps an ndarray of points to an ndarray of values.
-    ``tol`` is an absolute tolerance for the whole interval, distributed over
-    subintervals proportionally to length; a rounding-noise floor keeps the
-    refinement from chasing differences below double precision."""
-    if b <= a:
-        return 0.0
-    xs = [a]
-    for s in splits:
-        if a < s < b and s - xs[-1] > 1e-12:
-            xs.append(s)
-    if b - xs[-1] > 1e-12:
-        xs.append(b)
-    else:
-        xs[-1] = b
-
-    def gl_batch(lows, highs):
-        # one fvec call for a whole batch of subintervals
-        lows = np.asarray(lows)
-        highs = np.asarray(highs)
-        half = 0.5 * (highs - lows)
-        mid = 0.5 * (highs + lows)
-        pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = fvec(pts.ravel()).reshape(pts.shape)
-        return half * (vals @ _GL_WEIGHTS)
-
-    lows = xs[:-1]
-    highs = xs[1:]
-    whole = gl_batch(lows, highs)
-    span = b - a
-    min_len = 1e-12 * span
-    work = [
-        (lo, hi, float(w), tol * (hi - lo) / span, 0)
-        for lo, hi, w in zip(lows, highs, whole)
-    ]
-    total = 0.0
-    while work:
-        lows2, highs2 = [], []
-        for lo, hi, _, _, _ in work:
-            m = 0.5 * (lo + hi)
-            lows2 += [lo, m]
-            highs2 += [m, hi]
-        halves = gl_batch(lows2, highs2)
-        nxt = []
-        for k, (lo, hi, w, tloc, depth) in enumerate(work):
-            left, right = halves[2 * k], halves[2 * k + 1]
-            refined = left + right
-            err = abs(refined - w)
-            if (
-                err <= tloc
-                or err <= 1e-14 * (abs(refined) + abs(w))
-                or hi - lo <= min_len
-                or depth >= max_depth
-            ):
-                total += refined
-            else:
-                m = 0.5 * (lo + hi)
-                nxt.append((lo, m, float(left), 0.5 * tloc, depth + 1))
-                nxt.append((m, hi, float(right), 0.5 * tloc, depth + 1))
-        if len(nxt) > 100000:
-            # runaway refinement: settle for the current estimates
-            total += sum(item[2] for item in nxt)
-            break
-        work = nxt
-    return total
+    def _table(self, key, build):
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
 
 
 def _check_depth(r: int) -> None:
@@ -150,60 +103,115 @@ def _check_depth(r: int) -> None:
         )
 
 
-_CHEB_DEG = 16
-_CHEB_U = np.cos(
-    np.pi * (2.0 * np.arange(_CHEB_DEG + 1) + 1.0) / (2.0 * (_CHEB_DEG + 1))
-)
-_MAX_KINKS = 20000
+# -- the table primitive -----------------------------------------------------
 
 
-class _PeriodicProfile:
-    """Periodic antiderivative table for one level of the kernel recursion.
+class _Table:
+    """Antiderivative x -> integral_{edges[0]}^x f of a piecewise Chebyshev fit.
 
-    The integrand level L is g_L(z) = sum_i p_i(z) K_L(z, tau_i(z)).  It is
-    exactly periodic (the kernel only involves the periodic p_i and tau_i,
-    and K_L(z + P, s + P) = K_L(z, s)), so its antiderivative over all of R
-    reduces to one period: G(x) = k * total + G_frac(x - k * P).  Within the
-    period G_frac is stored as per-segment Chebyshev antiderivatives between
-    the integrand's kink points, giving
-
-        K_{L+1}(t, s) = exp(G(t) - G(s))
-
-    in O(1) lookups instead of nested quadrature.  Interpolation error is
-    ~1e-12 as long as the kink set is complete, which holds for the depths
-    used in practice (the set is capped for pathologically rich geometry).
+    ``coef`` holds one row of antiderivative coefficients per piece, shape
+    (nseg, deg + 2), in the piece's local variable u in [-1, 1]; ``cum`` the
+    integral up to each piece's left end.  A table on [0, P] is also read
+    periodically.  A ``saturated`` table stands for an integrand that
+    overflowed; it carries no coefficients.
     """
 
-    __slots__ = ("period", "edges", "antiders", "cum", "total")
+    __slots__ = ("edges", "coef", "cum", "total", "saturated")
 
-    def __init__(self, period, edges, antiders, cum):
-        self.period = period
+    def __init__(self, edges=None, coef=None, cum=None):
         self.edges = edges
-        self.antiders = antiders
+        self.coef = coef
         self.cum = cum
-        self.total = float(cum[-1])
+        self.saturated = cum is None
+        self.total = math.inf if self.saturated else float(cum[-1])
 
-    def antiderivative(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        k = np.floor(xs / self.period)
-        frac = np.clip(xs - k * self.period, 0.0, self.period)
-        idx = np.clip(
-            np.searchsorted(self.edges, frac, side="right") - 1,
-            0,
-            len(self.antiders) - 1,
+    def within(self, xs):
+        shape = np.shape(xs)
+        x = np.asarray(xs, dtype=float).ravel()
+        j = np.clip(
+            np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.coef) - 1
         )
-        out = np.empty_like(frac)
-        for j in np.unique(idx):
-            sel = idx == j
-            out[sel] = self.cum[j] + self.antiders[j](frac[sel])
-        out += k * self.total
-        return float(out[0]) if scalar else out
+        lo, hi = self.edges[j], self.edges[j + 1]
+        u = (2.0 * x - lo - hi) / (hi - lo)
+        out = self.cum[j] + cheb.chebval(u, self.coef[j].T, tensor=False)
+        return out.reshape(shape)
 
-    def integral(self, s, t):
-        """Signed integral of the tabulated level from s to t."""
-        return self.antiderivative(t) - self.antiderivative(s)
+    def split(self, xs):
+        """(k, A(u)) for x = k * P + u with u in [0, P]."""
+        x = np.asarray(xs, dtype=float)
+        period = self.edges[-1]
+        k = np.floor(x / period)
+        return k, self.within(np.clip(x - k * period, 0.0, period))
+
+    def values(self, xs):
+        """Periodic continuation: A(x + P) = A(x) + total."""
+        k, frac = self.split(xs)
+        return k * self.total + frac
+
+
+class _CoeffSumLevel:
+    """G_0, the exact coefficient-sum antiderivative, read like a level table."""
+
+    saturated = False
+
+    def __init__(self, eq: DelayEquation):
+        self.values = eq.coeff_sum_antiderivative
+        self.total = float(self.values(eq.period))
+
+
+def _fit_table(f, edges, tol: float) -> _Table:
+    """Antiderivative table of ``f`` over [edges[0], edges[-1]].
+
+    Each piece between ``edges`` is interpolated in _CHEB_DEG + 1 Chebyshev
+    points and kept once its two trailing coefficients fall below ``tol`` (or
+    the rounding floor); otherwise it is bisected, at most _MAX_BISECT times
+    and while the table stays within _MAX_PIECES pieces.  This is chebfun's
+    splitting rule (Pachon, Platte & Trefethen, IMA J. Numer. Anal. 30
+    (2010); Trefethen, ATAP ch. 3 and 8).  ``f`` maps an array of points to
+    an array of values; a non-finite value saturates the table.
+    """
+    los = np.asarray(edges[:-1], dtype=float)
+    his = np.asarray(edges[1:], dtype=float)
+    kept_lo, kept_hi, kept_c = [], [], []
+    pieces = 0
+    for depth in range(_MAX_BISECT + 1):
+        mids = 0.5 * (los + his)
+        halves = 0.5 * (his - los)
+        pts = mids[:, None] + halves[:, None] * _CHEB_U[None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = f(pts.ravel()).reshape(pts.shape)
+        if not np.isfinite(vals).all():
+            return _Table()
+        c = vals @ _CHEB_FIT.T
+        mag = np.abs(c)
+        scale = mag.max(axis=1)
+        floor = _TAIL_FLOOR * scale * np.maximum(1.0, np.abs(np.log(scale + 1e-300)))
+        keep = mag[:, -2:].max(axis=1) <= np.maximum(tol, floor)
+        pieces += int(keep.sum())
+        if depth == _MAX_BISECT or pieces + 2 * int((~keep).sum()) > _MAX_PIECES:
+            keep[:] = True
+        kept_lo.append(los[keep])
+        kept_hi.append(his[keep])
+        kept_c.append(c[keep])
+        if keep.all():
+            break
+        split = ~keep
+        los = np.concatenate([los[split], mids[split]])
+        his = np.concatenate([mids[split], his[split]])
+
+    lo = np.concatenate(kept_lo)
+    order = np.argsort(lo)
+    lo = lo[order]
+    hi = np.concatenate(kept_hi)[order]
+    c = np.concatenate(kept_c)[order]
+    coef = cheb.chebint(c, lbnd=-1.0, axis=1) * (0.5 * (hi - lo))[:, None]
+    cum = np.concatenate([[0.0], np.cumsum(coef.sum(axis=1))])  # T_k(1) = 1
+    if not math.isfinite(cum[-1]):
+        return _Table()
+    return _Table(np.append(lo, hi[-1]), coef, cum)
+
+
+# -- kink phases that seed the tables -------------------------------------------
 
 
 def _merge_close(values, tol: float = 1e-9):
@@ -214,21 +222,15 @@ def _merge_close(values, tol: float = 1e-9):
     return out
 
 
-def _lattice_phases(eq: DelayEquation):
-    period = eq.period
-    phases = {0.0}
-    for f in list(eq.coefficients) + list(eq.lags):
-        for t, _ in f.breakpoints:
-            if t < period:
-                phases.add(float(t))
-    return sorted(phases)
+def _seed_edges(points, lo: float, hi: float) -> np.ndarray:
+    inner = [p for p in _merge_close(points) if lo + 1e-9 < p < hi - 1e-9]
+    return np.array([lo, *inner, hi])
 
 
-def _preimage_phases(eq: DelayEquation, phases):
-    """All z in [0, P) where some tau_i(z) hits a phase of ``phases`` mod P."""
-    period = eq.period
+def _preimage_phases(lags, period: float, phases):
+    """All z in [0, P) where some z - lag(z) hits a phase of ``phases`` mod P."""
     found: list[float] = []
-    for lag in eq.lags:
+    for lag in lags:
         poly = _tau_polyline(lag, 0.0, period)
         for (z0, y0), (z1, y1) in zip(poly, poly[1:]):
             if z1 <= z0:
@@ -249,124 +251,144 @@ def _preimage_phases(eq: DelayEquation, phases):
     return found
 
 
-def _kink_phases(eq: DelayEquation, level: int, cache: "KernelCache"):
-    """Kink phases of the level-``level`` integrand in [0, P).
+def _kink_phases(eq: DelayEquation, level: int, cache: KernelCache):
+    """Kink phases of the level-``level`` integrand g_level in [0, P).
 
     Level 0 is the breakpoint lattice; each further level adds the delay
-    preimages of the previous set (growth is capped: past the cap the
-    adaptive quadrature alone bounds the error).
+    preimages of the previous set, up to _MAX_KINKS phases.
     """
-    store = cache._profiles
-    key = (eq, "kinks", level)
-    got = store.get(key)
-    if got is None:
+
+    def build():
         if level == 0:
-            got = _lattice_phases(eq)
-        else:
-            prev = _kink_phases(eq, level - 1, cache)
-            if len(prev) > _MAX_KINKS:
-                got = prev
-            else:
-                got = _merge_close(prev + _preimage_phases(eq, prev))
-        store[key] = got
-    return got
+            funcs = eq.coefficients + eq.lags
+            return sorted({t for f in funcs for t in f.interior_times})
+        prev = _kink_phases(eq, level - 1, cache)
+        if len(prev) > _MAX_KINKS:
+            return prev
+        return _merge_close(prev + _preimage_phases(eq.lags, eq.period, prev))
+
+    return cache._table(("kinks", eq, level, None, None, None), build)
 
 
-def _lift_phases(phases, period: float, a: float, b: float):
-    """All times k*P + phi inside [a, b]."""
-    out: list[float] = []
-    k0 = math.floor(a / period) - 1
-    k1 = math.ceil(b / period) + 1
-    for k in range(k0, k1 + 1):
-        base = k * period
-        for phi in phases:
-            t = base + phi
-            if a <= t <= b:
-                out.append(t)
-    return sorted(out)
+# -- the tables ---------------------------------------------------------------
 
 
-def _profile(eq: DelayEquation, level: int, cache: "KernelCache") -> _PeriodicProfile:
-    """Build (or fetch) the periodic antiderivative table of g_level, level >= 1."""
-    store = cache._profiles
-    key = (eq, level)
-    prof = store.get(key)
-    if prof is not None:
-        return prof
-    period = eq.period
-    if level == 1:
-        antider_prev = eq.coeff_sum_antiderivative  # exact closed form
-    else:
-        antider_prev = _profile(eq, level - 1, cache).antiderivative
-    kinks = _kink_phases(eq, level, cache)
+def _weighted_sum(eq: DelayEquation, terms, level, zs, base):
+    """sum over ``terms`` of p_i(z) * exp(base - G(tau_i(z))), G = ``level``."""
+    acc = 0.0
+    for i in terms:
+        tau = zs - eq.lags[i].values(zs)
+        acc = acc + eq.coefficients[i].values(zs) * np.exp(base - level.values(tau))
+    return acc
 
-    edges = [0.0] + [k for k in kinks if 0.0 < k < period] + [period]
-    max_len = min(1.0, period)  # keep the fixed degree comfortably accurate
-    refined = [edges[0]]
-    for a, b in zip(edges, edges[1:]):
-        n = max(1, math.ceil((b - a) / max_len - 1e-12))
-        refined.extend(a + (b - a) * j / n for j in range(1, n + 1))
-    edge_arr = np.asarray(refined)
 
-    coeffs, lags = eq.coefficients, eq.lags
+def _level(eq: DelayEquation, level: int, cache: KernelCache, tol: float):
+    """G_level: exact for level 0, else the periodic table of g_level."""
+    if level == 0:
+        return _CoeffSumLevel(eq)
 
-    def g(zs):
-        base = antider_prev(zs)
-        acc = None
-        for c, d in zip(coeffs, lags):
-            tau = zs - d.values(zs)
-            term = c.values(zs) * np.exp(base - antider_prev(tau))
-            acc = term if acc is None else acc + term
-        return acc
-
-    los, his = edge_arr[:-1], edge_arr[1:]
-    mids = 0.5 * (los + his)
-    halves = 0.5 * (his - los)
-    pts = mids[:, None] + halves[:, None] * _CHEB_U[None, :]
-    vals = g(pts.ravel()).reshape(pts.shape)
-    antiders = []
-    seg = np.empty(len(los))
-    for j in range(len(los)):
-        coef = np.polynomial.chebyshev.chebfit(_CHEB_U, vals[j], _CHEB_DEG)
-        anti = np.polynomial.Chebyshev(coef, domain=[los[j], his[j]]).integ(
-            lbnd=float(los[j])
+    def build():
+        prev = _level(eq, level - 1, cache, tol)
+        if prev.saturated:
+            return _Table()
+        return _fit_table(
+            lambda zs: _weighted_sum(eq, range(eq.m), prev, zs, prev.values(zs)),
+            _seed_edges(_kink_phases(eq, level, cache), 0.0, eq.period),
+            tol,
         )
-        antiders.append(anti)
-        seg[j] = anti(his[j])
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    prof = _PeriodicProfile(period, edge_arr, antiders, cum)
-    store[key] = prof
-    return prof
+
+    return cache._table(("G", eq, level, None, None, tol), build)
 
 
-def _kernel_exponent(
-    eq: DelayEquation, r: int, lo: float, hi: float, tol: float, cache
-) -> float:
-    """Exponent of K_r over the ordered interval [lo, hi]."""
-    if r == 1:
-        return eq.integrate_coeff_sum(lo, hi)
+def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> _Table:
+    """F over one period of the settled envelope, or (``transient``) over
+    [min(h(0), 0), t_stab) where the envelope has not settled yet."""
+    period = eq.period
 
-    coeffs = eq.coefficients
-    lags = eq.lags
-    if r == 2:
-        # depth-1 kernels have a closed-form exponent, so the integrand
-        # vectorises completely
-        antider = eq.coeff_sum_antiderivative
-    else:
-        # deeper kernels read the previous level from its periodic table
-        antider = _profile(eq, r - 2, cache).antiderivative
+    def build():
+        g = _level(eq, r - 1, cache, tol)
+        if g.saturated:
+            return _Table()
+        kinks = _kink_phases(eq, r, cache)
+        if transient:
+            h, lo, hi = env, min(env(0.0), 0.0), env.t_stab
+            k0, k1 = math.floor(lo / period), math.ceil(hi / period)
+            points = [phi + k * period for k in range(k0, k1) for phi in kinks]
+        else:
+            # the settled envelope, continued periodically
+            h, lo, hi = EnvelopeFunction(0.0, (), env.tail_lag), 0.0, period
+            prev = _kink_phases(eq, r - 1, cache)
+            points = kinks + _preimage_phases([env.tail_lag], period, prev)
+        return _fit_table(
+            lambda zs: _weighted_sum(eq, terms, g, zs, g.values(h.values(zs))),
+            _seed_edges(points + h.knots(lo, hi), lo, hi),
+            tol,
+        )
 
-    def fvec(zs):
-        acc = None
-        base = antider(zs)
-        for c, d in zip(coeffs, lags):
-            tau = zs - d.values(zs)
-            term = c.values(zs) * np.exp(base - antider(tau))
-            acc = term if acc is None else acc + term
-        return acc
+    kind = "F-" if transient else "F"
+    return cache._table((kind, eq, r, terms, env, tol), build)
 
-    splits = _lift_phases(_kink_phases(eq, r - 1, cache), eq.period, lo, hi)
-    return _adaptive_gl(fvec, lo, hi, splits, tol)
+
+def _sliding(eq, r, terms, env, cache, tol, a, b):
+    """integral_a^b sum_{i in terms} p_i(z) K_r(h(z), tau_i(z)) dz, elementwise."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    per = _sliding_table(eq, r, terms, env, cache, tol, False)
+    if per.saturated:
+        return np.where(b > a, math.inf, 0.0)
+    x = np.stack([a, b])
+    out = per.values(x)
+    pre = x < env.t_stab
+    if pre.any():
+        tr = _sliding_table(eq, r, terms, env, cache, tol, True)
+        if tr.saturated:
+            return np.where(b > a, math.inf, 0.0)
+        lo = tr.edges[0]
+        if (x[pre] < lo).any():
+            raise ValueError(
+                f"the sliding envelope integral starts at {lo}; got a lower limit "
+                f"of {x[pre].min()}"
+            )
+        # F(x) = F(t_stab) - integral_x^{t_stab}
+        out[pre] = per.values(env.t_stab) - (tr.total - tr.within(x[pre]))
+    return out[1] - out[0]
+
+
+def _frozen(eq, r, terms, cache, tol, c, a, b):
+    """integral_a^b sum_{i in terms} p_i(z) K_r(c, tau_i(z)) dz, elementwise."""
+    a, b, c = np.broadcast_arrays(
+        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(c, dtype=float)
+    )
+    g = _level(eq, r - 1, cache, tol)
+
+    def build():
+        if g.saturated:
+            return _Table()
+        return _fit_table(
+            lambda zs: _weighted_sum(eq, terms, g, zs, 0.0),
+            _seed_edges(_kink_phases(eq, r, cache), 0.0, eq.period),
+            tol,
+        )
+
+    w = cache._table(("W", eq, r, terms, None, tol), build)
+    if w.saturated:
+        return np.where(b > a, math.inf, 0.0)
+    big_t = g.total
+    ka, wa = w.split(a)
+    kb, wb = w.split(b)
+    n = kb - ka
+    # sum_{j=0}^{n-1} e^{-jT}: the periods between a and b
+    geo = n if big_t == 0.0 else np.expm1(-n * big_t) / np.expm1(-big_t)
+    # e^{k_a T} (W(b) - W(a)), as W(kP + u) = W_P geo(k) + e^{-kT} W(u); the
+    # integral of a nonnegative function, so rounding below 0 is clipped
+    inside = np.maximum(w.total * geo - wa + np.exp(-n * big_t) * wb, 0.0)
+    # times e^{G(c) - k_a T}, saturating past float range
+    expo = g.values(c) - ka * big_t
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = inside * np.where(expo > _EXP_MAX, math.inf, np.exp(expo))
+    return np.where(inside == 0.0, 0.0, out)
+
+
+# -- public lookups -------------------------------------------------------------
 
 
 def decay_kernel(
@@ -384,60 +406,27 @@ def decay_kernel(
         raise ValueError(f"kernel arguments must be finite, got t={t}, s={s}")
     if t == s:
         return 1.0
-    if cache is None:
-        cache = KernelCache()
+    g = _level(eq, r - 1, cache if cache is not None else KernelCache(), tol)
     lo, hi = (s, t) if s < t else (t, s)
-    value = cache.get(r, lo, hi)
-    if value is None:
-        expo = _kernel_exponent(eq, r, lo, hi, tol, cache)
-        # deep kernels grow doubly exponentially in r; saturate past float range
-        value = math.inf if expo > 709.0 else math.exp(expo)
-        cache.put(r, lo, hi, value)
+    expo = math.inf if g.saturated else float(g.values(hi) - g.values(lo))
+    # deep kernels grow doubly exponentially in r; saturate past float range
+    value = math.inf if expo > _EXP_MAX else math.exp(expo)
     return value if t >= s else 1.0 / value
-
-
-def _criterion_integrand_quad(
-    eq, env, r, a, b, ref_value, terms, tol, cache
-) -> float:
-    """Shared quadrature for the criterion integrals over [a, b].
-
-    ``ref_value`` is None for the sliding envelope or a fixed float for the
-    frozen variant.  ``terms`` selects coefficient indices (None = all).
-    """
-    if b <= a:
-        return 0.0
-    if cache is None:
-        cache = KernelCache()
-    idx = range(eq.m) if terms is None else list(terms)
-    coeffs = [eq.coefficients[i] for i in idx]
-    lags = [eq.lags[i] for i in idx]
-
-    if r == 1:
-        antider = eq.coeff_sum_antiderivative  # K_1 exponent is exact
-    else:
-        antider = _profile(eq, r - 1, cache).antiderivative
-
-    def fvec(zs):
-        ref = env.values(zs) if ref_value is None else ref_value
-        base = antider(ref)
-        acc = None
-        for c, d in zip(coeffs, lags):
-            tau = zs - d.values(zs)
-            term = c.values(zs) * np.exp(base - antider(tau))
-            acc = term if acc is None else acc + term
-        return acc
-
-    if r == 1:
-        splits = breakpoint_times(list(eq.coefficients) + list(eq.lags), a, b)
-    else:
-        splits = _lift_phases(_kink_phases(eq, r, cache), eq.period, a, b)
-    if ref_value is None:
-        splits = sorted(set(splits) | set(env.knots(a, b)))
-    return _adaptive_gl(fvec, a, b, splits, tol)
 
 
 def _resolve_env(eq, env):
     return env if env is not None else combined_envelope(eq)
+
+
+def _times(t):
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if (ts < 0.0).any():
+        raise ValueError(f"envelope is defined for t >= 0, got {ts.min()}")
+    return ts
+
+
+def _as_output(values, t):
+    return float(values[0]) if np.ndim(t) == 0 else values
 
 
 def inner_criterion_integral(
@@ -449,11 +438,16 @@ def inner_criterion_integral(
     cache: KernelCache | None = None,
     env: EnvelopeFunction | None = None,
 ) -> float:
-    """integral_{h(t)}^t sum_i p_i(z) K_r(h(z), tau_i(z)) dz."""
+    """integral_{h(t)}^t sum_i p_i(z) K_r(h(z), tau_i(z)) dz.
+
+    ``t`` may be an array of times; the result then has its shape.
+    """
     _check_depth(r)
     env = _resolve_env(eq, env)
-    a = env(t)
-    return _criterion_integrand_quad(eq, env, r, a, t, None, None, tol, cache)
+    cache = cache if cache is not None else KernelCache()
+    ts = _times(t)
+    out = _sliding(eq, r, tuple(range(eq.m)), env, cache, tol, env.values(ts), ts)
+    return _as_output(out, t)
 
 
 def outer_criterion_integral(
@@ -465,11 +459,16 @@ def outer_criterion_integral(
     cache: KernelCache | None = None,
     env: EnvelopeFunction | None = None,
 ) -> float:
-    """integral_{h(t)}^t sum_i p_i(z) K_r(h(t), tau_i(z)) dz (envelope frozen at t)."""
+    """integral_{h(t)}^t sum_i p_i(z) K_r(h(t), tau_i(z)) dz (envelope frozen at t).
+
+    ``t`` may be an array of times; the result then has its shape.
+    """
     _check_depth(r)
     env = _resolve_env(eq, env)
-    a = env(t)
-    return _criterion_integrand_quad(eq, env, r, a, t, a, None, tol, cache)
+    cache = cache if cache is not None else KernelCache()
+    ts = _times(t)
+    c = env.values(ts)
+    return _as_output(_frozen(eq, r, tuple(range(eq.m)), cache, tol, c, c, ts), t)
 
 
 def term_integral(
@@ -494,5 +493,8 @@ def term_integral(
         raise ValueError(f"term index {i} out of range for m={eq.m}")
     if a > b:
         raise ValueError(f"integration bounds out of order: {a} > {b}")
-    env = _resolve_env(eq, env) if envelope_at is None else env
-    return _criterion_integrand_quad(eq, env, r, a, b, envelope_at, [i], tol, cache)
+    cache = cache if cache is not None else KernelCache()
+    if envelope_at is None:
+        env = _resolve_env(eq, env)
+        return float(_sliding(eq, r, (i,), env, cache, tol, a, b))
+    return float(_frozen(eq, r, (i,), cache, tol, envelope_at, a, b))

@@ -149,7 +149,26 @@ def test_limsup_sharpens_with_depth(demo_eq):
     assert inner2 > inner1 + 0.1  # genuinely sharper here, not a tie
 
 
+def test_limsup_past_float_range_is_inf_not_nan(demo_eq):
+    # the depth-5 kernel overflows inside the integrand on the demo
+    for kind in ("inner", "outer"):
+        got = limsup_envelope_integral(demo_eq, 5, kind, n_grid=50)
+        assert not math.isnan(got.value)
+        assert math.isfinite(got.value) or got.value == math.inf
+
+
 # -- verdict assembly -------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_reported_values_are_plain_floats(demo_eq, control_eq, r):
+    for eq in (demo_eq, control_eq):
+        rep = check_all(eq, r, n_grid=50, n_grid_liminf=200)
+        assert type(rep.alpha) is float
+        for v in rep.verdicts:
+            assert v.value is None or type(v.value) is float, v.name
+        ext = limsup_envelope_integral(eq, r, "outer", n_grid=50)
+        assert type(ext.value) is float and type(ext.t) is float
 
 
 def test_check_all_demo_report(demo_eq):

@@ -156,19 +156,6 @@ def test_cache_transparency(demo_eq):
         assert abs(cold - first) <= 1e-8 * abs(first)
 
 
-def test_cache_key_quantisation_and_idempotence():
-    cache = KernelCache()
-    cache.put(2, 1.0, 2.0, 5.0)
-    cache.put(2, 1.0, 2.0, 99.0)  # second insert must not overwrite
-    assert cache.get(2, 1.0, 2.0) == 5.0
-    # perturbations below the quantisation step land on the same key
-    assert cache.get(2, 1.0 + 2e-10, 2.0 - 2e-10) == 5.0
-    assert cache.get(2, 1.0 + 2e-9, 2.0) is None
-    assert len(cache) == 1
-    with pytest.raises(ValueError, match="positive"):
-        KernelCache(step=0.0)
-
-
 def test_depth_validation(demo_eq):
     with pytest.raises(ValueError, match="depth"):
         decay_kernel(demo_eq, 0, 2.0, 1.0)
