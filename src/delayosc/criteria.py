@@ -3,20 +3,26 @@
 All limit inferior / limit superior quantities reduce to extrema of
 periodic profiles once transients have passed, so they are computed by
 scanning one steady-state period on a dense grid seeded with every
-geometric breakpoint, then refining each local extremum by golden-section
-search.  A criterion counts as satisfied only when its margin clears
-10 * tol; anything closer is marginal and reported as not satisfied.
+geometric breakpoint, then refining every local extremum by golden-section
+search, all brackets in lockstep with one vectorised call per step.  A
+criterion counts as satisfied only when its margin clears 10 * tol; anything
+closer is marginal and reported as not satisfied.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from . import envelope as env_mod
-from .envelope import EnvelopeFunction, combined_envelope, tau_max_polyline
+from .envelope import (
+    EnvelopeFunction,
+    combined_envelope,
+    tau_max_polyline,
+    tau_max_values,
+)
 from .kernel import (
     DEFAULT_TOL,
     KernelCache,
@@ -90,22 +96,25 @@ def lambda0(alpha_value: float, *, xtol: float = 1e-12) -> float:
 # -- extremum scanning -----------------------------------------------------
 
 
-def _golden_min(f, a: float, b: float, xtol: float):
+def _golden_lockstep(g, a, b, xtol: float):
+    """Golden-section minimum of the vectorised ``g`` on every bracket
+    ``[a[k], b[k]]`` at once.  Each pass moves every bracket still wider than
+    ``xtol`` by one golden step and calls ``g`` once, on their new points."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+    gc, gd = np.split(g(np.concatenate([c, d])), 2)
+    act = np.flatnonzero(b - a > xtol)
+    while act.size:
+        left = gc[act] < gd[act]
+        lft, rgt = act[left], act[~left]
+        b[lft], d[lft], gd[lft] = d[lft], c[lft], gc[lft]
+        a[rgt], c[rgt], gc[rgt] = c[rgt], d[rgt], gd[rgt]
+        c[lft] = b[lft] - _INVPHI * (b[lft] - a[lft])
+        d[rgt] = a[rgt] + _INVPHI * (b[rgt] - a[rgt])
+        gc[lft], gd[rgt] = np.split(g(np.concatenate([c[lft], d[rgt]])), [lft.size])
+        act = act[b[act] - a[act] > xtol]
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, g(x)
 
 
 def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
@@ -120,46 +129,47 @@ def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
 
 def _scan_extremum(f, cand, mode, xtol=_GOLDEN_XTOL):
     """Extremum of the vectorised function f over the sorted candidates
-    ``cand``, with golden-section refinement of every local extremum bracket."""
-    vals = np.asarray(f(cand), dtype=float)
+    ``cand``, with its location.
+
+    Every run of equal local extrema of ``f(cand)`` brackets one golden-section
+    refinement between its outer neighbours; all brackets are refined
+    together.  A refinement replaces the best grid value only when strictly
+    better, and the first bracket wins a tie.
+    """
     sign = 1.0 if mode == "min" else -1.0
-    g = sign * vals
 
-    def refine_target(x):
-        return sign * float(f(np.array([x]))[0])
+    def g(x):
+        return sign * np.asarray(f(x), dtype=float)
 
-    n = len(cand)
-    best_val = float(g.min())
-    best_t = float(cand[int(np.argmin(g))])
+    vals = g(cand)
+    k = int(np.argmin(vals))
+    best_val, best_t = vals[k], cand[k]
 
-    reps = []
-    for j in range(n):
-        gl = g[j - 1] if j > 0 else math.inf
-        gr = g[j + 1] if j < n - 1 else math.inf
-        if g[j] <= gl and g[j] <= gr:
-            if reps and reps[-1][1] == j - 1 and g[j] == g[j - 1]:
-                reps[-1] = (reps[-1][0], j)  # extend a flat run
-            else:
-                reps.append((j, j))
-    for j0, j1 in reps:
-        lo = cand[max(j0 - 1, 0)]
-        hi = cand[min(j1 + 1, n - 1)]
-        if hi <= lo:
-            continue
-        x, gx = _golden_min(refine_target, float(lo), float(hi), xtol)
-        if gx < best_val:
-            best_val = gx
-            best_t = x
+    pad = np.concatenate([[math.inf], vals, [math.inf]])
+    is_min = np.concatenate([[False], (vals <= pad[:-2]) & (vals <= pad[2:]), [False]])
+    # adjacent local minima are equal, so each run of them is one flat extremum
+    j0 = np.flatnonzero(is_min[1:-1] & ~is_min[:-2])
+    j1 = np.flatnonzero(is_min[1:-1] & ~is_min[2:])
+    lo = cand[np.maximum(j0 - 1, 0)]
+    hi = cand[np.minimum(j1 + 1, len(cand) - 1)]
+    keep = hi > lo
+    if keep.any():
+        x, gx = _golden_lockstep(g, lo[keep], hi[keep], xtol)
+        gx[np.isnan(gx)] = math.inf  # a NaN refinement never wins
+        k = int(np.argmin(gx))
+        if gx[k] < best_val:
+            best_val, best_t = gx[k], x[k]
     return float(sign * best_val), float(best_t)
 
 
-def _window_start(eq: DelayEquation, env: EnvelopeFunction, depth: int) -> float:
-    """Period-aligned start of the steady-state scan window; generous enough
+def _window(eq: DelayEquation, env: EnvelopeFunction | None, depth: int):
+    """``(env, w0, w1)``: the envelope, built when not given, and the
+    period-aligned steady-state scan window ``[w0, w1 = w0 + P]``, late enough
     that ``depth`` nested kernel lookups never reach back before t = 0."""
-    span = (depth + 2) * (eq.max_lag + eq.period)
-    t0 = env.t_stab + span
-    per = eq.period
-    return per * math.ceil(t0 / per - 1e-9)
+    env = env if env is not None else combined_envelope(eq)
+    t0 = env.t_stab + (depth + 2) * (eq.max_lag + eq.period)
+    w0 = eq.period * math.ceil(t0 / eq.period - 1e-9)
+    return env, w0, w0 + eq.period
 
 
 def _preimages(poly, targets):
@@ -192,14 +202,18 @@ def _refine_xtol(tol: float) -> float:
     return min(float(tol), _GOLDEN_XTOL)
 
 
-def _liminf_coeff_integral(eq, lower_values, poly, w0, w1, n_grid, mode, xtol):
+def _coeff_integral_extremum(eq, lower, polyline, mode, tol, n_grid, env):
+    """Extremum over one settled period of t -> integral over [lower(t), t] of
+    the coefficient sum; ``polyline(a, b)`` is the polyline of ``lower``."""
+    _, w0, w1 = _window(eq, env, 0)
     anti = eq.coeff_sum_antiderivative
 
     def f(ts):
-        return anti(ts) - anti(lower_values(ts))
+        return anti(ts) - anti(lower(ts))
 
-    cand = _scan_grid(w0, w1, _integral_profile_knots(eq, poly, w0, w1), n_grid)
-    return _scan_extremum(f, cand, mode, xtol)
+    knots = _integral_profile_knots(eq, polyline(w0, w1), w0, w1)
+    cand = _scan_grid(w0, w1, knots, n_grid)
+    return _scan_extremum(f, cand, mode, _refine_xtol(tol))[0]
 
 
 # -- liminf quantities -----------------------------------------------------
@@ -213,21 +227,8 @@ def alpha(
     env: EnvelopeFunction | None = None,
 ) -> float:
     """liminf of integral over [tau_max(t), t] of the coefficient sum."""
-    env = env if env is not None else combined_envelope(eq)
-    w0 = _window_start(eq, env, 0)
-    w1 = w0 + eq.period
-    poly = tau_max_polyline(eq, w0, w1)
-    value, _ = _liminf_coeff_integral(
-        eq,
-        lambda ts: env_mod.tau_max_values(eq, ts),
-        poly,
-        w0,
-        w1,
-        n_grid,
-        "min",
-        _refine_xtol(tol),
-    )
-    return value
+    lower, poly = partial(tau_max_values, eq), partial(tau_max_polyline, eq)
+    return _coeff_integral_extremum(eq, lower, poly, "min", tol, n_grid, env)
 
 
 def alpha_over_envelope(
@@ -240,13 +241,9 @@ def alpha_over_envelope(
     """liminf of integral over [h(t), t]; equals ``alpha`` in the limit
     because the envelope only flattens the delay argument where it dips."""
     env = env if env is not None else combined_envelope(eq)
-    w0 = _window_start(eq, env, 0)
-    w1 = w0 + eq.period
-    poly = env.polyline(w0, w1)
-    value, _ = _liminf_coeff_integral(
-        eq, env.values, poly, w0, w1, n_grid, "min", _refine_xtol(tol)
+    return _coeff_integral_extremum(
+        eq, env.values, env.polyline, "min", tol, n_grid, env
     )
-    return value
 
 
 def kwong_limsup(
@@ -257,21 +254,8 @@ def kwong_limsup(
     env: EnvelopeFunction | None = None,
 ) -> float:
     """limsup of integral over [tau_max(t), t] of the coefficient sum."""
-    env = env if env is not None else combined_envelope(eq)
-    w0 = _window_start(eq, env, 0)
-    w1 = w0 + eq.period
-    poly = tau_max_polyline(eq, w0, w1)
-    value, _ = _liminf_coeff_integral(
-        eq,
-        lambda ts: env_mod.tau_max_values(eq, ts),
-        poly,
-        w0,
-        w1,
-        n_grid,
-        "max",
-        _refine_xtol(tol),
-    )
-    return value
+    lower, poly = partial(tau_max_values, eq), partial(tau_max_polyline, eq)
+    return _coeff_integral_extremum(eq, lower, poly, "max", tol, n_grid, env)
 
 
 def hunt_yorke_liminf(
@@ -282,9 +266,7 @@ def hunt_yorke_liminf(
     env: EnvelopeFunction | None = None,
 ) -> float:
     """liminf of sum_i p_i(t) * d_i(t) (coefficients weighted by their lags)."""
-    env = env if env is not None else combined_envelope(eq)
-    w0 = _window_start(eq, env, 0)
-    w1 = w0 + eq.period
+    _, w0, w1 = _window(eq, env, 0)
 
     def f(ts):
         acc = None
@@ -327,10 +309,8 @@ def criterion_profile(
     """
     if kind not in ("inner", "outer"):
         raise ValueError(f"kind must be 'inner' or 'outer', got {kind!r}")
-    env = env if env is not None else combined_envelope(eq)
+    env, w0, w1 = _window(eq, env, r)
     cache = cache if cache is not None else KernelCache()
-    w0 = _window_start(eq, env, r)
-    w1 = w0 + eq.period
     fn = inner_criterion_integral if kind == "inner" else outer_criterion_integral
 
     def f(ts):
@@ -433,22 +413,15 @@ def check_all(
         eq, r, "outer", tol=tol, n_grid=n_grid, cache=cache, env=env
     )
 
-    w_liminf = _window_start(eq, env, 0)
-    w_kernel = _window_start(eq, env, r)
+    window_liminf = _window(eq, env, 0)[1:]
+    window_kernel = _window(eq, env, r)[1:]
     base_params = {"tol": tol, "r": None}
 
     def params_liminf():
-        return dict(
-            base_params, n_grid=n_grid_liminf, window=(w_liminf, w_liminf + eq.period)
-        )
+        return dict(base_params, n_grid=n_grid_liminf, window=window_liminf)
 
-    def params_kernel():
-        return dict(
-            base_params,
-            r=r,
-            n_grid=n_grid,
-            window=(w_kernel, w_kernel + eq.period),
-        )
+    def params_kernel(t):
+        return dict(base_params, r=r, n_grid=n_grid, window=window_kernel, t=t)
 
     lam_threshold = (1.0 + math.log(lam)) / lam if lam is not None else None
     sqrt_arg = 1.0 - 2.0 * a_val - a_val * a_val
@@ -484,9 +457,13 @@ def check_all(
             eq.m == 1 and _is_monotone_delay(eq) and lam is not None,
             params_liminf(),
         ),
-        verdict("bcs_1_8", outer.value, 1.0, True, params_kernel()),
-        verdict("bcs_1_9", outer.value, bcs19_threshold, lam is not None, params_kernel()),
-        verdict("main_2_8", inner.value, lam_threshold, lam is not None, params_kernel()),
+        verdict("bcs_1_8", outer.value, 1.0, True, params_kernel(outer.t)),
+        verdict(
+            "bcs_1_9", outer.value, bcs19_threshold, lam is not None, params_kernel(outer.t)
+        ),
+        verdict(
+            "main_2_8", inner.value, lam_threshold, lam is not None, params_kernel(inner.t)
+        ),
     )
 
     witness = next((v.name for v in verdicts if v.satisfied), None)

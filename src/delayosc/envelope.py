@@ -159,9 +159,9 @@ class EnvelopeFunction:
         if self.t_stab > 0.0:
             pre = x < self.t_stab
             if pre.any():
-                out = out.copy()
+                out = np.array(out)
                 out[pre] = [_poly_eval(list(self.transient), t) for t in x[pre]]
-        return out
+        return out[()]
 
     def knots(self, a: float, b: float) -> list[float]:
         """Kink locations of the envelope inside [a, b]."""

@@ -19,6 +19,7 @@ from delayosc import (
     lambda0,
     limsup_envelope_integral,
 )
+from delayosc import criteria
 
 from conftest import fixed_point_lambda, make_constant_equation, make_random_equation
 
@@ -79,6 +80,122 @@ def test_grid_doubling_stability(demo_eq):
     f1 = limsup_envelope_integral(demo_eq, 1, "inner", n_grid=500).value
     f2 = limsup_envelope_integral(demo_eq, 1, "inner", n_grid=1000).value
     assert abs(f1 - f2) < 5e-8
+
+
+# -- extremum scan ----------------------------------------------------------
+
+
+def _scan_reference(f, cand, mode, xtol=1e-10):
+    """One bracket at a time: each run of equal local extrema refined by a
+    scalar golden-section search, in order; a strictly better one wins."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    sign = 1.0 if mode == "min" else -1.0
+
+    def g(x):
+        return sign * float(f(np.array([x]))[0])
+
+    vals = sign * np.asarray(f(cand), dtype=float)
+    best_val, best_t = float(vals.min()), float(cand[int(np.argmin(vals))])
+    n = len(cand)
+    runs = []
+    for j in range(n):
+        left = vals[j - 1] if j > 0 else math.inf
+        right = vals[j + 1] if j < n - 1 else math.inf
+        if vals[j] <= left and vals[j] <= right:
+            if runs and runs[-1][1] == j - 1 and vals[j] == vals[j - 1]:
+                runs[-1] = (runs[-1][0], j)
+            else:
+                runs.append((j, j))
+    for j0, j1 in runs:
+        a, b = float(cand[max(j0 - 1, 0)]), float(cand[min(j1 + 1, n - 1)])
+        if b <= a:
+            continue
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        gc, gd = g(c), g(d)
+        while b - a > xtol:
+            if gc < gd:
+                b, d, gd = d, c, gc
+                c = b - invphi * (b - a)
+                gc = g(c)
+            else:
+                a, c, gc = c, d, gd
+                d = a + invphi * (b - a)
+                gd = g(d)
+        x = 0.5 * (a + b)
+        gx = g(x)
+        if gx < best_val:
+            best_val, best_t = gx, x
+    return sign * best_val, best_t
+
+
+def test_scan_matches_the_one_bracket_reference(demo_eq, control_eq):
+    # flat runs and ties: a staircase of three levels
+    cand = np.linspace(0.0, 1.0, 201)
+    steps = np.random.default_rng(3).integers(0, 3, cand.size).astype(float)
+    profiles = [(lambda ts: np.interp(ts, cand, steps), cand)]
+    # two equal grid values either side of the peak: one bracket spans both
+    profiles.append((lambda ts: -((ts - 0.5) ** 2), 0.0625 + 0.125 * np.arange(8)))
+    # the control profile is flat up to rounding: many noise brackets
+    for eq in (demo_eq, control_eq):
+        for kind in ("inner", "outer"):
+            f, _, ts = criteria.criterion_profile(eq, 1, kind, n_grid=100)
+            profiles.append((f, ts))
+    for f, ts in profiles:
+        for mode in ("min", "max"):
+            assert criteria._scan_extremum(f, ts, mode) == _scan_reference(f, ts, mode)
+
+
+def test_scan_finds_peaks_the_grid_misses():
+    cand = np.linspace(0.013, 0.987, 50)  # no point on a peak or a trough
+
+    def f(ts):
+        return np.cos(6.0 * math.pi * ts)
+
+    top, t_top = criteria._scan_extremum(f, cand, "max")
+    bottom, t_bottom = criteria._scan_extremum(f, cand, "min")
+    assert abs(top - 1.0) <= 1e-15 and abs(bottom + 1.0) <= 1e-15
+    # equal extrema resolve to the first one
+    assert t_top == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert t_bottom == pytest.approx(1.0 / 6.0, abs=1e-6)
+
+
+def test_scan_of_a_constant_profile_returns_the_first_candidate():
+    cand = np.linspace(2.0, 3.0, 11)
+    for mode in ("min", "max"):
+        assert criteria._scan_extremum(np.zeros_like, cand, mode) == (0.0, 2.0)
+
+
+def test_scan_of_two_equal_peaks_returns_the_first():
+    # flat-topped tents at 0.3 and 0.7 with tops of width 0.04 between grid points
+    def f(ts):
+        tent = lambda p: np.minimum(1.0, 2.0 - 50.0 * np.abs(ts - p))  # noqa: E731
+        return np.maximum(tent(0.3), tent(0.7))
+
+    cand = 0.025 + 0.05 * np.arange(20)
+    assert f(cand).max() < 1.0
+    value, t = criteria._scan_extremum(f, cand, "max")
+    assert value == 1.0
+    assert abs(t - 0.3) <= 0.02
+
+
+def test_scan_refines_every_bracket_in_lockstep(monkeypatch):
+    # const family of the benchmark: lag / period 100, p * lag 0.21.  Its
+    # profile is flat up to rounding, so the grid holds hundreds of noise
+    # brackets; refined one at a time they cost tens of thousands of calls
+    eq = make_constant_equation(0.0021, 100.0)
+    calls = []
+    scan = criteria._scan_extremum
+
+    def counting_scan(f, cand, mode, *args, **kwargs):
+        def counted(ts):
+            calls.append(len(ts))
+            return f(ts)
+
+        return scan(counted, cand, mode, *args, **kwargs)
+
+    monkeypatch.setattr(criteria, "_scan_extremum", counting_scan)
+    assert alpha(eq) == pytest.approx(0.21, abs=1e-12)
+    assert len(calls) < 100
 
 
 # -- fixed point ------------------------------------------------------------
@@ -229,6 +346,17 @@ def test_kwong_gate_requires_monotone_delay():
     p = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.1),))
     rep = check_all(DelayEquation(coefficients=(p,), lags=(lag,)))
     assert not rep["kwong_1_5"].applicable
+
+
+def test_kernel_verdicts_report_the_maximiser(demo_eq):
+    rep = check_all(demo_eq)
+    inner = limsup_envelope_integral(demo_eq, 1, "inner")
+    outer = limsup_envelope_integral(demo_eq, 1, "outer")
+    for name, ext in (("bcs_1_8", outer), ("bcs_1_9", outer), ("main_2_8", inner)):
+        params = rep[name].params
+        w0, w1 = params["window"]
+        assert w0 <= params["t"] <= w1
+        assert params["t"] == ext.t
 
 
 def test_margin_matches_value_and_threshold(demo_eq):

@@ -13,6 +13,8 @@ from delayosc import (
 )
 from delayosc.envelope import tau_max_values
 
+from conftest import make_random_equation
+
 
 @pytest.fixture(scope="module")
 def demo_env(demo_eq):
@@ -166,3 +168,15 @@ def test_envelope_rejects_negative_time(demo_env):
 def test_values_matches_scalar(demo_env):
     ts = np.linspace(0.0, 11.0, 223)
     assert np.allclose(demo_env.values(ts), [demo_env(t) for t in ts], atol=1e-14)
+
+
+def test_values_of_a_scalar_on_the_transient():
+    # the first draw settles only after one period, so half of t_stab lies on
+    # the transient polyline
+    eq = make_random_equation(np.random.default_rng(0))
+    env = combined_envelope(eq)
+    assert env.t_stab > 0.0
+    for t in (0.5 * env.t_stab, env.t_stab + 0.3):
+        got = env.values(t)
+        assert np.ndim(got) == 0
+        assert got == env(t)
