@@ -175,19 +175,25 @@ def load_equation(path: str) -> DelayEquation:
     return parse_config(config)
 
 
+def _json_number(x):
+    """``x`` as a float, or None when absent or not finite (strict JSON has
+    no infinity; a saturated value is explained in the report's notes)."""
+    return None if x is None or not math.isfinite(x) else float(x)
+
+
 def report_to_dict(report: CheckReport) -> dict:
     return {
-        "alpha": float(report.alpha),
-        "lambda0": None if report.lambda0 is None else float(report.lambda0),
+        "alpha": _json_number(report.alpha),
+        "lambda0": _json_number(report.lambda0),
         "criteria": [
             {
                 "name": v.name,
-                "value": None if v.value is None else float(v.value),
-                "threshold": None if v.threshold is None else float(v.threshold),
+                "value": _json_number(v.value),
+                "threshold": _json_number(v.threshold),
                 "satisfied": bool(v.satisfied),
                 "applicable": bool(v.applicable),
                 "marginal": bool(v.marginal),
-                "margin": None if v.margin is None else float(v.margin),
+                "margin": _json_number(v.margin),
             }
             for v in report.verdicts
         ],
@@ -206,7 +212,7 @@ def _open_out(path):
 def cmd_check(args) -> int:
     eq = load_equation(args.config)
     report = check_all(eq, r=args.r, tol=args.tol, n_grid=args.grid)
-    text = json.dumps(report_to_dict(report), indent=2)
+    text = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
     out, close = _open_out(args.out)
     try:
         out.write(text + "\n")

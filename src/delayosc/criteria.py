@@ -99,10 +99,12 @@ def lambda0(alpha_value: float, *, xtol: float = 1e-12) -> float:
 def _golden_lockstep(g, a, b, xtol: float):
     """Golden-section minimum of the vectorised ``g`` on every bracket
     ``[a[k], b[k]]`` at once.  Each pass moves every bracket still wider than
-    ``xtol`` by one golden step and calls ``g`` once, on their new points."""
+    ``xtol`` by one golden step and calls ``g`` once, on their new points;
+    ``g(x, idx)`` also receives the index of the bracket each point is in."""
+    every = np.arange(a.size)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    gc, gd = np.split(g(np.concatenate([c, d])), 2)
+    gc, gd = np.split(g(np.concatenate([c, d]), np.concatenate([every, every])), 2)
     act = np.flatnonzero(b - a > xtol)
     while act.size:
         left = gc[act] < gd[act]
@@ -111,10 +113,11 @@ def _golden_lockstep(g, a, b, xtol: float):
         a[rgt], c[rgt], gc[rgt] = c[rgt], d[rgt], gd[rgt]
         c[lft] = b[lft] - _INVPHI * (b[lft] - a[lft])
         d[rgt] = a[rgt] + _INVPHI * (b[rgt] - a[rgt])
-        gc[lft], gd[rgt] = np.split(g(np.concatenate([c[lft], d[rgt]])), [lft.size])
+        new = g(np.concatenate([c[lft], d[rgt]]), np.concatenate([lft, rgt]))
+        gc[lft], gd[rgt] = np.split(new, [lft.size])
         act = act[b[act] - a[act] > xtol]
     x = 0.5 * (a + b)
-    return x, g(x)
+    return x, g(x, every)
 
 
 def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
@@ -127,24 +130,9 @@ def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
     return cand[(cand >= w0) & (cand <= w1)]
 
 
-def _scan_extremum(f, cand, mode, xtol=_GOLDEN_XTOL):
-    """Extremum of the vectorised function f over the sorted candidates
-    ``cand``, with its location.
-
-    Every run of equal local extrema of ``f(cand)`` brackets one golden-section
-    refinement between its outer neighbours; all brackets are refined
-    together.  A refinement replaces the best grid value only when strictly
-    better, and the first bracket wins a tie.
-    """
-    sign = 1.0 if mode == "min" else -1.0
-
-    def g(x):
-        return sign * np.asarray(f(x), dtype=float)
-
-    vals = g(cand)
-    k = int(np.argmin(vals))
-    best_val, best_t = vals[k], cand[k]
-
+def _brackets(vals, cand):
+    """``(lo, hi)`` of every run of equal local minima of ``vals`` over
+    ``cand``: the run's outer neighbours, degenerate brackets dropped."""
     pad = np.concatenate([[math.inf], vals, [math.inf]])
     is_min = np.concatenate([[False], (vals <= pad[:-2]) & (vals <= pad[2:]), [False]])
     # adjacent local minima are equal, so each run of them is one flat extremum
@@ -153,13 +141,65 @@ def _scan_extremum(f, cand, mode, xtol=_GOLDEN_XTOL):
     lo = cand[np.maximum(j0 - 1, 0)]
     hi = cand[np.minimum(j1 + 1, len(cand) - 1)]
     keep = hi > lo
-    if keep.any():
-        x, gx = _golden_lockstep(g, lo[keep], hi[keep], xtol)
+    return lo[keep], hi[keep]
+
+
+def _scan_extrema(jobs, xtol=_GOLDEN_XTOL):
+    """Extrema of several vectorised profiles, with their locations.
+
+    ``jobs`` is a list of ``(f, cand, modes)``: a profile, its sorted
+    candidates and the extrema wanted ("min", "max").  The result holds, per
+    job, one ``(value, t)`` per mode.  Each ``f`` is evaluated once on its
+    candidates.  Every run of equal local extrema brackets one golden-section
+    refinement between its outer neighbours; the brackets of every job and
+    mode are refined in one lockstep, each step calling every profile once,
+    on the points of its own brackets.  A refinement replaces the best grid
+    value only when strictly better, and the first bracket wins a tie.
+    """
+    best, los, his, job_of, sign_of, slot_of = [], [], [], [], [], []
+    for j, (f, cand, modes) in enumerate(jobs):
+        vals = np.asarray(f(cand), dtype=float)
+        best.append([])
+        for mode in modes:
+            sign = 1.0 if mode == "min" else -1.0
+            signed = sign * vals
+            k = int(np.argmin(signed))
+            lo, hi = _brackets(signed, cand)
+            los.append(lo)
+            his.append(hi)
+            job_of.append(np.full(lo.size, j))
+            sign_of.append(np.full(lo.size, sign))
+            slot_of.append(np.full(lo.size, len(slot_of)))
+            best[-1].append([sign, signed[k], cand[k]])
+    a, b = np.concatenate(los), np.concatenate(his)
+    if a.size:
+        job_of, sign_of = np.concatenate(job_of), np.concatenate(sign_of)
+
+        def g(x, idx):
+            out = np.empty(x.size)
+            job = job_of[idx]
+            for j, (f, _, _) in enumerate(jobs):
+                at = job == j
+                if at.any():
+                    out[at] = np.asarray(f(x[at]), dtype=float)
+            return sign_of[idx] * out
+
+        x, gx = _golden_lockstep(g, a, b, xtol)
         gx[np.isnan(gx)] = math.inf  # a NaN refinement never wins
-        k = int(np.argmin(gx))
-        if gx[k] < best_val:
-            best_val, best_t = gx[k], x[k]
-    return float(sign * best_val), float(best_t)
+        slot_of = np.concatenate(slot_of)
+        for s, entry in enumerate(e for row in best for e in row):
+            ks = np.flatnonzero(slot_of == s)
+            if ks.size:
+                k = ks[int(np.argmin(gx[ks]))]
+                if gx[k] < entry[1]:
+                    entry[1:] = gx[k], x[k]
+    return [tuple((float(sign * v), float(t)) for sign, v, t in row) for row in best]
+
+
+def _scan_extremum(f, cand, mode, xtol=_GOLDEN_XTOL):
+    """``(value, t)``: the extremum of the vectorised f over the sorted
+    candidates ``cand``; the one-job case of ``_scan_extrema``."""
+    return _scan_extrema([(f, cand, (mode,))], xtol)[0][0]
 
 
 def _window(eq: DelayEquation, env: EnvelopeFunction | None, depth: int):
@@ -202,9 +242,10 @@ def _refine_xtol(tol: float) -> float:
     return min(float(tol), _GOLDEN_XTOL)
 
 
-def _coeff_integral_extremum(eq, lower, polyline, mode, tol, n_grid, env):
-    """Extremum over one settled period of t -> integral over [lower(t), t] of
-    the coefficient sum; ``polyline(a, b)`` is the polyline of ``lower``."""
+def _coeff_integral_profile(eq, lower, polyline, n_grid, env):
+    """``(f, cand)``: t -> integral over [lower(t), t] of the coefficient sum,
+    and its scan grid over one settled period; ``polyline(a, b)`` is the
+    polyline of ``lower``."""
     _, w0, w1 = _window(eq, env, 0)
     anti = eq.coeff_sum_antiderivative
 
@@ -212,8 +253,28 @@ def _coeff_integral_extremum(eq, lower, polyline, mode, tol, n_grid, env):
         return anti(ts) - anti(lower(ts))
 
     knots = _integral_profile_knots(eq, polyline(w0, w1), w0, w1)
-    cand = _scan_grid(w0, w1, knots, n_grid)
-    return _scan_extremum(f, cand, mode, _refine_xtol(tol))[0]
+    return f, _scan_grid(w0, w1, knots, n_grid)
+
+
+def _tau_max_profile(eq, n_grid, env):
+    """The profile of ``alpha`` and ``kwong_limsup``: lower limit tau_max."""
+    lower, poly = partial(tau_max_values, eq), partial(tau_max_polyline, eq)
+    return _coeff_integral_profile(eq, lower, poly, n_grid, env)
+
+
+def _hunt_yorke_profile(eq, n_grid, env):
+    """``(f, cand)``: t -> sum_i p_i(t) * d_i(t) and its scan grid."""
+    _, w0, w1 = _window(eq, env, 0)
+
+    def f(ts):
+        acc = None
+        for c, d in zip(eq.coefficients, eq.lags):
+            term = c.values(ts) * d.values(ts)
+            acc = term if acc is None else acc + term
+        return acc
+
+    knots = breakpoint_times(list(eq.coefficients) + list(eq.lags), w0, w1)
+    return f, _scan_grid(w0, w1, knots, n_grid)
 
 
 # -- liminf quantities -----------------------------------------------------
@@ -227,8 +288,8 @@ def alpha(
     env: EnvelopeFunction | None = None,
 ) -> float:
     """liminf of integral over [tau_max(t), t] of the coefficient sum."""
-    lower, poly = partial(tau_max_values, eq), partial(tau_max_polyline, eq)
-    return _coeff_integral_extremum(eq, lower, poly, "min", tol, n_grid, env)
+    f, cand = _tau_max_profile(eq, n_grid, env)
+    return _scan_extremum(f, cand, "min", _refine_xtol(tol))[0]
 
 
 def alpha_over_envelope(
@@ -241,9 +302,8 @@ def alpha_over_envelope(
     """liminf of integral over [h(t), t]; equals ``alpha`` in the limit
     because the envelope only flattens the delay argument where it dips."""
     env = env if env is not None else combined_envelope(eq)
-    return _coeff_integral_extremum(
-        eq, env.values, env.polyline, "min", tol, n_grid, env
-    )
+    f, cand = _coeff_integral_profile(eq, env.values, env.polyline, n_grid, env)
+    return _scan_extremum(f, cand, "min", _refine_xtol(tol))[0]
 
 
 def kwong_limsup(
@@ -254,8 +314,8 @@ def kwong_limsup(
     env: EnvelopeFunction | None = None,
 ) -> float:
     """limsup of integral over [tau_max(t), t] of the coefficient sum."""
-    lower, poly = partial(tau_max_values, eq), partial(tau_max_polyline, eq)
-    return _coeff_integral_extremum(eq, lower, poly, "max", tol, n_grid, env)
+    f, cand = _tau_max_profile(eq, n_grid, env)
+    return _scan_extremum(f, cand, "max", _refine_xtol(tol))[0]
 
 
 def hunt_yorke_liminf(
@@ -266,18 +326,8 @@ def hunt_yorke_liminf(
     env: EnvelopeFunction | None = None,
 ) -> float:
     """liminf of sum_i p_i(t) * d_i(t) (coefficients weighted by their lags)."""
-    _, w0, w1 = _window(eq, env, 0)
-
-    def f(ts):
-        acc = None
-        for c, d in zip(eq.coefficients, eq.lags):
-            term = c.values(ts) * d.values(ts)
-            acc = term if acc is None else acc + term
-        return acc
-
-    knots = breakpoint_times(list(eq.coefficients) + list(eq.lags), w0, w1)
-    value, _ = _scan_extremum(f, _scan_grid(w0, w1, knots, n_grid), "min", _refine_xtol(tol))
-    return value
+    f, cand = _hunt_yorke_profile(eq, n_grid, env)
+    return _scan_extremum(f, cand, "min", _refine_xtol(tol))[0]
 
 
 # -- limsup of the criterion integrals -------------------------------------
@@ -402,16 +452,22 @@ def check_all(
     cache = KernelCache()
     strict = 10.0 * tol
 
-    a_val = alpha(eq, tol=tol, n_grid=n_grid_liminf, env=env)
+    # every extremum in one lockstep scan; alpha and Kwong share a profile
+    scan = dict(tol=tol, n_grid=n_grid, cache=cache, env=env)
+    f_inner, _, ts = criterion_profile(eq, r, "inner", **scan)
+    f_outer, _, _ = criterion_profile(eq, r, "outer", **scan)
+    (a_min, kw_max), (hy_min,), (inner,), (outer,) = _scan_extrema(
+        [
+            (*_tau_max_profile(eq, n_grid_liminf, env), ("min", "max")),
+            (*_hunt_yorke_profile(eq, n_grid_liminf, env), ("min",)),
+            (f_inner, ts, ("max",)),
+            (f_outer, ts, ("max",)),
+        ],
+        _refine_xtol(tol),
+    )
+    a_val, kw, hy = a_min[0], kw_max[0], hy_min[0]
+    inner, outer = ScanExtremum(*inner), ScanExtremum(*outer)
     lam = lambda0(a_val) if 0.0 < a_val <= INV_E else None
-    hy = hunt_yorke_liminf(eq, tol=tol, n_grid=n_grid_liminf, env=env)
-    kw = kwong_limsup(eq, tol=tol, n_grid=n_grid_liminf, env=env)
-    inner = limsup_envelope_integral(
-        eq, r, "inner", tol=tol, n_grid=n_grid, cache=cache, env=env
-    )
-    outer = limsup_envelope_integral(
-        eq, r, "outer", tol=tol, n_grid=n_grid, cache=cache, env=env
-    )
 
     window_liminf = _window(eq, env, 0)[1:]
     window_kernel = _window(eq, env, r)[1:]
@@ -482,6 +538,12 @@ def check_all(
             notes.append(
                 f"{v.name} is marginal: its margin {v.margin:.3e} is within "
                 f"{strict:.1e} of the threshold, so it is not counted as satisfied."
+            )
+    for v in verdicts:
+        if v.value is not None and not math.isfinite(v.value):
+            notes.append(
+                f"{v.name} saturated: its integrand overflows the double range, "
+                "so its value is +inf and exceeds any threshold."
             )
 
     return CheckReport(

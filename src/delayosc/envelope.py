@@ -146,6 +146,11 @@ class EnvelopeFunction:
     transient: tuple[tuple[float, float], ...]
     tail_lag: PiecewisePeriodic
 
+    def __post_init__(self):
+        nodes = np.asarray(self.transient, dtype=float).reshape(-1, 2)
+        object.__setattr__(self, "_transient_ts", nodes[:, 0])
+        object.__setattr__(self, "_transient_ys", nodes[:, 1])
+
     def __call__(self, t: float) -> float:
         if t < 0.0:
             raise ValueError(f"envelope is defined for t >= 0, got {t}")
@@ -160,8 +165,18 @@ class EnvelopeFunction:
             pre = x < self.t_stab
             if pre.any():
                 out = np.array(out)
-                out[pre] = [_poly_eval(list(self.transient), t) for t in x[pre]]
+                out[pre] = self._transient_values(x[pre])
         return out[()]
+
+    def _transient_values(self, x):
+        """``_poly_eval`` of the transient polyline, elementwise."""
+        ts, ys = self._transient_ts, self._transient_ys
+        j = np.searchsorted(ts, x, side="right") - 1
+        j = np.minimum(np.maximum(j, 0), len(ts) - 2)
+        t0, t1, y0, y1 = ts[j], ts[j + 1], ys[j], ys[j + 1]
+        flat = t1 == t0
+        step = np.where(flat, 1.0, t1 - t0)
+        return np.where(flat, y0, y0 + (y1 - y0) * (x - t0) / step)
 
     def knots(self, a: float, b: float) -> list[float]:
         """Kink locations of the envelope inside [a, b]."""

@@ -128,8 +128,10 @@ class _Table:
     def within(self, xs):
         shape = np.shape(xs)
         x = np.asarray(xs, dtype=float).ravel()
-        j = np.clip(
-            np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.coef) - 1
+        # np.minimum/np.maximum: np.clip's wrapper costs more than the lookup
+        j = np.minimum(
+            np.maximum(np.searchsorted(self.edges, x, side="right") - 1, 0),
+            len(self.coef) - 1,
         )
         lo, hi = self.edges[j], self.edges[j + 1]
         u = (2.0 * x - lo - hi) / (hi - lo)
@@ -141,7 +143,7 @@ class _Table:
         x = np.asarray(xs, dtype=float)
         period = self.edges[-1]
         k = np.floor(x / period)
-        return k, self.within(np.clip(x - k * period, 0.0, period))
+        return k, self.within(np.minimum(np.maximum(x - k * period, 0.0), period))
 
     def values(self, xs):
         """Periodic continuation: A(x + P) = A(x) + total."""
@@ -373,8 +375,7 @@ def _frozen(eq, r, terms, cache, tol, c, a, b):
     if w.saturated:
         return np.where(b > a, math.inf, 0.0)
     big_t = g.total
-    ka, wa = w.split(a)
-    kb, wb = w.split(b)
+    (ka, kb), (wa, wb) = w.split(np.stack([a, b]))
     n = kb - ka
     # sum_{j=0}^{n-1} e^{-jT}: the periods between a and b
     geo = n if big_t == 0.0 else np.expm1(-n * big_t) / np.expm1(-big_t)

@@ -149,7 +149,9 @@ class PiecewisePeriodic:
         x = np.asarray(ts, dtype=float)
         u = np.mod(x, self.period)
         u = np.where(u >= self.period, u - self.period, u)
-        j = np.clip(np.searchsorted(self._ts, u, side="right") - 1, 0, self._nseg - 1)
+        j = np.minimum(
+            np.maximum(np.searchsorted(self._ts, u, side="right") - 1, 0), self._nseg - 1
+        )
         return self._vs[j] + self._slopes[j] * (u - self._ts[j]) + self.offset
 
     # -- exact integration -------------------------------------------------
@@ -183,7 +185,9 @@ class PiecewisePeriodic:
         if high.any():
             u = np.where(high, u - self.period, u)
             k = np.where(high, k + 1.0, k)
-        j = np.clip(np.searchsorted(self._ts, u, side="right") - 1, 0, self._nseg - 1)
+        j = np.minimum(
+            np.maximum(np.searchsorted(self._ts, u, side="right") - 1, 0), self._nseg - 1
+        )
         du = u - self._ts[j]
         part = self._cum[j] + (self._vs[j] + 0.5 * self._slopes[j] * du) * du
         return k * self._period_integral + part + self.offset * x

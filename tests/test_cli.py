@@ -145,6 +145,24 @@ def test_check_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_check_saturated_report_is_strict_json(capsys):
+    # the depth-5 kernel overflows on the demo: every limsup saturates
+    code = main(["check", DEMO_CONFIG, "--r", "5", "--grid", "50"])
+    out = capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rep = json.loads(out, parse_constant=reject)
+    assert code == 0
+    by_name = {c["name"]: c for c in rep["criteria"]}
+    for name in ("bcs_1_8", "bcs_1_9", "main_2_8"):
+        assert by_name[name]["value"] is None and by_name[name]["margin"] is None
+        assert any(note.startswith(f"{name} saturated") for note in rep["notes"])
+    assert by_name["bcs_1_8"]["satisfied"] is True
+    assert rep["witness"] == "bcs_1_8"
+
+
 def test_check_input_errors(tmp_path, capsys):
     bad = dict(ZERO_BODY, coefficients=[{"kind": "constant", "value": -0.2}])
     assert main(["check", write_config(tmp_path, bad)]) == 1

@@ -143,6 +143,14 @@ def test_scan_matches_the_one_bracket_reference(demo_eq, control_eq):
     for f, ts in profiles:
         for mode in ("min", "max"):
             assert criteria._scan_extremum(f, ts, mode) == _scan_reference(f, ts, mode)
+        # one two-mode job equals two one-mode scans
+        both = criteria._scan_extrema([(f, ts, ("min", "max"))])
+        assert both == [tuple(_scan_reference(f, ts, mode) for mode in ("min", "max"))]
+    # every profile and mode in one lockstep equals them one at a time
+    jobs = [(f, ts, ("max", "min")) for f, ts in profiles]
+    assert criteria._scan_extrema(jobs) == [
+        (_scan_reference(f, ts, "max"), _scan_reference(f, ts, "min")) for f, ts in profiles
+    ]
 
 
 def test_scan_finds_peaks_the_grid_misses():
@@ -196,6 +204,56 @@ def test_scan_refines_every_bracket_in_lockstep(monkeypatch):
     monkeypatch.setattr(criteria, "_scan_extremum", counting_scan)
     assert alpha(eq) == pytest.approx(0.21, abs=1e-12)
     assert len(calls) < 100
+
+
+_RANDOM_EQS = [make_random_equation(np.random.default_rng(k)) for k in range(4)]
+
+
+@pytest.mark.parametrize(
+    "name, r, n_grid",
+    [("demo", r, 100) for r in (1, 2, 3)]
+    + [("control", r, 100) for r in (1, 2, 3)]
+    + [("demo", 5, 50), ("zero", 1, 100)]
+    + [(f"random{k}", 1 + k % 2, 100) for k in range(len(_RANDOM_EQS))],
+)
+def test_check_all_equals_the_separate_scans(request, name, r, n_grid):
+    if name.startswith("random"):
+        eq = _RANDOM_EQS[int(name[len("random"):])]
+    else:
+        eq = request.getfixturevalue(f"{name}_eq")
+    liminf = dict(n_grid=300)
+    rep = check_all(eq, r, n_grid=n_grid, n_grid_liminf=300)
+    inner = limsup_envelope_integral(eq, r, "inner", n_grid=n_grid)
+    outer = limsup_envelope_integral(eq, r, "outer", n_grid=n_grid)
+    expected = {
+        "ladde_1_3": (alpha(eq, **liminf), None),
+        "hunt_yorke_1_4": (hunt_yorke_liminf(eq, **liminf), None),
+        "kwong_1_5": (kwong_limsup(eq, **liminf), None),
+        "bcs_1_8": (outer.value, outer.t),
+        "bcs_1_9": (outer.value, outer.t),
+        "main_2_8": (inner.value, inner.t),
+    }
+    for v in rep.verdicts:
+        value, t = expected[v.name]
+        # bitwise: == and the same sign of zero; inf == inf
+        assert v.value == value and math.copysign(1.0, v.value) == math.copysign(1.0, value)
+        assert v.params.get("t") == t, v.name
+    if (name, r) == ("demo", 5):
+        assert inner.value == outer.value == math.inf
+        assert sum("saturated" in note for note in rep.notes) == 3
+
+
+def test_check_all_refines_in_one_lockstep(monkeypatch, demo_eq):
+    passes = []
+    lockstep = criteria._golden_lockstep
+
+    def counting_lockstep(*args, **kwargs):
+        passes.append(1)
+        return lockstep(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "_golden_lockstep", counting_lockstep)
+    check_all(demo_eq, 2, n_grid=100, n_grid_liminf=300)
+    assert len(passes) <= 1
 
 
 # -- fixed point ------------------------------------------------------------

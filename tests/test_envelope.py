@@ -11,7 +11,7 @@ from delayosc import (
     tau_max,
     tau_min,
 )
-from delayosc.envelope import tau_max_values
+from delayosc.envelope import _poly_eval, tau_max_values
 
 from conftest import make_random_equation
 
@@ -168,6 +168,23 @@ def test_envelope_rejects_negative_time(demo_env):
 def test_values_matches_scalar(demo_env):
     ts = np.linspace(0.0, 11.0, 223)
     assert np.allclose(demo_env.values(ts), [demo_env(t) for t in ts], atol=1e-14)
+
+
+def test_transient_values_match_the_scalar_polyline():
+    # the vectorised transient branch against the per-point polyline lookup,
+    # bitwise, on draws that settle only after one period
+    rng = np.random.default_rng(5)
+    checked = 0
+    for k in range(12):
+        env = combined_envelope(make_random_equation(np.random.default_rng(k)))
+        if env.t_stab == 0.0:
+            continue
+        nodes = [t for t, _ in env.transient]
+        ts = np.concatenate([rng.uniform(0.0, env.t_stab, 500), nodes[:-1]])
+        expected = np.array([_poly_eval(list(env.transient), t) for t in ts])
+        assert np.array_equal(env.values(ts).view(np.int64), expected.view(np.int64))
+        checked += 1
+    assert checked >= 2
 
 
 def test_values_of_a_scalar_on_the_transient():
