@@ -28,7 +28,8 @@ __all__ = [
 ]
 
 # Two period windows of the lag form are considered identical when node times
-# and values agree to this tolerance.
+# and values agree to this tolerance, relative to the windows' largest time or
+# value (at least 1): they are differences of absolute times up to 3 periods.
 _PERIODIC_TOL = 1e-12
 
 # A polyline is a list of (t, y) nodes, linear in between, strictly
@@ -128,9 +129,9 @@ def _window_form(poly, w0: float, w1: float):
 def _windows_match(wa, wb) -> bool:
     if len(wa) != len(wb):
         return False
+    tol = _PERIODIC_TOL * max(1.0, *(max(abs(t), abs(y)) for t, y in wa + wb))
     return all(
-        abs(ta - tb) <= _PERIODIC_TOL and abs(ya - yb) <= _PERIODIC_TOL
-        for (ta, ya), (tb, yb) in zip(wa, wb)
+        abs(ta - tb) <= tol and abs(ya - yb) <= tol for (ta, ya), (tb, yb) in zip(wa, wb)
     )
 
 
@@ -205,7 +206,7 @@ def _envelope_from_polyline(period: float, h_poly) -> EnvelopeFunction:
     w1 = _window_form(e_poly, period, 2.0 * period)
     w2 = _window_form(e_poly, 2.0 * period, 3.0 * period)
     if not _windows_match(w1, w2):
-        raise AssertionError(
+        raise ValueError(
             "lag form of the running supremum failed to settle after one period"
         )
     if _windows_match(w0, w1):

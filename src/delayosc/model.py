@@ -149,10 +149,17 @@ class PiecewisePeriodic:
         x = np.asarray(ts, dtype=float)
         u = np.mod(x, self.period)
         u = np.where(u >= self.period, u - self.period, u)
-        j = np.minimum(
+        j = self._segment(u)
+        return self._vs[j] + self._slopes[j] * (u - self._ts[j]) + self.offset
+
+    def _segment(self, u):
+        """Segment index of each phase ``u`` in [0, period); the scalar 0,
+        without a search, when there is only one segment."""
+        if self._nseg == 1:
+            return 0
+        return np.minimum(
             np.maximum(np.searchsorted(self._ts, u, side="right") - 1, 0), self._nseg - 1
         )
-        return self._vs[j] + self._slopes[j] * (u - self._ts[j]) + self.offset
 
     # -- exact integration -------------------------------------------------
 
@@ -185,9 +192,7 @@ class PiecewisePeriodic:
         if high.any():
             u = np.where(high, u - self.period, u)
             k = np.where(high, k + 1.0, k)
-        j = np.minimum(
-            np.maximum(np.searchsorted(self._ts, u, side="right") - 1, 0), self._nseg - 1
-        )
+        j = self._segment(u)
         du = u - self._ts[j]
         part = self._cum[j] + (self._vs[j] + 0.5 * self._slopes[j] * du) * du
         return k * self._period_integral + part + self.offset * x
@@ -243,6 +248,11 @@ class DelayEquation:
                     f"lags[{i}]: discontinuous at the wrap point "
                     f"(jump {d.wrap_jump:.3e}); lags must be continuous"
                 )
+        # the equation keys every kernel-table lookup: hash its fields once
+        object.__setattr__(self, "_hash", hash((self.coefficients, self.lags)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def m(self) -> int:

@@ -1,13 +1,19 @@
 """Config parsing, command dispatch, report emission, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delayosc import envelope
 from delayosc.cli import (
     ConfigError,
     equation_to_config,
@@ -31,6 +37,10 @@ ZERO_BODY = {
     "coefficients": [{"kind": "constant", "value": 0.0}],
     "delays": [{"kind": "lag", "breakpoints": [[0.0, 1.0]]}],
 }
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 # -- config round-trips -----------------------------------------------------
@@ -150,10 +160,7 @@ def test_check_saturated_report_is_strict_json(capsys):
     code = main(["check", DEMO_CONFIG, "--r", "5", "--grid", "50"])
     out = capsys.readouterr().out
 
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
-    rep = json.loads(out, parse_constant=reject)
+    rep = json.loads(out, parse_constant=_reject_constant)
     assert code == 0
     by_name = {c["name"]: c for c in rep["criteria"]}
     for name in ("bcs_1_8", "bcs_1_9", "main_2_8"):
@@ -173,6 +180,77 @@ def test_check_input_errors(tmp_path, capsys):
 
     assert main(["check", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_check_rejects_a_bad_tol(capsys, tol):
+    assert main(["check", DEMO_CONFIG, "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "tol" in captured.err
+
+
+def test_check_envelope_that_never_settles_is_an_error(monkeypatch, capsys):
+    monkeypatch.setattr(envelope, "_windows_match", lambda wa, wb: False)
+    assert main(["check", CONTROL_CONFIG]) == 1
+    assert "failed to settle" in capsys.readouterr().err
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Timeout("check ran past its wall-time bound")
+
+
+_FRACTIONS = st.lists(st.integers(1, 15), max_size=2, unique=True).map(
+    lambda ks: [0.0] + sorted(k / 16.0 for k in ks)
+)
+
+
+@st.composite
+def _admissible_configs(draw):
+    """Period 10^U(-3, 8) and one or two terms, each a coefficient of up to
+    1 / period and a lag of 0.1 to 50 periods, both piecewise linear with up
+    to three breakpoints at multiples of period / 16."""
+    period = 10.0 ** draw(st.floats(-3.0, 8.0))
+    coefficients, delays = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        values = st.floats(0.0, 1.0)
+        coefficients.append(
+            {
+                "kind": "piecewise",
+                "breakpoints": [[f * period, draw(values) / period] for f in draw(_FRACTIONS)],
+            }
+        )
+        ratios = st.floats(0.1, 50.0)
+        delays.append(
+            {
+                "kind": "lag",
+                "breakpoints": [[f * period, draw(ratios) * period] for f in draw(_FRACTIONS)],
+            }
+        )
+    return {"period": period, "coefficients": coefficients, "delays": delays}
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=_admissible_configs(), r=st.sampled_from([1, 2]))
+def test_check_fuzz_ends_in_a_verdict_or_an_error(tmp_path_factory, config, r):
+    path = write_config(tmp_path_factory.mktemp("fuzz"), config)
+    out = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(20)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", path, "--r", str(r), "--grid", "50"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 3)
+    if code != 1:
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert report["overall"] == ("oscillatory" if code == 0 else "inconclusive")
 
 
 # -- scan -------------------------------------------------------------------

@@ -85,10 +85,45 @@ def test_grid_doubling_stability(demo_eq):
 # -- extremum scan ----------------------------------------------------------
 
 
-def _scan_reference(f, cand, mode, xtol=1e-10):
-    """One bracket at a time: each run of equal local extrema refined by a
-    scalar golden-section search, in order; a strictly better one wins."""
+def _zoom_bracket(g, a, b, xtol):
+    """Scalar zoom search on [a, b]: 7 equispaced interior samples, the
+    neighbours of the first best one kept, until the bracket is no wider than
+    xtol or a step fails to halve it."""
+    c, gc = 0.5 * (a + b), None
+    while True:
+        h = (b - a) / 8.0
+        xs = [a] + [c + j * h for j in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)] + [b]
+        gs = [gc if j == 3 and gc is not None else g(x) for j, x in enumerate(xs[1:-1])]
+        gs = [math.inf if math.isnan(v) else v for v in gs]
+        k = gs.index(min(gs))
+        width = b - a
+        a, c, b, gc = xs[k], xs[k + 1], xs[k + 2], gs[k]
+        if not (b - a > xtol and b - a <= 0.5 * width):
+            return c, gc
+
+
+def _golden_bracket(g, a, b, xtol):
+    """Scalar golden-section search on [a, b] down to xtol."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    gc, gd = g(c), g(d)
+    while b - a > xtol:
+        if gc < gd:
+            b, d, gd = d, c, gc
+            c = b - invphi * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + invphi * (b - a)
+            gd = g(d)
+    x = 0.5 * (a + b)
+    return x, g(x)
+
+
+def _scan_reference(f, cand, mode, xtol=1e-10, search=_zoom_bracket):
+    """One bracket at a time: each run of equal local extrema refined by a
+    scalar ``search`` between its outer neighbours, in order; a strictly
+    better one wins."""
     sign = 1.0 if mode == "min" else -1.0
 
     def g(x):
@@ -110,25 +145,13 @@ def _scan_reference(f, cand, mode, xtol=1e-10):
         a, b = float(cand[max(j0 - 1, 0)]), float(cand[min(j1 + 1, n - 1)])
         if b <= a:
             continue
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        gc, gd = g(c), g(d)
-        while b - a > xtol:
-            if gc < gd:
-                b, d, gd = d, c, gc
-                c = b - invphi * (b - a)
-                gc = g(c)
-            else:
-                a, c, gc = c, d, gd
-                d = a + invphi * (b - a)
-                gd = g(d)
-        x = 0.5 * (a + b)
-        gx = g(x)
+        x, gx = search(g, a, b, xtol)
         if gx < best_val:
             best_val, best_t = gx, x
     return sign * best_val, best_t
 
 
-def test_scan_matches_the_one_bracket_reference(demo_eq, control_eq):
+def _reference_profiles(demo_eq, control_eq):
     # flat runs and ties: a staircase of three levels
     cand = np.linspace(0.0, 1.0, 201)
     steps = np.random.default_rng(3).integers(0, 3, cand.size).astype(float)
@@ -140,6 +163,11 @@ def test_scan_matches_the_one_bracket_reference(demo_eq, control_eq):
         for kind in ("inner", "outer"):
             f, _, ts = criteria.criterion_profile(eq, 1, kind, n_grid=100)
             profiles.append((f, ts))
+    return profiles
+
+
+def test_scan_matches_the_one_bracket_reference(demo_eq, control_eq):
+    profiles = _reference_profiles(demo_eq, control_eq)
     for f, ts in profiles:
         for mode in ("min", "max"):
             assert criteria._scan_extremum(f, ts, mode) == _scan_reference(f, ts, mode)
@@ -151,6 +179,16 @@ def test_scan_matches_the_one_bracket_reference(demo_eq, control_eq):
     assert criteria._scan_extrema(jobs) == [
         (_scan_reference(f, ts, "max"), _scan_reference(f, ts, "min")) for f, ts in profiles
     ]
+
+
+def test_zoom_agrees_with_golden_section(demo_eq, control_eq):
+    # relative to the profile's scale: the parabola peaks at 0
+    for f, ts in _reference_profiles(demo_eq, control_eq):
+        scale = float(np.abs(f(ts)).max())
+        for mode in ("min", "max"):
+            zoom = criteria._scan_extremum(f, ts, mode)[0]
+            golden = _scan_reference(f, ts, mode, search=_golden_bracket)[0]
+            assert abs(zoom - golden) <= 1e-13 * scale
 
 
 def test_scan_finds_peaks_the_grid_misses():
@@ -203,7 +241,78 @@ def test_scan_refines_every_bracket_in_lockstep(monkeypatch):
 
     monkeypatch.setattr(criteria, "_scan_extremum", counting_scan)
     assert alpha(eq) == pytest.approx(0.21, abs=1e-12)
-    assert len(calls) < 100
+    assert len(calls) <= 20
+
+
+def _counted(f, calls, limit=200):
+    """``f``, recording the size of each call and raising past ``limit``
+    calls, so a refinement that never stops fails instead of hanging."""
+
+    def counted(ts):
+        calls.append(len(ts))
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} profile calls")
+        return f(ts)
+
+    return counted
+
+
+def _count_profile_calls(monkeypatch):
+    """Count the calls of every profile ``_scan_extrema`` refines, one list
+    per job, each raising past 200 calls."""
+    calls = []
+    scan = criteria._scan_extrema
+
+    def counting_scan(jobs, *args):
+        counts = [[] for _ in jobs]
+        calls.extend(counts)
+        jobs = [(_counted(f, n), cand, modes) for (f, cand, modes), n in zip(jobs, counts)]
+        return scan(jobs, *args)
+
+    monkeypatch.setattr(criteria, "_scan_extrema", counting_scan)
+    return calls
+
+
+def test_scan_ends_where_float_spacing_exceeds_xtol():
+    # near t = 1e12 doubles are 1.2e-4 apart, far coarser than xtol
+    t0 = 1e12
+    cand = t0 + np.linspace(0.0, 1.0, 11)
+    fine = t0 + np.linspace(0.0, 1.0, 100001)
+    for f in (lambda ts: np.cos(5.0 * (ts - t0)), lambda ts: (ts - t0 - 0.33) ** 2):
+        for mode in ("min", "max"):
+            calls = []
+            value, t = criteria._scan_extremum(_counted(f, calls), cand, mode, 1e-10)
+            assert len(calls) <= 60
+            assert cand[0] <= t <= cand[-1]
+            assert value == pytest.approx(getattr(np, mode)(f(fine)), abs=1e-6)
+
+
+@pytest.mark.parametrize("period", [1e-3, 1.0, 1e5, 1e8])
+def test_constant_equation_at_any_scale(monkeypatch, period):
+    # p * L = 0.4 > 1/e; the check at r=2 used to refine forever from 1e5 on
+    calls = _count_profile_calls(monkeypatch)
+    eq = make_constant_equation(0.4 / period, period, period=period)
+    assert alpha(eq) == pytest.approx(0.4, abs=1e-12)
+    assert check_all(eq, 2).overall == "oscillatory"
+    assert max(len(n) for n in calls) <= 60
+
+
+def test_check_all_profile_calls_per_job(monkeypatch, demo_eq):
+    # grid evaluation included; golden-section refinement took 42-51 per job
+    calls = _count_profile_calls(monkeypatch)
+    check_all(demo_eq, 2)
+    assert len(calls) == 4
+    assert all(len(n) <= 20 for n in calls), [len(n) for n in calls]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_scanners_reject_a_bad_tol(control_eq, tol):
+    for scan in (alpha, alpha_over_envelope, kwong_limsup, hunt_yorke_liminf):
+        with pytest.raises(ValueError, match="tol"):
+            scan(control_eq, tol=tol)
+    for scan in (limsup_envelope_integral, criteria.criterion_profile, check_all):
+        with pytest.raises(ValueError, match="tol"):
+            scan(control_eq, 1, tol=tol)
 
 
 _RANDOM_EQS = [make_random_equation(np.random.default_rng(k)) for k in range(4)]
@@ -245,13 +354,13 @@ def test_check_all_equals_the_separate_scans(request, name, r, n_grid):
 
 def test_check_all_refines_in_one_lockstep(monkeypatch, demo_eq):
     passes = []
-    lockstep = criteria._golden_lockstep
+    lockstep = criteria._zoom_lockstep
 
     def counting_lockstep(*args, **kwargs):
         passes.append(1)
         return lockstep(*args, **kwargs)
 
-    monkeypatch.setattr(criteria, "_golden_lockstep", counting_lockstep)
+    monkeypatch.setattr(criteria, "_zoom_lockstep", counting_lockstep)
     check_all(demo_eq, 2, n_grid=100, n_grid_liminf=300)
     assert len(passes) <= 1
 

@@ -160,6 +160,23 @@ def test_stabilisation_detected_after_one_period():
     assert abs(h(2.05) - (h(0.05) + 2.0)) > 0.1
 
 
+def _scaled_equation(period):
+    """The same equation at every time scale: a lag falling from 2P to P."""
+    lag = PiecewisePeriodic(period, ((0.0, 2.0 * period), (period / 16.0, period)))
+    return DelayEquation((PiecewisePeriodic(period, ((0.0, 0.1 / period),)),), (lag,))
+
+
+@pytest.mark.parametrize("period", [10.0**2.5, 10.0**3.5, 1e6, 10.0**7.5])
+def test_stabilisation_is_detected_at_any_scale(period):
+    # the lag form carries the rounding of absolute times up to 3P, past an
+    # absolute 1e-12 from P ~ 300 on: the windows must match relative to P
+    unit = combined_envelope(_scaled_equation(1.0))
+    env = combined_envelope(_scaled_equation(period))
+    assert env.t_stab == period * unit.t_stab
+    ts = np.linspace(0.0, 6.0, 601)
+    assert np.allclose(env.values(ts * period) / period, unit.values(ts), rtol=0, atol=1e-12)
+
+
 def test_envelope_rejects_negative_time(demo_env):
     with pytest.raises(ValueError, match="t >= 0"):
         demo_env(-0.5)
