@@ -4,13 +4,16 @@ All limit inferior / limit superior quantities reduce to extrema of
 periodic profiles once transients have passed, so they are computed by
 scanning one steady-state period on a dense grid seeded with every
 geometric breakpoint, then refining every local extremum by a zoom search,
-all brackets in lockstep with one vectorised call per step.  Each step
-samples 7 equispaced interior points of a bracket and keeps the two
-neighbours of the best, so the bracket shrinks 4x; it stops once no wider
-than the refinement tolerance (min(tol, 1e-10)), or once a step fails to
-halve it because the float spacing at the window is coarser than that.
-A bracket of width w therefore takes about log4(w / xtol) steps, and never
-more than about 54 whatever the scale of the period and lags.  A criterion
+all brackets in lockstep with one vectorised call per step.  Grid values
+within a rounding tie (1e-13 of the profile's largest magnitude) count as
+equal, so each run of such local extrema is one bracket, and a profile flat
+up to rounding gives one bracket, not hundreds.  Each step samples 31
+equispaced interior points of a bracket and keeps the two neighbours of the
+best, so the bracket shrinks 16x; it stops once no wider than the
+refinement tolerance (min(tol, 1e-10)), or once a step fails to halve it
+because the float spacing at the window is coarser than that.  A bracket
+of width w therefore takes about log16(w / xtol) steps, and never more
+than about 27 whatever the scale of the period and lags.  A criterion
 counts as satisfied only when its margin clears 10 * tol; anything closer
 is marginal and reported as not satisfied.
 """
@@ -58,20 +61,29 @@ CRITERIA_ORDER = (
 
 INV_E = math.exp(-1.0)
 _REFINE_XTOL = 1e-10
-# a zoom step cuts each bracket in eighths about its centre; the first step
-# samples all 7 interior points, later steps know the centre's value already
-_EIGHTHS = np.arange(-4.0, 5.0)
-_ZOOM_FIRST = np.arange(1, 8)
-_ZOOM_NEW = np.array([1, 2, 3, 5, 6, 7])
+# Grid values this close, relative to the largest finite one, are equal for
+# bracketing: profiles are sums and differences of table lookups whose
+# rounding is a few eps of their magnitude, so a flat profile wiggles at
+# about 1e-15 of its scale, and refining each wiggle finds nothing.
+_TIE_REL = 1e-13
+# a zoom step cuts each bracket in 32 parts about its centre; the first step
+# samples all 31 interior points, later steps know the centre's value already
+_ZOOM_PARTS = 32
+_ZOOM_OFFSETS = np.arange(-16.0, 17.0)
+_ZOOM_FIRST = np.arange(1, 32)
+_ZOOM_NEW = _ZOOM_FIRST[_ZOOM_FIRST != 16]
 
 
 # -- root finding ----------------------------------------------------------
 
 
-def lambda0(alpha_value: float, *, xtol: float = 1e-12) -> float:
+def lambda0(alpha_value: float, *, xtol: float = 1e-13) -> float:
     """Smaller root of lambda = exp(alpha * lambda), by bisection.
 
-    Exists for alpha in (0, 1/e]; anything outside raises.
+    Exists for alpha in (0, 1/e]; anything outside raises.  Returns the
+    lower end of the final bracket, below the root by at most ``xtol``, so
+    the thresholds (1 + ln lambda) / lambda, which fall as lambda grows, are
+    never understated.
     """
     a = float(alpha_value)
     if not (0.0 < a <= INV_E):
@@ -83,9 +95,9 @@ def lambda0(alpha_value: float, *, xtol: float = 1e-12) -> float:
     def f(lam):
         return math.exp(a * lam) - lam
 
-    # f(1) > 0 and the stationary point -ln(a)/a is past the smaller root
-    lo = 1.0
-    hi = -math.log(a) / a
+    # f(1) > 0 and f(e) = e^(a e) - e <= 0, so the smaller root lies in
+    # [1, e]; f is convex, so it is the only root there
+    lo, hi = 1.0, math.e
     if f(hi) >= 0.0:
         # tangency at alpha == 1/e (up to rounding)
         return hi
@@ -95,7 +107,7 @@ def lambda0(alpha_value: float, *, xtol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo
 
 
 # -- extremum scanning -----------------------------------------------------
@@ -106,10 +118,10 @@ def _zoom_lockstep(g, lo, hi, xtol: float):
     at once.  ``g(x, act)`` evaluates the rows of ``x``, row ``i`` holding
     points of bracket ``act[i]``; ``act`` is always increasing.
 
-    Each step samples 7 equispaced interior points of every active bracket,
-    the previous best at the centre and six new ones, in one call of ``g``,
+    Each step samples 31 equispaced interior points of every active bracket,
+    the previous best at the centre and 30 new ones, in one call of ``g``,
     and keeps the two neighbours of the best sample (the first among equals):
-    the bracket shrinks 4x.  A bracket stops once it is no wider than
+    the bracket shrinks 16x.  A bracket stops once it is no wider than
     ``xtol``, or once a step fails to halve it, which happens only where the
     float spacing is coarser than ``xtol``; so a scan ends at any scale.
     Returns the best sample of every bracket and its value; a NaN value
@@ -121,13 +133,13 @@ def _zoom_lockstep(g, lo, hi, xtol: float):
     while act.size:
         rows = np.arange(act.size)
         width = hi[act] - lo[act]
-        # the bracket cut in eighths about its centre, its own ends kept
-        x = c[act, None] + (width / 8.0)[:, None] * _EIGHTHS
+        # the bracket cut in 32 parts about its centre, its own ends kept
+        x = c[act, None] + (width / _ZOOM_PARTS)[:, None] * _ZOOM_OFFSETS
         x[:, 0], x[:, -1] = lo[act], hi[act]
-        gx = np.empty((act.size, 7))  # at the interior points x[:, 1:8]
+        gx = np.empty((act.size, _ZOOM_PARTS - 1))  # at the interior x[:, 1:-1]
         gx[:, cols - 1] = g(x[:, cols], act)
         if cols is _ZOOM_NEW:
-            gx[:, 3] = gc[act]
+            gx[:, _ZOOM_PARTS // 2 - 1] = gc[act]
         gx[np.isnan(gx)] = math.inf
         k = np.argmin(gx, axis=1)
         new_lo, new_hi = x[rows, k], x[rows, k + 2]
@@ -150,11 +162,14 @@ def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
 
 
 def _brackets(vals, cand):
-    """``(lo, hi)`` of every run of equal local minima of ``vals`` over
-    ``cand``: the run's outer neighbours, degenerate brackets dropped."""
-    pad = np.concatenate([[math.inf], vals, [math.inf]])
+    """``(lo, hi)`` of every run of local minima of ``vals`` over ``cand``,
+    values within a rounding tie of each other counting as equal: the run's
+    outer neighbours, degenerate brackets dropped."""
+    finite = np.abs(vals[np.isfinite(vals)])
+    tie = _TIE_REL * finite.max() if finite.size else 0.0
+    pad = np.concatenate([[math.inf], vals, [math.inf]]) + tie
     is_min = np.concatenate([[False], (vals <= pad[:-2]) & (vals <= pad[2:]), [False]])
-    # adjacent local minima are equal, so each run of them is one flat extremum
+    # adjacent local minima are tied, so each run of them is one flat extremum
     j0 = np.flatnonzero(is_min[1:-1] & ~is_min[:-2])
     j1 = np.flatnonzero(is_min[1:-1] & ~is_min[2:])
     lo = cand[np.maximum(j0 - 1, 0)]
@@ -169,14 +184,15 @@ def _scan_extrema(jobs, xtol=_REFINE_XTOL):
     ``jobs`` is a list of ``(f, cand, modes)``: a profile, its sorted
     candidates and the extrema wanted ("min", "max").  The result holds, per
     job, one ``(value, t)`` per mode.  Each ``f`` is evaluated once on its
-    candidates.  Every run of equal local extrema brackets one refinement
-    between its outer neighbours; the brackets of every job and mode are
-    refined in one ``_zoom_lockstep``, each step calling every profile once,
-    on the points of its own brackets.  A bracket stops once no wider than
-    ``xtol`` or once a step fails to halve it, so a check takes about 15
-    steps, and never more than about 54, whatever the scale.  A refinement
-    replaces the best grid value only when strictly better, and the first
-    bracket wins a tie.
+    candidates.  Every run of local extrema, grid values within
+    ``_TIE_REL`` of the largest finite one counting as equal, brackets one
+    refinement between its outer neighbours; the brackets of every job and
+    mode are refined in one ``_zoom_lockstep``, each step calling every
+    profile once, on the points of its own brackets.  A bracket stops once
+    no wider than ``xtol`` or once a step fails to halve it, so a check takes
+    about 9 steps, and never more than about 27, whatever the scale.  A
+    refinement replaces the best grid value only when strictly better, and
+    the first bracket wins a tie.
     """
     best, los, his, job_of, sign_of, slot_of = [], [], [], [], [], []
     for j, (f, cand, modes) in enumerate(jobs):

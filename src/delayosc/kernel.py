@@ -106,6 +106,17 @@ def _check_depth(r: int) -> None:
 # -- the table primitive -----------------------------------------------------
 
 
+def _chebval_rows(u, c):
+    """Row k of the Chebyshev coefficients ``c`` summed at ``u[k]``: numpy's
+    ``chebval(u, c.T, tensor=False)``, by the same Clenshaw recurrence, minus
+    its copy of ``c``."""
+    u2 = 2.0 * u
+    c0, c1 = c[:, -2], c[:, -1]
+    for i in range(3, c.shape[1] + 1):
+        c0, c1 = c[:, -i] - c1, c0 + c1 * u2
+    return c0 + c1 * u
+
+
 class _Table:
     """Antiderivative x -> integral_{edges[0]}^x f of a piecewise Chebyshev fit.
 
@@ -135,7 +146,7 @@ class _Table:
         )
         lo, hi = self.edges[j], self.edges[j + 1]
         u = (2.0 * x - lo - hi) / (hi - lo)
-        out = self.cum[j] + cheb.chebval(u, self.coef[j].T, tensor=False)
+        out = self.cum[j] + _chebval_rows(u, self.coef[j])
         return out.reshape(shape)
 
     def split(self, xs):

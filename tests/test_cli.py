@@ -10,10 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delayosc import envelope
+from delayosc import cli, envelope
 from delayosc.cli import (
     ConfigError,
     equation_to_config,
@@ -196,6 +196,19 @@ def test_check_envelope_that_never_settles_is_an_error(monkeypatch, capsys):
     assert "failed to settle" in capsys.readouterr().err
 
 
+def test_check_internal_error_is_one_error_line(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "check_all", out_of_memory)
+    assert main(["check", CONTROL_CONFIG]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "MemoryError" in lines[0]
+    assert "Traceback" not in captured.err
+
+
 class _Timeout(Exception):
     pass
 
@@ -236,6 +249,15 @@ def _admissible_configs(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(config=_admissible_configs(), r=st.sampled_from([1, 2]))
+# a coefficient this small used to hang the fixed point lambda0
+@example(
+    config={
+        "period": 1.0,
+        "coefficients": [{"kind": "piecewise", "breakpoints": [[0.0, 1.1125369292536007e-308]]}],
+        "delays": [{"kind": "lag", "breakpoints": [[0.0, 1.0]]}],
+    },
+    r=1,
+)
 def test_check_fuzz_ends_in_a_verdict_or_an_error(tmp_path_factory, config, r):
     path = write_config(tmp_path_factory.mktemp("fuzz"), config)
     out = io.StringIO()

@@ -85,21 +85,26 @@ def test_grid_doubling_stability(demo_eq):
 # -- extremum scan ----------------------------------------------------------
 
 
-def _zoom_bracket(g, a, b, xtol):
-    """Scalar zoom search on [a, b]: 7 equispaced interior samples, the
-    neighbours of the first best one kept, until the bracket is no wider than
-    xtol or a step fails to halve it."""
-    c, gc = 0.5 * (a + b), None
+def _zoom_bracket(g, a, b, xtol, parts=32):
+    """Scalar zoom search on [a, b]: ``parts - 1`` equispaced interior
+    samples, the neighbours of the first best one kept, until the bracket is
+    no wider than xtol or a step fails to halve it."""
+    c, gc, mid = 0.5 * (a + b), None, parts // 2
     while True:
-        h = (b - a) / 8.0
-        xs = [a] + [c + j * h for j in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)] + [b]
-        gs = [gc if j == 3 and gc is not None else g(x) for j, x in enumerate(xs[1:-1])]
+        h = (b - a) / parts
+        xs = [a] + [c + j * h for j in np.arange(1.0 - mid, mid)] + [b]
+        gs = [gc if j == mid - 1 and gc is not None else g(x) for j, x in enumerate(xs[1:-1])]
         gs = [math.inf if math.isnan(v) else v for v in gs]
         k = gs.index(min(gs))
         width = b - a
         a, c, b, gc = xs[k], xs[k + 1], xs[k + 2], gs[k]
         if not (b - a > xtol and b - a <= 0.5 * width):
             return c, gc
+
+
+def _zoom_bracket_7(g, a, b, xtol):
+    """The 7-point zoom, 4x per step, that preceded the 31-point one."""
+    return _zoom_bracket(g, a, b, xtol, parts=8)
 
 
 def _golden_bracket(g, a, b, xtol):
@@ -120,8 +125,9 @@ def _golden_bracket(g, a, b, xtol):
     return x, g(x)
 
 
-def _scan_reference(f, cand, mode, xtol=1e-10, search=_zoom_bracket):
-    """One bracket at a time: each run of equal local extrema refined by a
+def _scan_reference(f, cand, mode, xtol=1e-10, search=_zoom_bracket, tie_rel=1e-13):
+    """One bracket at a time: each run of local extrema, values within
+    ``tie_rel`` of the largest finite one counting as equal, refined by a
     scalar ``search`` between its outer neighbours, in order; a strictly
     better one wins."""
     sign = 1.0 if mode == "min" else -1.0
@@ -131,13 +137,15 @@ def _scan_reference(f, cand, mode, xtol=1e-10, search=_zoom_bracket):
 
     vals = sign * np.asarray(f(cand), dtype=float)
     best_val, best_t = float(vals.min()), float(cand[int(np.argmin(vals))])
+    finite = [abs(v) for v in vals if math.isfinite(v)]
+    tie = tie_rel * max(finite) if finite else 0.0
     n = len(cand)
     runs = []
     for j in range(n):
         left = vals[j - 1] if j > 0 else math.inf
         right = vals[j + 1] if j < n - 1 else math.inf
-        if vals[j] <= left and vals[j] <= right:
-            if runs and runs[-1][1] == j - 1 and vals[j] == vals[j - 1]:
+        if vals[j] <= left + tie and vals[j] <= right + tie:
+            if runs and runs[-1][1] == j - 1:
                 runs[-1] = (runs[-1][0], j)
             else:
                 runs.append((j, j))
@@ -149,6 +157,12 @@ def _scan_reference(f, cand, mode, xtol=1e-10, search=_zoom_bracket):
         if gx < best_val:
             best_val, best_t = gx, x
     return sign * best_val, best_t
+
+
+def _exact_tie_reference(f, cand, mode, search=_zoom_bracket_7):
+    """The scan before rounding ties: a bracket per run of exactly equal
+    local extrema, each refined by ``search``."""
+    return _scan_reference(f, cand, mode, search=search, tie_rel=0.0)
 
 
 def _reference_profiles(demo_eq, control_eq):
@@ -181,14 +195,22 @@ def test_scan_matches_the_one_bracket_reference(demo_eq, control_eq):
     ]
 
 
-def test_zoom_agrees_with_golden_section(demo_eq, control_eq):
+def _assert_agrees_with_exact_ties(demo_eq, control_eq, search):
     # relative to the profile's scale: the parabola peaks at 0
     for f, ts in _reference_profiles(demo_eq, control_eq):
         scale = float(np.abs(f(ts)).max())
         for mode in ("min", "max"):
-            zoom = criteria._scan_extremum(f, ts, mode)[0]
-            golden = _scan_reference(f, ts, mode, search=_golden_bracket)[0]
-            assert abs(zoom - golden) <= 1e-13 * scale
+            new = criteria._scan_extremum(f, ts, mode)[0]
+            old = _exact_tie_reference(f, ts, mode, search)[0]
+            assert abs(new - old) <= 1e-13 * scale
+
+
+def test_scan_agrees_with_the_exact_tie_zoom(demo_eq, control_eq):
+    _assert_agrees_with_exact_ties(demo_eq, control_eq, _zoom_bracket_7)
+
+
+def test_zoom_agrees_with_golden_section(demo_eq, control_eq):
+    _assert_agrees_with_exact_ties(demo_eq, control_eq, _golden_bracket)
 
 
 def test_scan_finds_peaks_the_grid_misses():
@@ -226,8 +248,9 @@ def test_scan_of_two_equal_peaks_returns_the_first():
 
 def test_scan_refines_every_bracket_in_lockstep(monkeypatch):
     # const family of the benchmark: lag / period 100, p * lag 0.21.  Its
-    # profile is flat up to rounding, so the grid holds hundreds of noise
-    # brackets; refined one at a time they cost tens of thousands of calls
+    # profile is flat up to rounding, so without the tie the grid holds
+    # hundreds of noise brackets; refined one at a time they would cost tens
+    # of thousands of calls
     eq = make_constant_equation(0.0021, 100.0)
     calls = []
     scan = criteria._scan_extremum
@@ -298,11 +321,30 @@ def test_constant_equation_at_any_scale(monkeypatch, period):
 
 
 def test_check_all_profile_calls_per_job(monkeypatch, demo_eq):
-    # grid evaluation included; golden-section refinement took 42-51 per job
+    # grid evaluation included; golden-section refinement took 42-51 per job,
+    # the 7-point zoom 15-18
     calls = _count_profile_calls(monkeypatch)
     check_all(demo_eq, 2)
     assert len(calls) == 4
-    assert all(len(n) <= 20 for n in calls), [len(n) for n in calls]
+    assert all(len(n) <= 12 for n in calls), [len(n) for n in calls]
+
+
+def test_flat_profile_is_one_bracket_not_hundreds(monkeypatch):
+    # the const family again, through check_all: every grid point of the
+    # alpha / Kwong profile ties with its neighbours up to rounding, and an
+    # exact-tie scan refined 2131 brackets, 136394 points on that job alone
+    brackets = []
+    lockstep = criteria._zoom_lockstep
+
+    def counting_lockstep(g, lo, hi, xtol):
+        brackets.append(lo.size)
+        return lockstep(g, lo, hi, xtol)
+
+    monkeypatch.setattr(criteria, "_zoom_lockstep", counting_lockstep)
+    calls = _count_profile_calls(monkeypatch)
+    check_all(make_constant_equation(0.0021, 100.0), 1)
+    assert brackets and max(brackets) <= 10, brackets
+    assert all(sum(n) < 5000 for n in calls), [sum(n) for n in calls]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -383,6 +425,15 @@ def test_lambda0_limits():
     assert lambda0(1e-9) == pytest.approx(1.0, abs=1e-6)
     # tangency: double root at e when alpha = 1/e
     assert lambda0(INV_E) == pytest.approx(math.e, abs=1e-4)
+
+
+@pytest.mark.parametrize("a", [5e-324, 1e-308, 1e-200, INV_E])
+def test_lambda0_at_the_ends_of_its_domain(a):
+    # the old upper bracket -log(a)/a overflowed below about 1e-308 and hung
+    lam = lambda0(a)
+    assert 1.0 <= lam <= math.e
+    # direct iteration converges only sublinearly at the tangency a = 1/e
+    assert lam == pytest.approx(fixed_point_lambda(a), abs=1e-9 if a < INV_E else 1e-3)
 
 
 def test_lambda0_domain():

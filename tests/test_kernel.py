@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as cheb
 
 from delayosc import (
     EnvelopeFunction,
@@ -16,6 +17,7 @@ from delayosc import (
     outer_criterion_integral,
     term_integral,
 )
+from delayosc import kernel
 
 from conftest import make_demo_equation, midpoint_integral
 
@@ -173,3 +175,15 @@ def test_deep_kernel_saturates_to_inf(demo_eq, demo_cache):
     big = decay_kernel(demo_eq, 5, 40.0, 37.0, cache=demo_cache)
     assert math.isinf(big) and big > 0
     assert decay_kernel(demo_eq, 5, 37.0, 40.0, cache=demo_cache) == 0.0
+
+
+# -- table lookup -----------------------------------------------------------
+
+
+def test_table_lookup_sums_like_chebval():
+    # a gathered (n, 18) block of antiderivative coefficients, as in a lookup
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((300, 18))[rng.integers(0, 300, 1000)]
+    u = rng.uniform(-1.0, 1.0, 1000)
+    want = cheb.chebval(u, block.T, tensor=False)
+    assert np.array_equal(kernel._chebval_rows(u, block), want)
