@@ -159,12 +159,6 @@ def _scan_reference(f, cand, mode, xtol=1e-10, search=_zoom_bracket, tie_rel=1e-
     return sign * best_val, best_t
 
 
-def _exact_tie_reference(f, cand, mode, search=_zoom_bracket_7):
-    """The scan before rounding ties: a bracket per run of exactly equal
-    local extrema, each refined by ``search``."""
-    return _scan_reference(f, cand, mode, search=search, tie_rel=0.0)
-
-
 def _reference_profiles(demo_eq, control_eq):
     # flat runs and ties: a staircase of three levels
     cand = np.linspace(0.0, 1.0, 201)
@@ -196,12 +190,14 @@ def test_scan_matches_the_one_bracket_reference(demo_eq, control_eq):
 
 
 def _assert_agrees_with_exact_ties(demo_eq, control_eq, search):
-    # relative to the profile's scale: the parabola peaks at 0
+    # against the scan before rounding ties, a bracket per run of exactly
+    # equal local extrema; relative to the profile's scale: the parabola
+    # peaks at 0
     for f, ts in _reference_profiles(demo_eq, control_eq):
         scale = float(np.abs(f(ts)).max())
         for mode in ("min", "max"):
             new = criteria._scan_extremum(f, ts, mode)[0]
-            old = _exact_tie_reference(f, ts, mode, search)[0]
+            old = _scan_reference(f, ts, mode, search=search, tie_rel=0.0)[0]
             assert abs(new - old) <= 1e-13 * scale
 
 
@@ -330,9 +326,9 @@ def test_check_all_profile_calls_per_job(monkeypatch, demo_eq):
 
 
 def test_flat_profile_is_one_bracket_not_hundreds(monkeypatch):
-    # the const family again, through check_all: every grid point of the
-    # alpha / Kwong profile ties with its neighbours up to rounding, and an
-    # exact-tie scan refined 2131 brackets, 136394 points on that job alone
+    # the const family again, through check_all: its alpha / Kwong profile
+    # is flat up to rounding, and an exact-tie scan refined 2131 brackets,
+    # 136394 points on that job alone
     brackets = []
     lockstep = criteria._zoom_lockstep
 
