@@ -3,11 +3,12 @@
 All limit inferior / limit superior quantities reduce to extrema of
 periodic profiles once transients have passed, so they are computed by
 scanning one steady-state period on a dense grid seeded with every
-geometric breakpoint, then refining every local extremum by a zoom search,
-all brackets in lockstep with one vectorised call per step.  Grid values
-within a rounding tie (1e-13 of the profile's largest magnitude) count as
-equal, so each run of such local extrema is one bracket, and a profile flat
-up to rounding gives one bracket, not hundreds.  Each step samples 31
+geometric breakpoint, points a rounding apart merged, then refining every
+local extremum by a zoom search, all brackets in lockstep with one
+vectorised call per step.  Grid values within a rounding tie (1e-13 of
+the profile's largest magnitude) count as equal, so each run of such local
+extrema is one bracket, and a profile flat up to rounding gives one
+bracket, not hundreds.  Each step samples 31
 equispaced interior points of a bracket and keeps the two neighbours of the
 best, so the bracket shrinks 16x; it stops once no wider than the
 refinement tolerance (min(tol, 1e-10)), or once a step fails to halve it
@@ -66,6 +67,11 @@ _REFINE_XTOL = 1e-10
 # rounding is a few eps of their magnitude, so a flat profile wiggles at
 # about 1e-15 of its scale, and refining each wiggle finds nothing.
 _TIE_REL = 1e-13
+# Scan points this close, relative to the scan window, are one point up to
+# rounding (a knot 8 + 119/250 = 8.475999999999999 beside the grid's 8.476):
+# their values tie, and tie-tolerant bracketing would refine the pair as an
+# extremum on any slope.
+_SAME_POINT_REL = 1e-9
 # a zoom step cuts each bracket in 32 parts about its centre; the first step
 # samples all 31 interior points, later steps know the centre's value already
 _ZOOM_PARTS = 32
@@ -83,7 +89,9 @@ def lambda0(alpha_value: float, *, xtol: float = 1e-13) -> float:
     Exists for alpha in (0, 1/e]; anything outside raises.  Returns the
     lower end of the final bracket, below the root by at most ``xtol``, so
     the thresholds (1 + ln lambda) / lambda, which fall as lambda grows, are
-    never understated.
+    never understated.  The other way round, ``sim.check_envelope_ratio``,
+    whose margin is the simulated ratio minus lambda, reads up to ``xtol``
+    looser.
     """
     a = float(alpha_value)
     if not (0.0 < a <= INV_E):
@@ -152,13 +160,22 @@ def _zoom_lockstep(g, lo, hi, xtol: float):
 
 
 def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
-    """Uniform grid over [w0, w1] joined with the knots that fall inside."""
-    cand = np.unique(
-        np.concatenate(
-            [np.linspace(w0, w1, n_grid + 1), np.asarray(list(knots), dtype=float)]
+    """Uniform grid over [w0, w1] joined with the knots that fall inside.
+    Points closer than ``_SAME_POINT_REL * (w1 - w0)`` are one point: a knot
+    drops the grid points beside it and the knots just after it."""
+    same = _SAME_POINT_REL * (w1 - w0)
+    grid = np.linspace(w0, w1, n_grid + 1)
+    knots = np.asarray(list(knots), dtype=float)
+    knots = np.unique(knots[(knots >= w0) & (knots <= w1)])
+    if knots.size:
+        knots = knots[np.concatenate([[True], np.diff(knots) > same])]
+        i = np.searchsorted(knots, grid)
+        gap = np.minimum(
+            np.abs(grid - knots[np.maximum(i - 1, 0)]),
+            np.abs(grid - knots[np.minimum(i, knots.size - 1)]),
         )
-    )
-    return cand[(cand >= w0) & (cand <= w1)]
+        grid = grid[gap > same]
+    return np.union1d(grid, knots)
 
 
 def _brackets(vals, cand):

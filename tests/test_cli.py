@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import signal
 import subprocess
 import sys
@@ -209,8 +210,12 @@ def test_check_internal_error_is_one_error_line(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-class _Timeout(Exception):
+# a BaseException, so that the catch-all in main cannot turn a hang into exit 1
+class _Timeout(BaseException):
     pass
+
+
+_INTERNAL_FAULT = re.compile(r"error: [A-Z]\w*:")
 
 
 def _alarm(signum, frame):
@@ -260,17 +265,22 @@ def _admissible_configs(draw):
 )
 def test_check_fuzz_ends_in_a_verdict_or_an_error(tmp_path_factory, config, r):
     path = write_config(tmp_path_factory.mktemp("fuzz"), config)
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(20)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["check", path, "--r", str(r), "--grid", "50"])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 3)
-    if code != 1:
+    if code == 1:
+        # an input error, not an internal fault: only main's catch-all writes
+        # "error: <ExceptionType>: ..."
+        assert err.getvalue().startswith("error: ")
+        assert not _INTERNAL_FAULT.match(err.getvalue()), err.getvalue()
+    else:
         report = json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert report["overall"] == ("oscillatory" if code == 0 else "inconclusive")
 

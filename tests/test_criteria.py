@@ -343,6 +343,43 @@ def test_flat_profile_is_one_bracket_not_hundreds(monkeypatch):
     assert all(sum(n) < 5000 for n in calls), [sum(n) for n in calls]
 
 
+def test_scan_grid_keeps_a_knot_not_the_grid_point_beside_it():
+    # the knot 8 + 119/250 is 8.475999999999999, the grid point 8.476; the
+    # second copy of a knot, a rounding away, goes too
+    knots = 8.0 + np.arange(250) / 250
+    cand = criteria._scan_grid(8.0, 9.0, np.concatenate([knots, knots + 1e-15]), 500)
+    assert np.isin(knots, cand).all()
+    assert np.diff(cand).min() > 1e-9
+    assert len(cand) == 501
+
+
+def test_many_knots_bracket_no_more_than_exact_ties(monkeypatch):
+    # 250 coefficient knots, each on a grid point up to rounding: kept as
+    # pairs a few ulps apart, every tied pair became a bracket on any slope,
+    # 286 against 170 for exact ties; with the pairs merged, ties only join
+    # brackets here
+    rng = np.random.default_rng(11)
+    coef = PiecewisePeriodic(
+        period=1.0,
+        breakpoints=tuple((k / 250, float(v)) for k, v in enumerate(rng.uniform(0.05, 0.3, 250))),
+    )
+    lag = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 1.37), (0.3, 0.83), (0.7, 1.61)))
+    eq = DelayEquation(coefficients=(coef,), lags=(lag,))
+    brackets = []
+    lockstep = criteria._zoom_lockstep
+
+    def counting_lockstep(g, lo, hi, xtol):
+        brackets.append(lo.size)
+        return lockstep(g, lo, hi, xtol)
+
+    monkeypatch.setattr(criteria, "_zoom_lockstep", counting_lockstep)
+    tied = check_all(eq, 1)
+    monkeypatch.setattr(criteria, "_TIE_REL", 0.0)
+    exact = check_all(eq, 1)
+    assert tied.overall == exact.overall
+    assert brackets[0] <= brackets[1], brackets
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_scanners_reject_a_bad_tol(control_eq, tol):
     for scan in (alpha, alpha_over_envelope, kwong_limsup, hunt_yorke_liminf):
