@@ -8,15 +8,19 @@ local extremum by a zoom search, all brackets in lockstep with one
 vectorised call per step.  Grid values within a rounding tie (1e-13 of
 the profile's largest magnitude) count as equal, so each run of such local
 extrema is one bracket, and a profile flat up to rounding gives one
-bracket, not hundreds.  Each step samples 31
-equispaced interior points of a bracket and keeps the two neighbours of the
-best, so the bracket shrinks 16x; it stops once no wider than the
-refinement tolerance (min(tol, 1e-10)), or once a step fails to halve it
-because the float spacing at the window is coarser than that.  A bracket
-of width w therefore takes about log16(w / xtol) steps, and never more
-than about 27 whatever the scale of the period and lags.  A criterion
-counts as satisfied only when its margin clears 10 * tol; anything closer
-is marginal and reported as not satisfied.
+bracket, not hundreds.  A bracket is centred on its run's best grid
+point; each step cuts each side of that point in 16 equal parts and keeps
+the two neighbours of the best sample, centred on it.  A bracket stops
+once its samples are straight to the tie on each side of the best, as on
+flat runs, at kinks (every knot is a grid point, so a kink extremum is a
+sample from the first step on) and, after a few steps, at smooth
+extrema: a check takes 1 step on a flat profile and 4-6 on the demo.  It
+also stops once no wider than the refinement tolerance (min(tol, 1e-10)),
+or once a step fails to halve it because the float spacing at the window
+is coarser than that, so it never takes more than about 27 steps
+whatever the scale of the period and lags.  A criterion counts as
+satisfied only when its margin clears 10 * tol; anything closer is
+marginal and reported as not satisfied.
 """
 
 from __future__ import annotations
@@ -72,12 +76,11 @@ _TIE_REL = 1e-13
 # their values tie, and tie-tolerant bracketing would refine the pair as an
 # extremum on any slope.
 _SAME_POINT_REL = 1e-9
-# a zoom step cuts each bracket in 32 parts about its centre; the first step
-# samples all 31 interior points, later steps know the centre's value already
-_ZOOM_PARTS = 32
-_ZOOM_OFFSETS = np.arange(-16.0, 17.0)
-_ZOOM_FIRST = np.arange(1, 32)
-_ZOOM_NEW = _ZOOM_FIRST[_ZOOM_FIRST != 16]
+# a zoom step cuts each side of a bracket's best point in 16 equal parts: 33
+# samples, of which the ends and the best point are known, 30 new
+_ZOOM_FRACTIONS = np.arange(-16.0, 17.0) / 16
+_ZOOM_KNOWN = np.array([0, 16, 32])
+_ZOOM_NEW = np.flatnonzero(np.arange(33) % 16)
 
 
 # -- root finding ----------------------------------------------------------
@@ -121,42 +124,48 @@ def lambda0(alpha_value: float, *, xtol: float = 1e-13) -> float:
 # -- extremum scanning -----------------------------------------------------
 
 
-def _zoom_lockstep(g, lo, hi, xtol: float):
-    """Zoom search for the minimum of ``g`` on every bracket ``[lo[k], hi[k]]``
-    at once.  ``g(x, act)`` evaluates the rows of ``x``, row ``i`` holding
-    points of bracket ``act[i]``; ``act`` is always increasing.
+def _zoom_lockstep(g, x3, g3, tie, xtol: float):
+    """Zoom search for the minimum of ``g`` on every bracket at once.  Row
+    ``k`` of ``x3`` holds a bracket's ends and its best point, ``lo, c, hi``,
+    and ``g3`` their values; ``tie[k]`` is the rounding tie of its profile.
+    ``g(x, act)`` evaluates the rows of ``x``, row ``i`` holding points of
+    bracket ``act[i]``; ``act`` is always increasing.
 
-    Each step samples 31 equispaced interior points of every active bracket,
-    the previous best at the centre and 30 new ones, in one call of ``g``,
-    and keeps the two neighbours of the best sample (the first among equals):
-    the bracket shrinks 16x.  A bracket stops once it is no wider than
+    Each step cuts each side of ``c`` in 16 equal parts, the sides' widths
+    may differ, evaluates the 30 new samples of every active bracket in one
+    call of ``g``, and keeps the two neighbours of the best interior sample
+    (the first among equals) as the next bracket, centred on it.  A bracket
+    stops once the second differences of its 33 samples are within its tie
+    at every sample but the best (the profile is straight to rounding on
+    each side of it, so refining further moves the value by about the tie;
+    an infinite sample is never straight), once it is no wider than
     ``xtol``, or once a step fails to halve it, which happens only where the
     float spacing is coarser than ``xtol``; so a scan ends at any scale.
     Returns the best sample of every bracket and its value; a NaN value
     counts as +inf.
     """
-    c = 0.5 * (lo + hi)
-    gc = np.empty(lo.size)
-    act, cols = np.arange(lo.size), _ZOOM_FIRST
+    act = np.arange(len(x3))
     while act.size:
         rows = np.arange(act.size)
-        width = hi[act] - lo[act]
-        # the bracket cut in 32 parts about its centre, its own ends kept
-        x = c[act, None] + (width / _ZOOM_PARTS)[:, None] * _ZOOM_OFFSETS
-        x[:, 0], x[:, -1] = lo[act], hi[act]
-        gx = np.empty((act.size, _ZOOM_PARTS - 1))  # at the interior x[:, 1:-1]
-        gx[:, cols - 1] = g(x[:, cols], act)
-        if cols is _ZOOM_NEW:
-            gx[:, _ZOOM_PARTS // 2 - 1] = gc[act]
+        lo, c, hi = x3[act].T
+        # each side of c cut in 16 parts, the bracket's own ends kept
+        side = np.where(_ZOOM_FRACTIONS < 0, (c - lo)[:, None], (hi - c)[:, None])
+        x = c[:, None] + side * _ZOOM_FRACTIONS
+        x[:, 0], x[:, -1] = lo, hi
+        gx = np.empty_like(x)
+        gx[:, _ZOOM_KNOWN] = g3[act]
+        gx[:, _ZOOM_NEW] = g(x[:, _ZOOM_NEW], act)
         gx[np.isnan(gx)] = math.inf
-        k = np.argmin(gx, axis=1)
-        new_lo, new_hi = x[rows, k], x[rows, k + 2]
-        lo[act], hi[act] = new_lo, new_hi
-        c[act], gc[act] = x[rows, k + 1], gx[rows, k]
-        new_width = new_hi - new_lo
-        act = act[(new_width > xtol) & (new_width <= 0.5 * width)]
-        cols = _ZOOM_NEW
-    return c, gc
+        k = 1 + np.argmin(gx[:, 1:-1], axis=1)
+        keep = k[:, None] + np.array([-1, 0, 1])
+        x3[act], g3[act] = x[rows[:, None], keep], gx[rows[:, None], keep]
+        with np.errstate(invalid="ignore"):
+            bent = np.abs(gx[:, :-2] - 2.0 * gx[:, 1:-1] + gx[:, 2:]) > tie[act, None]
+        bent[rows, k - 1] = False
+        straight = ~bent.any(axis=1) & np.isfinite(gx).all(axis=1)
+        width, new_width = hi - lo, x3[act, 2] - x3[act, 0]
+        act = act[~straight & (new_width > xtol) & (new_width <= 0.5 * width)]
+    return x3[:, 1], g3[:, 1]
 
 
 def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
@@ -178,21 +187,26 @@ def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
     return np.union1d(grid, knots)
 
 
-def _brackets(vals, cand):
-    """``(lo, hi)`` of every run of local minima of ``vals`` over ``cand``,
-    values within a rounding tie of each other counting as equal: the run's
-    outer neighbours, degenerate brackets dropped."""
-    finite = np.abs(vals[np.isfinite(vals)])
-    tie = _TIE_REL * finite.max() if finite.size else 0.0
+def _brackets(vals, tie: float):
+    """Indices ``(lo, c, hi)`` of every run of local minima of ``vals``,
+    values within ``tie`` of each other counting as equal: the run's outer
+    neighbours and its best point (the first among equals), degenerate
+    brackets dropped."""
     pad = np.concatenate([[math.inf], vals, [math.inf]]) + tie
     is_min = np.concatenate([[False], (vals <= pad[:-2]) & (vals <= pad[2:]), [False]])
     # adjacent local minima are tied, so each run of them is one flat extremum
     j0 = np.flatnonzero(is_min[1:-1] & ~is_min[:-2])
     j1 = np.flatnonzero(is_min[1:-1] & ~is_min[2:])
-    lo = cand[np.maximum(j0 - 1, 0)]
-    hi = cand[np.minimum(j1 + 1, len(cand) - 1)]
+    # each run's lowest value, and its first point at that value: the first
+    # such point at or after the run's start
+    members = np.flatnonzero(is_min[1:-1])
+    bounds = np.stack([j0, j1 + 1], axis=1).ravel()
+    lowest = np.minimum.reduceat(np.append(vals, math.inf), bounds)[::2]
+    hits = members[vals[members] == np.repeat(lowest, j1 - j0 + 1)]
+    c = hits[np.searchsorted(hits, j0)]
+    lo, hi = np.maximum(j0 - 1, 0), np.minimum(j1 + 1, len(vals) - 1)
     keep = hi > lo
-    return lo[keep], hi[keep]
+    return lo[keep], c[keep], hi[keep]
 
 
 def _scan_extrema(jobs, xtol=_REFINE_XTOL):
@@ -201,33 +215,39 @@ def _scan_extrema(jobs, xtol=_REFINE_XTOL):
     ``jobs`` is a list of ``(f, cand, modes)``: a profile, its sorted
     candidates and the extrema wanted ("min", "max").  The result holds, per
     job, one ``(value, t)`` per mode.  Each ``f`` is evaluated once on its
-    candidates.  Every run of local extrema, grid values within
-    ``_TIE_REL`` of the largest finite one counting as equal, brackets one
-    refinement between its outer neighbours; the brackets of every job and
-    mode are refined in one ``_zoom_lockstep``, each step calling every
-    profile once, on the points of its own brackets.  A bracket stops once
-    no wider than ``xtol`` or once a step fails to halve it, so a check takes
-    about 9 steps, and never more than about 27, whatever the scale.  A
-    refinement replaces the best grid value only when strictly better, and
-    the first bracket wins a tie.
+    candidates.  Every run of local extrema, grid values within the job's
+    tie (``_TIE_REL`` of its largest finite one) counting as equal, brackets
+    one refinement between its outer neighbours, centred on the run's best
+    point; the brackets of every job and mode are refined in one
+    ``_zoom_lockstep``, each step calling every profile once, on the points
+    of its own brackets.  A bracket stops once its samples are straight to
+    the tie on each side of the best one, once no wider than ``xtol``, or
+    once a step fails to halve it, so a check takes 1 step on a flat
+    profile, 4-6 on the demo, and never more than about 27, whatever the
+    scale.  A refinement replaces the best grid value only when strictly
+    better, and the first bracket wins a tie.
     """
-    best, los, his, job_of, sign_of, slot_of = [], [], [], [], [], []
+    best, xs, gs, ties, job_of, sign_of, slot_of = [], [], [], [], [], [], []
     for j, (f, cand, modes) in enumerate(jobs):
         vals = np.asarray(f(cand), dtype=float)
+        finite = np.abs(vals[np.isfinite(vals)])
+        tie = _TIE_REL * finite.max() if finite.size else 0.0
         best.append([])
         for mode in modes:
             sign = 1.0 if mode == "min" else -1.0
             signed = sign * vals
             k = int(np.argmin(signed))
-            lo, hi = _brackets(signed, cand)
-            los.append(lo)
-            his.append(hi)
-            job_of.append(np.full(lo.size, j))
-            sign_of.append(np.full(lo.size, sign))
-            slot_of.append(np.full(lo.size, len(slot_of)))
+            idx = np.stack(_brackets(signed, tie), axis=1)
+            n = len(idx)
+            xs.append(cand[idx])
+            gs.append(signed[idx])
+            ties.append(np.full(n, tie))
+            job_of.append(np.full(n, j))
+            sign_of.append(np.full(n, sign))
+            slot_of.append(np.full(n, len(slot_of)))
             best[-1].append([sign, signed[k], cand[k]])
-    a, b = np.concatenate(los), np.concatenate(his)
-    if a.size:
+    x3 = np.concatenate(xs)
+    if x3.size:
         sign_of = np.concatenate(sign_of)
         # brackets come in job order: those of job j are [first[j], first[j + 1])
         first = np.searchsorted(np.concatenate(job_of), np.arange(len(jobs) + 1))
@@ -241,7 +261,7 @@ def _scan_extrema(jobs, xtol=_REFINE_XTOL):
             ]
             return sign_of[act, None] * np.concatenate(out).reshape(x.shape)
 
-        x, gx = _zoom_lockstep(g, a, b, xtol)
+        x, gx = _zoom_lockstep(g, x3, np.concatenate(gs), np.concatenate(ties), xtol)
         slot_of = np.concatenate(slot_of)
         for s, entry in enumerate(e for row in best for e in row):
             ks = np.flatnonzero(slot_of == s)

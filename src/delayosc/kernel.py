@@ -240,9 +240,11 @@ def _seed_edges(points, lo: float, hi: float) -> np.ndarray:
     return np.array([lo, *inner, hi])
 
 
-def _preimage_phases(lags, period: float, phases):
-    """All z in [0, P) where some z - lag(z) hits a phase of ``phases`` mod P."""
-    found: list[float] = []
+def _preimage_phases(lags, period: float, phases, limit: float = math.inf):
+    """All z in [0, P) where some z - lag(z) hits a phase of ``phases`` mod P,
+    or None when there are more than ``limit``: they are counted first, so a
+    set past the limit is never built."""
+    segments = []
     for lag in lags:
         poly = _tau_polyline(lag, 0.0, period)
         for (z0, y0), (z1, y1) in zip(poly, poly[1:]):
@@ -252,15 +254,25 @@ def _preimage_phases(lags, period: float, phases):
             if abs(slope) < 1e-13:
                 continue  # plateau: kinks sit at its ends, already lattice points
             ylo, yhi = (y0, y1) if y0 <= y1 else (y1, y0)
-            for phi in phases:
-                n0 = math.ceil((ylo - phi) / period - 1e-12)
-                n1 = math.floor((yhi - phi) / period + 1e-12)
-                for n in range(n0, n1 + 1):
-                    z = z0 + (phi + n * period - y0) / slope
-                    if z0 - 1e-12 <= z <= z1 + 1e-12:
-                        z = min(max(z, 0.0), period)
-                        if z < period:
-                            found.append(z)
+            segments.append((z0, z1, y0, slope, ylo, yhi))
+    count, phi = 0, np.asarray(phases, dtype=float)
+    for *_, ylo, yhi in segments:
+        n0 = np.ceil((ylo - phi) / period - 1e-12)
+        n1 = np.floor((yhi - phi) / period + 1e-12)
+        count += int(np.maximum(n1 - n0 + 1, 0).sum())
+    if count > limit:
+        return None
+    found: list[float] = []
+    for z0, z1, y0, slope, ylo, yhi in segments:
+        for phi in phases:
+            n0 = math.ceil((ylo - phi) / period - 1e-12)
+            n1 = math.floor((yhi - phi) / period + 1e-12)
+            for n in range(n0, n1 + 1):
+                z = z0 + (phi + n * period - y0) / slope
+                if z0 - 1e-12 <= z <= z1 + 1e-12:
+                    z = min(max(z, 0.0), period)
+                    if z < period:
+                        found.append(z)
     return found
 
 
@@ -268,7 +280,8 @@ def _kink_phases(eq: DelayEquation, level: int, cache: KernelCache):
     """Kink phases of the level-``level`` integrand g_level in [0, P).
 
     Level 0 is the breakpoint lattice; each further level adds the delay
-    preimages of the previous set, up to _MAX_KINKS phases.
+    preimages of the previous set, unless that would take it past
+    _MAX_KINKS phases: the level then keeps the previous set.
     """
 
     def build():
@@ -276,9 +289,8 @@ def _kink_phases(eq: DelayEquation, level: int, cache: KernelCache):
             funcs = eq.coefficients + eq.lags
             return sorted({t for f in funcs for t in f.interior_times})
         prev = _kink_phases(eq, level - 1, cache)
-        if len(prev) > _MAX_KINKS:
-            return prev
-        return _merge_close(prev + _preimage_phases(eq.lags, eq.period, prev))
+        new = _preimage_phases(eq.lags, eq.period, prev, _MAX_KINKS - len(prev))
+        return prev if new is None else _merge_close(prev + new)
 
     return cache._table(("kinks", eq, level, None, None, None), build)
 

@@ -85,13 +85,38 @@ def test_grid_doubling_stability(demo_eq):
 # -- extremum scan ----------------------------------------------------------
 
 
-def _zoom_bracket(g, a, b, xtol, parts=32):
-    """Scalar zoom search on [a, b]: ``parts - 1`` equispaced interior
-    samples, the neighbours of the first best one kept, until the bracket is
-    no wider than xtol or a step fails to halve it."""
-    c, gc, mid = 0.5 * (a + b), None, parts // 2
+def _zoom_bracket(g, xs, gs, tie, xtol):
+    """Scalar zoom about a bracket's best point: from ``xs = (a, c, b)`` and
+    their values ``gs``, each side of c cut in 16 equal parts, the neighbours
+    of the first best interior sample kept and centred on it, until the 33
+    samples are straight to ``tie`` (finite, second differences within it)
+    everywhere but at the best, the bracket is no wider than xtol, or a step
+    fails to halve it."""
+    (a, c, b), (ga, gc, gb) = xs, gs
+    offsets = np.arange(-16.0, 17.0)
     while True:
-        h = (b - a) / parts
+        left, right = (c - a) / 16, (b - c) / 16
+        xs = [a] + [c + (left if j < 0 else right) * j for j in offsets[1:-1]] + [b]
+        gs = [ga] + [gc if j == 0 else g(x) for j, x in zip(offsets[1:-1], xs[1:-1])] + [gb]
+        gs = [math.inf if math.isnan(v) else v for v in gs]
+        k = 1 + gs[1:-1].index(min(gs[1:-1]))
+        straight = all(math.isfinite(v) for v in gs) and all(
+            abs(gs[i - 1] - 2.0 * gs[i] + gs[i + 1]) <= tie for i in range(1, 32) if i != k
+        )
+        width = b - a
+        (a, c, b), (ga, gc, gb) = xs[k - 1 : k + 2], gs[k - 1 : k + 2]
+        if straight or not (b - a > xtol and b - a <= 0.5 * width):
+            return c, gc
+
+
+def _zoom_bracket_7(g, a, b, xtol):
+    """The 7-point zoom, 4x per step about the bracket's midpoint, that
+    preceded the 31-point one: the neighbours of the first best interior
+    sample kept, until the bracket is no wider than xtol or a step fails to
+    halve it."""
+    c, gc, mid = 0.5 * (a + b), None, 4
+    while True:
+        h = (b - a) / 8
         xs = [a] + [c + j * h for j in np.arange(1.0 - mid, mid)] + [b]
         gs = [gc if j == mid - 1 and gc is not None else g(x) for j, x in enumerate(xs[1:-1])]
         gs = [math.inf if math.isnan(v) else v for v in gs]
@@ -100,11 +125,6 @@ def _zoom_bracket(g, a, b, xtol, parts=32):
         a, c, b, gc = xs[k], xs[k + 1], xs[k + 2], gs[k]
         if not (b - a > xtol and b - a <= 0.5 * width):
             return c, gc
-
-
-def _zoom_bracket_7(g, a, b, xtol):
-    """The 7-point zoom, 4x per step, that preceded the 31-point one."""
-    return _zoom_bracket(g, a, b, xtol, parts=8)
 
 
 def _golden_bracket(g, a, b, xtol):
@@ -125,10 +145,11 @@ def _golden_bracket(g, a, b, xtol):
     return x, g(x)
 
 
-def _scan_reference(f, cand, mode, xtol=1e-10, search=_zoom_bracket, tie_rel=1e-13):
+def _scan_reference(f, cand, mode, xtol=1e-10, search=None, tie_rel=1e-13):
     """One bracket at a time: each run of local extrema, values within
-    ``tie_rel`` of the largest finite one counting as equal, refined by a
-    scalar ``search`` between its outer neighbours, in order; a strictly
+    ``tie_rel`` of the largest finite one counting as equal, refined in
+    order, by ``_zoom_bracket`` about the run's first best point or by a
+    scalar ``search(g, a, b, xtol)`` between its outer neighbours; a strictly
     better one wins."""
     sign = 1.0 if mode == "min" else -1.0
 
@@ -150,10 +171,17 @@ def _scan_reference(f, cand, mode, xtol=1e-10, search=_zoom_bracket, tie_rel=1e-
             else:
                 runs.append((j, j))
     for j0, j1 in runs:
-        a, b = float(cand[max(j0 - 1, 0)]), float(cand[min(j1 + 1, n - 1)])
+        i, k = max(j0 - 1, 0), min(j1 + 1, n - 1)
+        a, b = float(cand[i]), float(cand[k])
         if b <= a:
             continue
-        x, gx = search(g, a, b, xtol)
+        if search is None:
+            jc = min(range(j0, j1 + 1), key=lambda j: vals[j])  # first among equals
+            x, gx = _zoom_bracket(
+                g, (a, float(cand[jc]), b), (vals[i], vals[jc], vals[k]), tie, xtol
+            )
+        else:
+            x, gx = search(g, a, b, xtol)
         if gx < best_val:
             best_val, best_t = gx, x
     return sign * best_val, best_t
@@ -242,6 +270,46 @@ def test_scan_of_two_equal_peaks_returns_the_first():
     assert abs(t - 0.3) <= 0.02
 
 
+def test_brackets_centre_on_the_best_point_of_each_run():
+    # runs of tied local minima: {1}, {3, 4} (4 is lower by less than the
+    # tie) and {6, 7} (exactly equal: the first)
+    vals = np.array([3.0, 1.0, 2.0, 1.0 + 1e-14, 1.0, 5.0, 0.0, 0.0, 4.0])
+    lo, c, hi = criteria._brackets(vals, 1e-13)
+    assert (lo.tolist(), c.tolist(), hi.tolist()) == ([0, 2, 5], [1, 4, 6], [2, 5, 8])
+
+
+def test_kink_on_a_grid_knot_ends_after_one_step():
+    # a lopsided V whose knot 0.37 is a scan point off its bracket's middle:
+    # each side of it is straight, so one step ends the bracket, and the
+    # refinement never beats the knot's own value
+    cand = np.union1d(np.linspace(0.0, 1.0, 11), [0.37])
+
+    def f(ts):
+        return 0.5 + np.where(ts < 0.37, 0.37 - ts, 3.0 * (ts - 0.37))
+
+    for mode, sign in (("min", 1.0), ("max", -1.0)):
+        calls = []
+        value, t = criteria._scan_extremum(_counted(lambda ts: sign * f(ts), calls), cand, mode)
+        assert (value, t) == (sign * 0.5, 0.37)
+        assert len(calls) == 2  # the grid, then one zoom step
+
+
+def test_smooth_peak_just_off_a_grid_point():
+    # the peak sits 1/100 of a grid spacing from a scan point, which the
+    # first step samples: a stop before the samples turn straight misses it
+    # by about 1e-6
+    cand = np.linspace(0.0, 1.0, 51)
+    peak = cand[20] + 0.02 / 100
+
+    def f(ts):
+        return 3.0 + np.cos(2.0 * math.pi * (ts - peak))
+
+    top, t_top = criteria._scan_extremum(f, cand, "max")
+    bottom, t_bottom = criteria._scan_extremum(lambda ts: -f(ts), cand, "min")
+    assert abs(top - 4.0) <= 1e-13 * 4.0 and bottom == -top
+    assert t_top == t_bottom and abs(t_top - peak) <= 1e-6
+
+
 def test_scan_refines_every_bracket_in_lockstep(monkeypatch):
     # const family of the benchmark: lag / period 100, p * lag 0.21.  Its
     # profile is flat up to rounding, so without the tie the grid holds
@@ -318,11 +386,28 @@ def test_constant_equation_at_any_scale(monkeypatch, period):
 
 def test_check_all_profile_calls_per_job(monkeypatch, demo_eq):
     # grid evaluation included; golden-section refinement took 42-51 per job,
-    # the 7-point zoom 15-18
+    # the 7-point zoom 15-18, the 31-point zoom about the bracket's middle
+    # 8-10; centred on the best grid point and stopped once straight, 2-6
     calls = _count_profile_calls(monkeypatch)
     check_all(demo_eq, 2)
     assert len(calls) == 4
-    assert all(len(n) <= 12 for n in calls), [len(n) for n in calls]
+    assert all(len(n) <= 7 for n in calls), [len(n) for n in calls]
+
+
+def test_flat_profile_stops_after_one_step(monkeypatch):
+    # the const family: every profile is flat up to rounding, so each
+    # bracket's samples are straight after the first step
+    calls = _count_profile_calls(monkeypatch)
+    check_all(make_constant_equation(0.0021, 100.0), 1)
+    assert all(len(n) <= 2 for n in calls), [len(n) for n in calls]
+
+
+def test_saturated_demo_reports_inf(demo_eq):
+    # the depth-5 kernel overflows: an infinite sample never counts as
+    # straight, so the limsups stay +inf
+    rep = check_all(demo_eq, 5, n_grid=50)
+    for name in ("bcs_1_8", "bcs_1_9", "main_2_8"):
+        assert rep[name].value == math.inf and rep[name].satisfied
 
 
 def test_flat_profile_is_one_bracket_not_hundreds(monkeypatch):
@@ -332,9 +417,9 @@ def test_flat_profile_is_one_bracket_not_hundreds(monkeypatch):
     brackets = []
     lockstep = criteria._zoom_lockstep
 
-    def counting_lockstep(g, lo, hi, xtol):
-        brackets.append(lo.size)
-        return lockstep(g, lo, hi, xtol)
+    def counting_lockstep(g, x3, *args):
+        brackets.append(len(x3))
+        return lockstep(g, x3, *args)
 
     monkeypatch.setattr(criteria, "_zoom_lockstep", counting_lockstep)
     calls = _count_profile_calls(monkeypatch)
@@ -368,9 +453,9 @@ def test_many_knots_bracket_no_more_than_exact_ties(monkeypatch):
     brackets = []
     lockstep = criteria._zoom_lockstep
 
-    def counting_lockstep(g, lo, hi, xtol):
-        brackets.append(lo.size)
-        return lockstep(g, lo, hi, xtol)
+    def counting_lockstep(g, x3, *args):
+        brackets.append(len(x3))
+        return lockstep(g, x3, *args)
 
     monkeypatch.setattr(criteria, "_zoom_lockstep", counting_lockstep)
     tied = check_all(eq, 1)

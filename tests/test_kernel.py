@@ -1,6 +1,11 @@
 """Recursive exponential kernel and the two criterion integrands."""
 
+import json
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -187,3 +192,46 @@ def test_table_lookup_sums_like_chebval():
     u = rng.uniform(-1.0, 1.0, 1000)
     want = cheb.chebval(u, block.T, tensor=False)
     assert np.array_equal(kernel._chebval_rows(u, block), want)
+
+
+# a tent lag rising from 500 to 1000 periods over half a period and falling
+# back: each phase has about 2000 delay preimages per level
+_LONG_SLOPED_LAG_RUN = """
+import json, resource, time
+from delayosc import DelayEquation, KernelCache, PiecewisePeriodic, check_all, kernel
+
+ratio = 1000.0
+lag = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.5 * ratio), (0.5, ratio)))
+p = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.3 / ratio),))
+eq = DelayEquation(coefficients=(p,), lags=(lag,))
+start = time.perf_counter()
+overall = check_all(eq, 2).overall
+seconds = time.perf_counter() - start
+cache = KernelCache()
+kinks = [len(kernel._kink_phases(eq, level, cache)) for level in (0, 1, 2)]
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps(dict(overall=overall, kinks=kinks, seconds=seconds, rss_mb=rss_mb)))
+"""
+
+
+def test_kink_phases_stay_under_the_cap_on_a_long_sloped_lag():
+    # level 2 would hold about 4 million phases; a cap that looked only at
+    # the previous level built them all and ran out of memory.  The check
+    # runs in a child capped at 1 GiB of address space, so a regression
+    # fails here instead of exhausting the machine
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _LONG_SLOPED_LAG_RUN],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap_memory,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout)
+    assert out["overall"] == "inconclusive"
+    assert max(out["kinks"]) <= kernel._MAX_KINKS, out
+    assert out["seconds"] <= 10.0 and out["rss_mb"] <= 300.0, out
