@@ -134,13 +134,15 @@ def _zoom_lockstep(g, x3, g3, tie, xtol: float):
     Each step cuts each side of ``c`` in 16 equal parts, the sides' widths
     may differ, evaluates the 30 new samples of every active bracket in one
     call of ``g``, and keeps the two neighbours of the best interior sample
-    (the first among equals) as the next bracket, centred on it.  A bracket
-    stops once the second differences of its 33 samples are within its tie
-    at every sample but the best (the profile is straight to rounding on
-    each side of it, so refining further moves the value by about the tie;
-    an infinite sample is never straight), once it is no wider than
-    ``xtol``, or once a step fails to halve it, which happens only where the
-    float spacing is coarser than ``xtol``; so a scan ends at any scale.
+    (the first among equals) as the next bracket, centred on it; a side of
+    zero width (a run at the window's edge) only repeats ``c``, so none of
+    its samples is picked.  A bracket stops once the second differences of
+    its 33 samples are within its tie at every sample but the best (the
+    profile is straight to rounding on each side of it, so refining further
+    moves the value by about the tie; an infinite sample is never
+    straight), once it is no wider than ``xtol``, or once a step fails to
+    halve it, which happens only where the float spacing is coarser than
+    ``xtol``; so a scan ends at any scale.
     Returns the best sample of every bracket and its value; a NaN value
     counts as +inf.
     """
@@ -156,7 +158,9 @@ def _zoom_lockstep(g, x3, g3, tie, xtol: float):
         gx[:, _ZOOM_KNOWN] = g3[act]
         gx[:, _ZOOM_NEW] = g(x[:, _ZOOM_NEW], act)
         gx[np.isnan(gx)] = math.inf
-        k = 1 + np.argmin(gx[:, 1:-1], axis=1)
+        # a side of zero width only repeats c: picking it would end the bracket
+        pick = np.where((side == 0.0) & (_ZOOM_FRACTIONS != 0.0), math.inf, gx)
+        k = 1 + np.argmin(pick[:, 1:-1], axis=1)
         keep = k[:, None] + np.array([-1, 0, 1])
         x3[act], g3[act] = x[rows[:, None], keep], gx[rows[:, None], keep]
         with np.errstate(invalid="ignore"):

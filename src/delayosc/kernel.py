@@ -242,9 +242,8 @@ def _seed_edges(points, lo: float, hi: float) -> np.ndarray:
 
 def _preimage_phases(lags, period: float, phases, limit: float = math.inf):
     """All z in [0, P) where some z - lag(z) hits a phase of ``phases`` mod P,
-    or None when there are more than ``limit``: they are counted first, so a
-    set past the limit is never built."""
-    segments = []
+    or None as soon as the preimages of one phase take them past ``limit``."""
+    found: list[float] = []
     for lag in lags:
         poly = _tau_polyline(lag, 0.0, period)
         for (z0, y0), (z1, y1) in zip(poly, poly[1:]):
@@ -254,25 +253,17 @@ def _preimage_phases(lags, period: float, phases, limit: float = math.inf):
             if abs(slope) < 1e-13:
                 continue  # plateau: kinks sit at its ends, already lattice points
             ylo, yhi = (y0, y1) if y0 <= y1 else (y1, y0)
-            segments.append((z0, z1, y0, slope, ylo, yhi))
-    count, phi = 0, np.asarray(phases, dtype=float)
-    for *_, ylo, yhi in segments:
-        n0 = np.ceil((ylo - phi) / period - 1e-12)
-        n1 = np.floor((yhi - phi) / period + 1e-12)
-        count += int(np.maximum(n1 - n0 + 1, 0).sum())
-    if count > limit:
-        return None
-    found: list[float] = []
-    for z0, z1, y0, slope, ylo, yhi in segments:
-        for phi in phases:
-            n0 = math.ceil((ylo - phi) / period - 1e-12)
-            n1 = math.floor((yhi - phi) / period + 1e-12)
-            for n in range(n0, n1 + 1):
-                z = z0 + (phi + n * period - y0) / slope
-                if z0 - 1e-12 <= z <= z1 + 1e-12:
-                    z = min(max(z, 0.0), period)
-                    if z < period:
-                        found.append(z)
+            for phi in phases:
+                n0 = math.ceil((ylo - phi) / period - 1e-12)
+                n1 = math.floor((yhi - phi) / period + 1e-12)
+                for n in range(n0, n1 + 1):
+                    z = z0 + (phi + n * period - y0) / slope
+                    if z0 - 1e-12 <= z <= z1 + 1e-12:
+                        z = min(max(z, 0.0), period)
+                        if z < period:
+                            found.append(z)
+                if len(found) > limit:
+                    return None
     return found
 
 

@@ -99,7 +99,12 @@ def _zoom_bracket(g, xs, gs, tie, xtol):
         xs = [a] + [c + (left if j < 0 else right) * j for j in offsets[1:-1]] + [b]
         gs = [ga] + [gc if j == 0 else g(x) for j, x in zip(offsets[1:-1], xs[1:-1])] + [gb]
         gs = [math.inf if math.isnan(v) else v for v in gs]
-        k = 1 + gs[1:-1].index(min(gs[1:-1]))
+        # a side of zero width only repeats c: its samples are never picked
+        pick = [
+            math.inf if j and (c - a if j < 0 else b - c) == 0.0 else v
+            for j, v in zip(offsets[1:-1], gs[1:-1])
+        ]
+        k = 1 + pick.index(min(pick))
         straight = all(math.isfinite(v) for v in gs) and all(
             abs(gs[i - 1] - 2.0 * gs[i] + gs[i + 1]) <= tie for i in range(1, 32) if i != k
         )
@@ -294,13 +299,7 @@ def test_kink_on_a_grid_knot_ends_after_one_step():
         assert len(calls) == 2  # the grid, then one zoom step
 
 
-def test_smooth_peak_just_off_a_grid_point():
-    # the peak sits 1/100 of a grid spacing from a scan point, which the
-    # first step samples: a stop before the samples turn straight misses it
-    # by about 1e-6
-    cand = np.linspace(0.0, 1.0, 51)
-    peak = cand[20] + 0.02 / 100
-
+def _assert_finds_the_peak(cand, peak):
     def f(ts):
         return 3.0 + np.cos(2.0 * math.pi * (ts - peak))
 
@@ -308,6 +307,23 @@ def test_smooth_peak_just_off_a_grid_point():
     bottom, t_bottom = criteria._scan_extremum(lambda ts: -f(ts), cand, "min")
     assert abs(top - 4.0) <= 1e-13 * 4.0 and bottom == -top
     assert t_top == t_bottom and abs(t_top - peak) <= 1e-6
+    assert (top, t_top) == _scan_reference(f, cand, "max")
+
+
+def test_smooth_peak_just_off_a_grid_point():
+    # the peak sits 1/100 of a grid spacing from a scan point, which the
+    # first step samples: a stop before the samples turn straight misses it
+    # by about 1e-6
+    cand = np.linspace(0.0, 1.0, 51)
+    _assert_finds_the_peak(cand, cand[20] + 0.02 / 100)
+
+
+@pytest.mark.parametrize("peak", [0.02 / 100, 1.0 - 0.02 / 100])
+def test_smooth_peak_just_inside_the_window_edge(peak):
+    # the run at an end of the window has a side of zero width; picking a
+    # sample there, a copy of the end, would leave a bracket of no width and
+    # miss the peak by about 8e-7
+    _assert_finds_the_peak(np.linspace(0.0, 1.0, 51), peak)
 
 
 def test_scan_refines_every_bracket_in_lockstep(monkeypatch):
