@@ -299,7 +299,15 @@ def test_kink_on_a_grid_knot_ends_after_one_step():
         assert len(calls) == 2  # the grid, then one zoom step
 
 
-def _assert_finds_the_peak(cand, peak):
+@pytest.mark.parametrize("peak", [0.4 + 0.02 / 100, 0.02 / 100, 1.0 - 0.02 / 100])
+def test_smooth_peak_just_off_a_grid_point(peak):
+    # the peak sits 1/100 of a grid spacing from a scan point, which the
+    # first step samples: a stop before the samples turn straight misses it
+    # by about 1e-6.  At an end of the window the run's bracket has a side of
+    # zero width; picking a sample there, a copy of the end, would leave a
+    # bracket of no width and miss the peak by about 8e-7
+    cand = np.linspace(0.0, 1.0, 51)
+
     def f(ts):
         return 3.0 + np.cos(2.0 * math.pi * (ts - peak))
 
@@ -308,22 +316,6 @@ def _assert_finds_the_peak(cand, peak):
     assert abs(top - 4.0) <= 1e-13 * 4.0 and bottom == -top
     assert t_top == t_bottom and abs(t_top - peak) <= 1e-6
     assert (top, t_top) == _scan_reference(f, cand, "max")
-
-
-def test_smooth_peak_just_off_a_grid_point():
-    # the peak sits 1/100 of a grid spacing from a scan point, which the
-    # first step samples: a stop before the samples turn straight misses it
-    # by about 1e-6
-    cand = np.linspace(0.0, 1.0, 51)
-    _assert_finds_the_peak(cand, cand[20] + 0.02 / 100)
-
-
-@pytest.mark.parametrize("peak", [0.02 / 100, 1.0 - 0.02 / 100])
-def test_smooth_peak_just_inside_the_window_edge(peak):
-    # the run at an end of the window has a side of zero width; picking a
-    # sample there, a copy of the end, would leave a bracket of no width and
-    # miss the peak by about 8e-7
-    _assert_finds_the_peak(np.linspace(0.0, 1.0, 51), peak)
 
 
 def test_scan_refines_every_bracket_in_lockstep(monkeypatch):
