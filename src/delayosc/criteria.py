@@ -80,7 +80,7 @@ _SAME_POINT_REL = 1e-9
 # samples, of which the ends and the best point are known, 30 new
 _ZOOM_FRACTIONS = np.arange(-16.0, 17.0) / 16
 _ZOOM_KNOWN = np.array([0, 16, 32])
-_ZOOM_NEW = np.flatnonzero(np.arange(33) % 16)
+_ZOOM_NEW = np.arange(33) % 16 != 0
 
 
 # -- root finding ----------------------------------------------------------
@@ -128,21 +128,21 @@ def _zoom_lockstep(g, x3, g3, tie, xtol: float):
     """Zoom search for the minimum of ``g`` on every bracket at once.  Row
     ``k`` of ``x3`` holds a bracket's ends and its best point, ``lo, c, hi``,
     and ``g3`` their values; ``tie[k]`` is the rounding tie of its profile.
-    ``g(x, act)`` evaluates the rows of ``x``, row ``i`` holding points of
-    bracket ``act[i]``; ``act`` is always increasing.
+    ``g(x, act)`` evaluates the points ``x``, point ``i`` in bracket
+    ``act[i]``; ``act`` is always nondecreasing.
 
     Each step cuts each side of ``c`` in 16 equal parts, the sides' widths
-    may differ, evaluates the 30 new samples of every active bracket in one
+    may differ, evaluates the new samples of every active bracket in one
     call of ``g``, and keeps the two neighbours of the best interior sample
     (the first among equals) as the next bracket, centred on it; a side of
-    zero width (a run at the window's edge) only repeats ``c``, so none of
-    its samples is picked.  A bracket stops once the second differences of
-    its 33 samples are within its tie at every sample but the best (the
-    profile is straight to rounding on each side of it, so refining further
-    moves the value by about the tie; an infinite sample is never
-    straight), once it is no wider than ``xtol``, or once a step fails to
-    halve it, which happens only where the float spacing is coarser than
-    ``xtol``; so a scan ends at any scale.
+    zero width (a run at the window's edge) only repeats ``c``, so its
+    samples take ``c``'s known value and none of them is picked.  A bracket
+    stops once the second differences of its 33 samples are within its tie
+    at every sample but the best (the profile is straight to rounding on
+    each side of it, so refining further moves the value by about the tie;
+    an infinite sample is never straight), once it is no wider than
+    ``xtol``, or once a step fails to halve it, which happens only where the
+    float spacing is coarser than ``xtol``; so a scan ends at any scale.
     Returns the best sample of every bracket and its value; a NaN value
     counts as +inf.
     """
@@ -154,12 +154,14 @@ def _zoom_lockstep(g, x3, g3, tie, xtol: float):
         side = np.where(_ZOOM_FRACTIONS < 0, (c - lo)[:, None], (hi - c)[:, None])
         x = c[:, None] + side * _ZOOM_FRACTIONS
         x[:, 0], x[:, -1] = lo, hi
-        gx = np.empty_like(x)
+        # a side of zero width only repeats c: its samples take c's value,
+        # and are never picked, as picking one would end the bracket
+        fresh = _ZOOM_NEW & (side != 0.0)
+        gx = np.repeat(g3[act, 1:2], 33, axis=1)
         gx[:, _ZOOM_KNOWN] = g3[act]
-        gx[:, _ZOOM_NEW] = g(x[:, _ZOOM_NEW], act)
+        gx[fresh] = g(x[fresh], np.repeat(act, fresh.sum(axis=1)))
         gx[np.isnan(gx)] = math.inf
-        # a side of zero width only repeats c: picking it would end the bracket
-        pick = np.where((side == 0.0) & (_ZOOM_FRACTIONS != 0.0), math.inf, gx)
+        pick = np.where(_ZOOM_NEW & ~fresh, math.inf, gx)
         k = 1 + np.argmin(pick[:, 1:-1], axis=1)
         keep = k[:, None] + np.array([-1, 0, 1])
         x3[act], g3[act] = x[rows[:, None], keep], gx[rows[:, None], keep]
@@ -179,7 +181,9 @@ def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
     same = _SAME_POINT_REL * (w1 - w0)
     grid = np.linspace(w0, w1, n_grid + 1)
     knots = np.asarray(list(knots), dtype=float)
-    knots = np.unique(knots[(knots >= w0) & (knots <= w1)])
+    # sorted, and a knot within ``same`` of the one before it dropped: this
+    # drops repeats too (np.unique would import numpy.ma under numpy 2.4)
+    knots = np.sort(knots[(knots >= w0) & (knots <= w1)])
     if knots.size:
         knots = knots[np.concatenate([[True], np.diff(knots) > same])]
         i = np.searchsorted(knots, grid)
@@ -188,7 +192,9 @@ def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
             np.abs(grid - knots[np.minimum(i, knots.size - 1)]),
         )
         grid = grid[gap > same]
-    return np.union1d(grid, knots)
+    # grid points can repeat where the float spacing is coarser than the grid
+    out = np.sort(np.concatenate([grid, knots]))
+    return out[np.concatenate([[True], out[1:] != out[:-1]])]
 
 
 def _brackets(vals, tie: float):
@@ -259,11 +265,11 @@ def _scan_extrema(jobs, xtol=_REFINE_XTOL):
         def g(x, act):
             at = np.searchsorted(act, first)
             out = [
-                np.asarray(f(x[i:k].ravel()), dtype=float)
+                np.asarray(f(x[i:k]), dtype=float)
                 for (f, _, _), i, k in zip(jobs, at, at[1:])
                 if k > i
             ]
-            return sign_of[act, None] * np.concatenate(out).reshape(x.shape)
+            return sign_of[act] * np.concatenate(out)
 
         x, gx = _zoom_lockstep(g, x3, np.concatenate(gs), np.concatenate(ties), xtol)
         slot_of = np.concatenate(slot_of)
@@ -458,7 +464,7 @@ def criterion_profile(
         h = env.values(ts)
         if kind == "inner":
             return _sliding(eq, r, terms, env, cache, tol, h, ts)
-        return _frozen(eq, r, terms, cache, tol, h, h, ts)
+        return _frozen(eq, r, terms, env, cache, tol, h, h, ts)
 
     knots = set(breakpoint_times(list(eq.coefficients) + list(eq.lags), w0, w1))
     knots.update(env.knots(w0, w1))

@@ -29,8 +29,11 @@ below ``tol``, bisected otherwise):
     W    of w(z) = sum_i p_i(z) exp(-G_{r-1}(tau_i(z))), one period, as
          w(z + P) = e^{-T} w(z); frozen = e^{G_{r-1}(c)} (W(b) - W(a))
 
-Kernel exponents past 709 saturate to +inf (reciprocals to 0.0), and so
-does every integral over a table whose integrand overflows.
+The settled F and W differ only in the base of the exponent, G_{r-1}(h(z))
+or 0, so they are fitted together on F's seeds: one set of samples, one
+set of pieces, W keyed by the envelope like F.  Kernel exponents past 709
+saturate to +inf (reciprocals to 0.0), and so does every integral over a
+table whose integrand overflows; each table saturates on its own.
 """
 
 from __future__ import annotations
@@ -77,7 +80,9 @@ _EXP_MAX = 709.0
 
 class KernelCache:
     """Antiderivative tables keyed by (kind, equation, level, terms, envelope,
-    tol), plus the kink phases that seed them.
+    tol), plus the kink phases that seed them.  The settled sliding table F
+    and the frozen table W of a level are fitted together, so they share
+    F's pieces and one entry, keyed by the envelope.
 
     A table is built on first use and read by every later lookup, so results
     with and without a shared cache are identical.
@@ -172,40 +177,48 @@ class _CoeffSumLevel:
         self.total = float(self.values(eq.period))
 
 
-def _fit_table(f, edges, tol: float) -> _Table:
-    """Antiderivative table of ``f`` over [edges[0], edges[-1]].
+def _fit_table(f, edges, tol: float) -> list[_Table]:
+    """Antiderivative tables of ``k`` integrands over [edges[0], edges[-1]],
+    on common pieces.
 
-    Each piece between ``edges`` is interpolated in _CHEB_DEG + 1 Chebyshev
-    points and kept once its two trailing coefficients fall below ``tol`` (or
-    the rounding floor); otherwise it is bisected, at most _MAX_BISECT times
-    and while the table stays within _MAX_PIECES pieces.  This is chebfun's
-    splitting rule (Pachon, Platte & Trefethen, IMA J. Numer. Anal. 30
-    (2010); Trefethen, ATAP ch. 3 and 8).  ``f`` maps an array of points to
-    an array of values; a non-finite value saturates the table.
+    ``f`` maps an array of n points to a (k, n) array of values, one row per
+    integrand.  Each piece between ``edges`` is interpolated in _CHEB_DEG + 1
+    Chebyshev points and kept once the two trailing coefficients of every
+    row fall below ``tol`` (or the rounding floor); otherwise it is
+    bisected, at most _MAX_BISECT times and while the tables stay within
+    _MAX_PIECES pieces.  This is chebfun's splitting rule (Pachon, Platte &
+    Trefethen, IMA J. Numer. Anal. 30 (2010); Trefethen, ATAP ch. 3 and 8).
+    A row with a non-finite value saturates its own table and takes no
+    further part in the splitting.
     """
     los = np.asarray(edges[:-1], dtype=float)
     his = np.asarray(edges[1:], dtype=float)
     kept_lo, kept_hi, kept_c = [], [], []
+    dead = False
     pieces = 0
     for depth in range(_MAX_BISECT + 1):
         mids = 0.5 * (los + his)
         halves = 0.5 * (his - los)
         pts = mids[:, None] + halves[:, None] * _CHEB_U[None, :]
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = f(pts.ravel()).reshape(pts.shape)
-        if not np.isfinite(vals).all():
-            return _Table()
+            vals = f(pts.ravel())
+        vals = vals.reshape(len(vals), *pts.shape)
+        dead = dead | ~np.isfinite(vals).all(axis=(1, 2))
+        if dead.all():
+            return [_Table()] * len(dead)
+        # a saturated row reads as zero: it passes every tail test
+        vals[dead] = 0.0
         c = vals @ _CHEB_FIT.T
         mag = np.abs(c)
-        scale = mag.max(axis=1)
+        scale = mag.max(axis=2)
         floor = _TAIL_FLOOR * scale * np.maximum(1.0, np.abs(np.log(scale + 1e-300)))
-        keep = mag[:, -2:].max(axis=1) <= np.maximum(tol, floor)
+        keep = (mag[:, :, -2:].max(axis=2) <= np.maximum(tol, floor)).all(axis=0)
         pieces += int(keep.sum())
         if depth == _MAX_BISECT or pieces + 2 * int((~keep).sum()) > _MAX_PIECES:
             keep[:] = True
         kept_lo.append(los[keep])
         kept_hi.append(his[keep])
-        kept_c.append(c[keep])
+        kept_c.append(c[:, keep])
         if keep.all():
             break
         split = ~keep
@@ -216,58 +229,92 @@ def _fit_table(f, edges, tol: float) -> _Table:
     order = np.argsort(lo)
     lo = lo[order]
     hi = np.concatenate(kept_hi)[order]
-    c = np.concatenate(kept_c)[order]
-    coef = cheb.chebint(c, lbnd=-1.0, axis=1) * (0.5 * (hi - lo))[:, None]
-    cum = np.concatenate([[0.0], np.cumsum(coef.sum(axis=1))])  # T_k(1) = 1
-    if not math.isfinite(cum[-1]):
-        return _Table()
-    return _Table(np.append(lo, hi[-1]), coef, cum)
+    c = np.concatenate(kept_c, axis=1)[:, order]
+    coef = cheb.chebint(c, lbnd=-1.0, axis=2) * (0.5 * (hi - lo))[:, None]
+    edges = np.append(lo, hi[-1])
+    tables = []
+    for cj, saturated in zip(coef, dead):
+        # a one-row fit's memory layout, so numpy sums each row in its order
+        cj = np.asfortranarray(cj)
+        cum = np.concatenate([[0.0], np.cumsum(cj.sum(axis=1))])  # T_k(1) = 1
+        ok = not saturated and math.isfinite(cum[-1])
+        tables.append(_Table(edges, cj, cum) if ok else _Table())
+    return tables
 
 
 # -- kink phases that seed the tables -------------------------------------------
 
 
-def _merge_close(values, tol: float = 1e-9):
-    out: list[float] = []
-    for v in sorted(values):
-        if not out or v - out[-1] > tol:
-            out.append(float(v))
-    return out
+def _merge_close(values, tol: float = 1e-9) -> np.ndarray:
+    """The sorted values, each dropped when within ``tol`` of the last value
+    kept before it."""
+    v = np.array(values, dtype=float)
+    v.sort()
+    if not v.size:
+        return v
+    # a value more than tol past its neighbour starts a chain and is kept;
+    # a chain no longer than tol keeps only that first value
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = v[1:] - v[:-1] > tol
+    start = keep.nonzero()[0]
+    last = np.append(start[1:] - 1, v.size - 1)
+    longer = v[last] - v[start] > tol
+    for i, j in zip(start[longer], last[longer]):  # the rule by hand
+        kept = v[i]
+        for k in range(i + 1, j + 1):
+            if v[k] - kept > tol:
+                keep[k], kept = True, v[k]
+    return v[keep]
 
 
 def _seed_edges(points, lo: float, hi: float) -> np.ndarray:
-    inner = [p for p in _merge_close(points) if lo + 1e-9 < p < hi - 1e-9]
-    return np.array([lo, *inner, hi])
+    inner = _merge_close(points)
+    inner = inner[(lo + 1e-9 < inner) & (inner < hi - 1e-9)]
+    return np.concatenate([[lo], inner, [hi]])
 
 
 def _preimage_phases(lags, period: float, phases, limit: float = math.inf):
     """All z in [0, P) where some z - lag(z) hits a phase of ``phases`` mod P,
-    or None as soon as the preimages of one phase take them past ``limit``."""
-    found: list[float] = []
+    or None once they number more than ``limit``.  The candidates of every
+    (segment, phase) pair are built in blocks of about the room left under
+    ``limit``, so a refused set is never built."""
+    phases = np.asarray(phases, dtype=float)
+    seg = []  # z0, y0, z1, slope, min y, max y of every sloped segment
     for lag in lags:
         poly = _tau_polyline(lag, 0.0, period)
         for (z0, y0), (z1, y1) in zip(poly, poly[1:]):
-            if z1 <= z0:
-                continue
-            slope = (y1 - y0) / (z1 - z0)
-            if abs(slope) < 1e-13:
-                continue  # plateau: kinks sit at its ends, already lattice points
-            ylo, yhi = (y0, y1) if y0 <= y1 else (y1, y0)
-            for phi in phases:
-                n0 = math.ceil((ylo - phi) / period - 1e-12)
-                n1 = math.floor((yhi - phi) / period + 1e-12)
-                for n in range(n0, n1 + 1):
-                    z = z0 + (phi + n * period - y0) / slope
-                    if z0 - 1e-12 <= z <= z1 + 1e-12:
-                        z = min(max(z, 0.0), period)
-                        if z < period:
-                            found.append(z)
-                if len(found) > limit:
-                    return None
-    return found
+            slope = (y1 - y0) / (z1 - z0) if z1 > z0 else 0.0
+            # a plateau's kinks sit at its ends, already lattice points
+            if abs(slope) >= 1e-13:
+                seg.append((z0, y0, z1, slope, min(y0, y1), max(y0, y1)))
+    z0, y0, z1, slope, ylo, yhi = np.array(seg, dtype=float).reshape(-1, 6).T
+    # entry (s, q): the periods n0..n1 in which segment s meets phase q
+    n0 = np.ceil((ylo[:, None] - phases) / period - 1e-12).ravel()
+    n1 = np.floor((yhi[:, None] - phases) / period + 1e-12).ravel()
+    counts = np.maximum(n1 - n0 + 1.0, 0.0).astype(np.intp)
+    ends = counts.cumsum()
+    found: list[np.ndarray] = []
+    size = start = 0
+    while start < counts.size:
+        before = ends[start - 1] if start else 0
+        stop = min(ends.searchsorted(before + (limit - size), side="right") + 1, counts.size)
+        block = counts[start:stop]
+        pair = np.arange(start, stop).repeat(block)
+        s, q = np.divmod(pair, phases.size)
+        # the candidates of a pair are n = n0, n0 + 1, ...
+        n = n0[pair] + (np.arange(pair.size) - (block.cumsum() - block).repeat(block))
+        z = z0[s] + (phases[q] + n * period - y0[s]) / slope[s]
+        z = z[(z0[s] - 1e-12 <= z) & (z <= z1[s] + 1e-12)]
+        z = np.minimum(np.maximum(z, 0.0), period)
+        found.append(z[z < period])
+        size += found[-1].size
+        if size > limit:
+            return None
+        start = stop
+    return np.concatenate(found) if found else np.empty(0)
 
 
-def _kink_phases(eq: DelayEquation, level: int, cache: KernelCache):
+def _kink_phases(eq: DelayEquation, level: int, cache: KernelCache) -> np.ndarray:
     """Kink phases of the level-``level`` integrand g_level in [0, P).
 
     Level 0 is the breakpoint lattice; each further level adds the delay
@@ -278,10 +325,10 @@ def _kink_phases(eq: DelayEquation, level: int, cache: KernelCache):
     def build():
         if level == 0:
             funcs = eq.coefficients + eq.lags
-            return sorted({t for f in funcs for t in f.interior_times})
+            return np.array(sorted({t for f in funcs for t in f.interior_times}), dtype=float)
         prev = _kink_phases(eq, level - 1, cache)
         new = _preimage_phases(eq.lags, eq.period, prev, _MAX_KINKS - len(prev))
-        return prev if new is None else _merge_close(prev + new)
+        return prev if new is None else _merge_close(np.concatenate([prev, new]))
 
     return cache._table(("kinks", eq, level, None, None, None), build)
 
@@ -289,12 +336,13 @@ def _kink_phases(eq: DelayEquation, level: int, cache: KernelCache):
 # -- the tables ---------------------------------------------------------------
 
 
-def _weighted_sum(eq: DelayEquation, terms, level, zs, base):
-    """sum over ``terms`` of p_i(z) * exp(base - G(tau_i(z))), G = ``level``."""
+def _weighted_sums(eq: DelayEquation, terms, level, zs, bases):
+    """Row k: the sum over ``terms`` of p_i(z) * exp(bases[k] - G(tau_i(z))),
+    G = ``level``; ``bases`` is a (k, n) array."""
     acc = 0.0
     for i in terms:
         tau = zs - eq.lags[i].values(zs)
-        acc = acc + eq.coefficients[i].values(zs) * np.exp(base - level.values(tau))
+        acc = acc + eq.coefficients[i].values(zs) * np.exp(bases - level.values(tau))
     return acc
 
 
@@ -308,38 +356,47 @@ def _level(eq: DelayEquation, level: int, cache: KernelCache, tol: float):
         if prev.saturated:
             return _Table()
         return _fit_table(
-            lambda zs: _weighted_sum(eq, range(eq.m), prev, zs, prev.values(zs)),
+            lambda zs: _weighted_sums(eq, range(eq.m), prev, zs, prev.values(zs)[None]),
             _seed_edges(_kink_phases(eq, level, cache), 0.0, eq.period),
             tol,
-        )
+        )[0]
 
     return cache._table(("G", eq, level, None, None, tol), build)
 
 
-def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> _Table:
-    """F over one period of the settled envelope, or (``transient``) over
-    [min(h(0), 0), t_stab) where the envelope has not settled yet."""
+def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> list[_Table]:
+    """``[F, W]``, fitted together over one period of the settled envelope,
+    or (``transient``) ``[F]`` over [min(h(0), 0), t_stab) where the
+    envelope has not settled yet."""
     period = eq.period
 
     def build():
         g = _level(eq, r - 1, cache, tol)
         if g.saturated:
-            return _Table()
+            return [_Table()] if transient else [_Table(), _Table()]
         kinks = _kink_phases(eq, r, cache)
         if transient:
             h, lo, hi = env, min(env(0.0), 0.0), env.t_stab
             k0, k1 = math.floor(lo / period), math.ceil(hi / period)
-            points = [phi + k * period for k in range(k0, k1) for phi in kinks]
+            points = (kinks[None, :] + np.arange(k0, k1)[:, None] * period).ravel()
+
+            def f(zs):
+                return _weighted_sums(eq, terms, g, zs, g.values(h.values(zs))[None])
+
         else:
             # the settled envelope, continued periodically
             h, lo, hi = EnvelopeFunction(0.0, (), env.tail_lag), 0.0, period
             prev = _kink_phases(eq, r - 1, cache)
-            points = kinks + _preimage_phases([env.tail_lag], period, prev)
-        return _fit_table(
-            lambda zs: _weighted_sum(eq, terms, g, zs, g.values(h.values(zs))),
-            _seed_edges(points + h.knots(lo, hi), lo, hi),
-            tol,
-        )
+            points = np.concatenate([kinks, _preimage_phases([env.tail_lag], period, prev)])
+
+            def f(zs):
+                # F's integrand and W's, exp(0.0 - G(tau_i)), on one lookup
+                bases = np.zeros((2, zs.size))
+                bases[0] = g.values(h.values(zs))
+                return _weighted_sums(eq, terms, g, zs, bases)
+
+        edges = _seed_edges(np.concatenate([points, h.knots(lo, hi)]), lo, hi)
+        return _fit_table(f, edges, tol)
 
     kind = "F-" if transient else "F"
     return cache._table((kind, eq, r, terms, env, tol), build)
@@ -348,14 +405,14 @@ def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> _Table:
 def _sliding(eq, r, terms, env, cache, tol, a, b):
     """integral_a^b sum_{i in terms} p_i(z) K_r(h(z), tau_i(z)) dz, elementwise."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    per = _sliding_table(eq, r, terms, env, cache, tol, False)
+    per = _sliding_table(eq, r, terms, env, cache, tol, False)[0]
     if per.saturated:
         return np.where(b > a, math.inf, 0.0)
     x = np.stack([a, b])
     out = per.values(x)
     pre = x < env.t_stab
     if pre.any():
-        tr = _sliding_table(eq, r, terms, env, cache, tol, True)
+        (tr,) = _sliding_table(eq, r, terms, env, cache, tol, True)
         if tr.saturated:
             return np.where(b > a, math.inf, 0.0)
         lo = tr.edges[0]
@@ -369,25 +426,16 @@ def _sliding(eq, r, terms, env, cache, tol, a, b):
     return out[1] - out[0]
 
 
-def _frozen(eq, r, terms, cache, tol, c, a, b):
-    """integral_a^b sum_{i in terms} p_i(z) K_r(c, tau_i(z)) dz, elementwise."""
+def _frozen(eq, r, terms, env, cache, tol, c, a, b):
+    """integral_a^b sum_{i in terms} p_i(z) K_r(c, tau_i(z)) dz, elementwise;
+    W is the one fitted with the sliding table of ``env``."""
     a, b, c = np.broadcast_arrays(
         np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(c, dtype=float)
     )
-    g = _level(eq, r - 1, cache, tol)
-
-    def build():
-        if g.saturated:
-            return _Table()
-        return _fit_table(
-            lambda zs: _weighted_sum(eq, terms, g, zs, 0.0),
-            _seed_edges(_kink_phases(eq, r, cache), 0.0, eq.period),
-            tol,
-        )
-
-    w = cache._table(("W", eq, r, terms, None, tol), build)
+    w = _sliding_table(eq, r, terms, env, cache, tol, False)[1]
     if w.saturated:
         return np.where(b > a, math.inf, 0.0)
+    g = _level(eq, r - 1, cache, tol)
     big_t = g.total
     (ka, kb), (wa, wb) = w.split(np.stack([a, b]))
     n = kb - ka
@@ -483,7 +531,7 @@ def outer_criterion_integral(
     cache = cache if cache is not None else KernelCache()
     ts = _times(t)
     c = env.values(ts)
-    return _as_output(_frozen(eq, r, tuple(range(eq.m)), cache, tol, c, c, ts), t)
+    return _as_output(_frozen(eq, r, tuple(range(eq.m)), env, cache, tol, c, c, ts), t)
 
 
 def term_integral(
@@ -501,7 +549,8 @@ def term_integral(
     """Single-term integral  integral_a^b p_i(z) K_r(ref(z), tau_i(z)) dz.
 
     ``ref`` is the sliding envelope h(z) by default, or the fixed value
-    ``envelope_at`` when given.
+    ``envelope_at`` when given; either way the tables are keyed by ``env``,
+    built when not given.
     """
     _check_depth(r)
     if not 0 <= i < eq.m:
@@ -509,7 +558,7 @@ def term_integral(
     if a > b:
         raise ValueError(f"integration bounds out of order: {a} > {b}")
     cache = cache if cache is not None else KernelCache()
+    env = _resolve_env(eq, env)
     if envelope_at is None:
-        env = _resolve_env(eq, env)
         return float(_sliding(eq, r, (i,), env, cache, tol, a, b))
-    return float(_frozen(eq, r, (i,), cache, tol, envelope_at, a, b))
+    return float(_frozen(eq, r, (i,), env, cache, tol, envelope_at, a, b))

@@ -1,6 +1,9 @@
 """Asymptotic constants, fixed point, thresholds, and verdict assembly."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -434,6 +437,46 @@ def test_flat_profile_is_one_bracket_not_hundreds(monkeypatch):
     check_all(make_constant_equation(0.0021, 100.0), 1)
     assert brackets and max(brackets) <= 10, brackets
     assert all(sum(n) < 5000 for n in calls), [sum(n) for n in calls]
+
+
+def test_edge_brackets_evaluate_no_copies_of_their_centre(monkeypatch, control_eq):
+    # the control's profiles peak at the window's ends: 3 of its 5 brackets
+    # have a side of zero width, whose 15 samples are copies of the centre
+    # (they were evaluated, 150 points in all); 2 brackets take 30 points
+    # and 3 take 15, each for one step
+    points = []
+    lockstep = criteria._zoom_lockstep
+
+    def counting_lockstep(g, *args):
+        def counted(x, act):
+            points.append(x.size)
+            return g(x, act)
+
+        return lockstep(counted, *args)
+
+    monkeypatch.setattr(criteria, "_zoom_lockstep", counting_lockstep)
+    check_all(control_eq, 1)
+    assert points == [105]
+
+
+def test_check_does_not_import_numpy_ma():
+    # np.unique / np.union1d import numpy.ma under numpy 2.4, a cost paid by
+    # every check process
+    code = (
+        "import sys\n"
+        "from delayosc import check_all\n"
+        "sys.path.insert(0, 'tests')\n"
+        "from conftest import make_demo_equation\n"
+        "check_all(make_demo_equation(), 2)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=root, env=env
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 
 def test_scan_grid_keeps_a_knot_not_the_grid_point_beside_it():

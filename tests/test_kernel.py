@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 from delayosc import (
+    DelayEquation,
     EnvelopeFunction,
     KernelCache,
     PiecewisePeriodic,
+    check_all,
+    combined_envelope,
     decay_kernel,
     inner_criterion_integral,
     outer_criterion_integral,
@@ -24,7 +28,7 @@ from delayosc import (
 )
 from delayosc import kernel
 
-from conftest import make_demo_equation, midpoint_integral
+from conftest import make_demo_equation, make_random_equation, midpoint_integral
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +239,169 @@ def test_kink_phases_stay_under_the_cap_on_a_long_sloped_lag():
     assert out["overall"] == "inconclusive"
     assert max(out["kinks"]) <= kernel._MAX_KINKS, out
     assert out["seconds"] <= 10.0 and out["rss_mb"] <= 300.0, out
+
+
+# -- kink phases: the vectorised builders against their loop versions --------
+
+
+def _merge_close_loop(values, tol=1e-9):
+    out = []
+    for v in sorted(values):
+        if not out or v - out[-1] > tol:
+            out.append(float(v))
+    return out
+
+
+def _preimage_phases_loop(lags, period, phases, limit=math.inf):
+    found = []
+    for lag in lags:
+        poly = kernel._tau_polyline(lag, 0.0, period)
+        for (z0, y0), (z1, y1) in zip(poly, poly[1:]):
+            if z1 <= z0:
+                continue
+            slope = (y1 - y0) / (z1 - z0)
+            if abs(slope) < 1e-13:
+                continue
+            ylo, yhi = (y0, y1) if y0 <= y1 else (y1, y0)
+            for phi in phases:
+                n0 = math.ceil((ylo - phi) / period - 1e-12)
+                n1 = math.floor((yhi - phi) / period + 1e-12)
+                for n in range(n0, n1 + 1):
+                    z = z0 + (phi + n * period - y0) / slope
+                    if z0 - 1e-12 <= z <= z1 + 1e-12:
+                        z = min(max(z, 0.0), period)
+                        if z < period:
+                            found.append(z)
+                if len(found) > limit:
+                    return None
+    return found
+
+
+def _tent_lag_equation(ratio):
+    # a lag rising from ratio/2 to ratio periods over half a period and back
+    lag = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.5 * ratio), (0.5, ratio)))
+    p = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.3 / ratio),))
+    return DelayEquation(coefficients=(p,), lags=(lag,))
+
+
+def _kink_cases():
+    # the demo, a benchmark-style piecewise lag (non-monotone, up to 20
+    # periods), random draws and the tent lag at L/P = 1000
+    piecewise = DelayEquation(
+        coefficients=(PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.012), (0.51, 0.0115))),),
+        lags=(
+            PiecewisePeriodic(period=1.0, breakpoints=((0.0, 20.0), (0.36, 11.7), (0.58, 16.4))),
+        ),
+    )
+    rng = np.random.default_rng(11)
+    draws = [make_random_equation(rng) for _ in range(6)]
+    return [make_demo_equation(), piecewise, *draws, _tent_lag_equation(1000.0)]
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_kink_phases_equal_the_loop_versions(case):
+    eq = _kink_cases()[case]
+    cache = KernelCache()
+    for level in (1, 2):
+        prev = kernel._kink_phases(eq, level - 1, cache)
+        want = _preimage_phases_loop(eq.lags, eq.period, list(prev))
+        got = kernel._preimage_phases(eq.lags, eq.period, prev)
+        assert np.array_equal(np.sort(got), np.sort(want))
+        # None exactly when the set passes the limit
+        for limit in (len(want), len(want) - 1, kernel._MAX_KINKS - len(prev)):
+            got = kernel._preimage_phases(eq.lags, eq.period, prev, limit)
+            ref = _preimage_phases_loop(eq.lags, eq.period, list(prev), limit)
+            assert (got is None) == (ref is None) == (len(want) > limit)
+        merged = kernel._merge_close(np.concatenate([prev, want]))
+        assert merged.tolist() == _merge_close_loop(list(prev) + want)
+        if len(want) > kernel._MAX_KINKS:
+            break  # the tent lag: level 2 would hold millions
+
+
+def test_merge_close_keeps_a_value_past_the_last_kept_one():
+    # neighbours 0.6e-9 apart: a gap rule would merge the whole chain, the
+    # rule keeps each value more than 1e-9 past the last one it kept
+    values = [0.0, 0.6e-9, 1.2e-9, 1.8e-9, 2.4e-9, 5.0, 5.0 + 1e-10, 7.0, 7.0]
+    assert kernel._merge_close(values).tolist() == _merge_close_loop(values)
+    assert _merge_close_loop(values) == [0.0, 1.2e-9, 2.4e-9, 5.0, 7.0]
+    assert kernel._merge_close([]).size == 0
+
+
+def test_preimage_phases_build_about_the_limit_at_most():
+    # level 2 of the tent lag at L/P = 1000 holds about 4 million preimages;
+    # refused under the cap, it must not build them first
+    eq = _tent_lag_equation(1000.0)
+    prev = kernel._kink_phases(eq, 1, KernelCache())
+    tracemalloc.start()
+    try:
+        assert kernel._preimage_phases(eq.lags, eq.period, prev, 20000) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+# -- the joint fit of several integrands ---------------------------------------
+
+
+def _assert_same_table(a, b):
+    assert np.array_equal(a.edges, b.edges)
+    assert np.array_equal(a.coef, b.coef)
+    assert np.array_equal(a.cum, b.cum)
+
+
+@pytest.mark.parametrize("late", [False, True])
+def test_an_overflowing_row_saturates_only_its_own_table(late):
+    # the steep row overflows on the first samples of [0.4, 1], or (late)
+    # only once that piece is bisected, its samples then nearer to 1
+    edges = np.array([0.0, 0.4, 1.0])
+
+    def smooth(zs):
+        return np.cos(7.0 * zs) + zs * zs
+
+    def both(zs):
+        steep = 1e6 * (zs - 0.999) + 709.0 if late else 800.0 * zs
+        return np.stack([np.exp(steep), smooth(zs)])
+
+    steep, joint = kernel._fit_table(both, edges, 1e-10)
+    assert steep.saturated and steep.total == math.inf
+    (alone,) = kernel._fit_table(lambda zs: smooth(zs)[None], edges, 1e-10)
+    if late:
+        # the rows were bisected together until the overflow
+        assert len(joint.edges) > len(alone.edges)
+        assert joint.total == pytest.approx(alone.total, rel=1e-13)
+    else:
+        _assert_same_table(joint, alone)
+
+
+def test_frozen_integral_reads_the_table_fitted_with_the_sliding_one(demo_eq):
+    # W is keyed by the envelope: the same value from a shared cache, a fresh
+    # cache, with the envelope passed and with it resolved
+    env = combined_envelope(demo_eq)
+    shared = KernelCache()
+    for r in (1, 2, 3):
+        args = (demo_eq, r, 1, 9.4, 13.1)
+        sliding = term_integral(*args, cache=shared, env=env)
+        got = {
+            term_integral(*args, envelope_at=11.0, cache=shared, env=env),
+            term_integral(*args, envelope_at=11.0, cache=shared),
+            term_integral(*args, envelope_at=11.0, env=env),
+            term_integral(*args, envelope_at=11.0),
+        }
+        assert len(got) == 1
+        assert term_integral(*args, cache=shared, env=env) == sliding
+        assert term_integral(*args) == sliding
+
+
+def test_check_fits_each_sliding_and_frozen_pair_once(monkeypatch, demo_eq):
+    # r = 3: G_1, G_2, then F and W in one fit (they took two)
+    fits = []
+    fit = kernel._fit_table
+
+    def counting_fit(f, edges, tol):
+        fits.append(len(edges))
+        return fit(f, edges, tol)
+
+    monkeypatch.setattr(kernel, "_fit_table", counting_fit)
+    check_all(demo_eq, 3)
+    assert len(fits) == 3
