@@ -37,7 +37,7 @@ from .envelope import (
     tau_max_polyline,
     tau_max_values,
 )
-from .kernel import DEFAULT_TOL, KernelCache, _check_depth, _frozen, _sliding
+from .kernel import DEFAULT_TOL, KernelCache, _check_depth, _frozen, _merge_close, _sliding
 from .model import DelayEquation, breakpoint_times
 
 __all__ = [
@@ -183,9 +183,8 @@ def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
     knots = np.asarray(list(knots), dtype=float)
     # sorted, and a knot within ``same`` of the one before it dropped: this
     # drops repeats too (np.unique would import numpy.ma under numpy 2.4)
-    knots = np.sort(knots[(knots >= w0) & (knots <= w1)])
+    knots = _merge_close(knots[(knots >= w0) & (knots <= w1)], same)
     if knots.size:
-        knots = knots[np.concatenate([[True], np.diff(knots) > same])]
         i = np.searchsorted(knots, grid)
         gap = np.minimum(
             np.abs(grid - knots[np.maximum(i - 1, 0)]),

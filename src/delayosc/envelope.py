@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DelayEquation, PiecewisePeriodic
+from .model import DelayEquation, PiecewisePeriodic, breakpoint_times
 
 __all__ = [
     "EnvelopeFunction",
@@ -65,8 +65,6 @@ def _poly_eval(poly, t: float) -> float:
 
 def _tau_polyline(lag: PiecewisePeriodic, a: float, b: float):
     """Polyline of the delay argument t - lag(t) on [a, b]."""
-    from .model import breakpoint_times
-
     ts = breakpoint_times([lag], a, b)
     if not ts or ts[0] > a:
         ts.insert(0, a)
@@ -181,8 +179,6 @@ class EnvelopeFunction:
 
     def knots(self, a: float, b: float) -> list[float]:
         """Kink locations of the envelope inside [a, b]."""
-        from .model import breakpoint_times
-
         out = {t for t, _ in self.transient if a <= t <= min(b, self.t_stab)}
         lo = max(a, self.t_stab)
         out.update(breakpoint_times([self.tail_lag], lo, b))

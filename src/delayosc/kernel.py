@@ -20,7 +20,9 @@ with h the combined envelope of the equation.
 
 Every value is a lookup in an antiderivative table built by ``_fit_table``
 (degree-16 Chebyshev pieces, kept once their trailing coefficients fall
-below ``tol``, bisected otherwise):
+below ``tol / 100``, bisected otherwise).  Every table of an equation is
+seeded from one set of kink phases, the breakpoint lattice and its delay
+preimages, one level deep:
 
     G_L  of g_L(z) = sum_i p_i(z) K_L(z, tau_i(z)), one period;
          K_r(t, s) = exp(G_{r-1}(t) - G_{r-1}(s)), G_0 exact
@@ -31,7 +33,8 @@ below ``tol``, bisected otherwise):
 
 The settled F and W differ only in the base of the exponent, G_{r-1}(h(z))
 or 0, so they are fitted together on F's seeds: one set of samples, one
-set of pieces, W keyed by the envelope like F.  Kernel exponents past 709
+set of pieces, W keyed by the envelope like F; their seeds add the phases
+where h(z) hits the lattice.  Kernel exponents past 709
 saturate to +inf (reciprocals to 0.0), and so does every integral over a
 table whose integrand overflows; each table saturates on its own.
 """
@@ -72,17 +75,24 @@ _TAIL_FLOOR = 1e-14
 # remaining pieces are kept as they are
 _MAX_BISECT = 40
 _MAX_PIECES = 1 << 16
-# kink phases per level past which the set is frozen: the seeds then miss
-# kinks, and the tail rule bounds the error by bisecting where they fall
+# A piece is kept once its trailing coefficients fall below tol / _TAIL_DIV:
+# across a break of a higher derivative, which the seeds do not hold, the
+# tail understates a piece's error (at the default tol the sloped-lag oracle
+# case is off by 8e-11 with tol / 10, by 1e-12 with tol / 100)
+_TAIL_DIV = 100.0
+# delay preimages past which the seeds are the breakpoint lattice alone, the
+# tail rule then bisecting to the kinks they miss
 _MAX_KINKS = 20000
 _EXP_MAX = 709.0
 
 
 class KernelCache:
     """Antiderivative tables keyed by (kind, equation, level, terms, envelope,
-    tol), plus the kink phases that seed them.  The settled sliding table F
-    and the frozen table W of a level are fitted together, so they share
-    F's pieces and one entry, keyed by the envelope.
+    tol), plus the one set of kink phases per equation that seeds them all
+    (the breakpoint lattice alone when its delay preimages would pass
+    _MAX_KINKS).  The settled sliding table F and the frozen table W of a
+    level are fitted together, so they share F's pieces and one entry, keyed
+    by the envelope.
 
     A table is built on first use and read by every later lookup, so results
     with and without a shared cache are identical.
@@ -184,8 +194,8 @@ def _fit_table(f, edges, tol: float) -> list[_Table]:
     ``f`` maps an array of n points to a (k, n) array of values, one row per
     integrand.  Each piece between ``edges`` is interpolated in _CHEB_DEG + 1
     Chebyshev points and kept once the two trailing coefficients of every
-    row fall below ``tol`` (or the rounding floor); otherwise it is
-    bisected, at most _MAX_BISECT times and while the tables stay within
+    row fall below ``tol / _TAIL_DIV`` (or the rounding floor); otherwise it
+    is bisected, at most _MAX_BISECT times and while the tables stay within
     _MAX_PIECES pieces.  This is chebfun's splitting rule (Pachon, Platte &
     Trefethen, IMA J. Numer. Anal. 30 (2010); Trefethen, ATAP ch. 3 and 8).
     A row with a non-finite value saturates its own table and takes no
@@ -212,7 +222,7 @@ def _fit_table(f, edges, tol: float) -> list[_Table]:
         mag = np.abs(c)
         scale = mag.max(axis=2)
         floor = _TAIL_FLOOR * scale * np.maximum(1.0, np.abs(np.log(scale + 1e-300)))
-        keep = (mag[:, :, -2:].max(axis=2) <= np.maximum(tol, floor)).all(axis=0)
+        keep = (mag[:, :, -2:].max(axis=2) <= np.maximum(tol / _TAIL_DIV, floor)).all(axis=0)
         pieces += int(keep.sum())
         if depth == _MAX_BISECT or pieces + 2 * int((~keep).sum()) > _MAX_PIECES:
             keep[:] = True
@@ -246,24 +256,10 @@ def _fit_table(f, edges, tol: float) -> list[_Table]:
 
 
 def _merge_close(values, tol: float = 1e-9) -> np.ndarray:
-    """The sorted values, each dropped when within ``tol`` of the last value
-    kept before it."""
-    v = np.array(values, dtype=float)
-    v.sort()
-    if not v.size:
-        return v
-    # a value more than tol past its neighbour starts a chain and is kept;
-    # a chain no longer than tol keeps only that first value
+    """The sorted values, each dropped when within ``tol`` of the one before it."""
+    v = np.sort(np.asarray(values, dtype=float))
     keep = np.ones(v.size, dtype=bool)
     keep[1:] = v[1:] - v[:-1] > tol
-    start = keep.nonzero()[0]
-    last = np.append(start[1:] - 1, v.size - 1)
-    longer = v[last] - v[start] > tol
-    for i, j in zip(start[longer], last[longer]):  # the rule by hand
-        kept = v[i]
-        for k in range(i + 1, j + 1):
-            if v[k] - kept > tol:
-                keep[k], kept = True, v[k]
     return v[keep]
 
 
@@ -273,11 +269,10 @@ def _seed_edges(points, lo: float, hi: float) -> np.ndarray:
     return np.concatenate([[lo], inner, [hi]])
 
 
-def _preimage_phases(lags, period: float, phases, limit: float = math.inf):
+def _preimage_phases(lags, period: float, phases):
     """All z in [0, P) where some z - lag(z) hits a phase of ``phases`` mod P,
-    or None once they number more than ``limit``.  The candidates of every
-    (segment, phase) pair are built in blocks of about the room left under
-    ``limit``, so a refused set is never built."""
+    or None when the candidates number more than _MAX_KINKS.  They are
+    counted before any is built, so a refused set is never built."""
     phases = np.asarray(phases, dtype=float)
     seg = []  # z0, y0, z1, slope, min y, max y of every sloped segment
     for lag in lags:
@@ -291,46 +286,43 @@ def _preimage_phases(lags, period: float, phases, limit: float = math.inf):
     # entry (s, q): the periods n0..n1 in which segment s meets phase q
     n0 = np.ceil((ylo[:, None] - phases) / period - 1e-12).ravel()
     n1 = np.floor((yhi[:, None] - phases) / period + 1e-12).ravel()
-    counts = np.maximum(n1 - n0 + 1.0, 0.0).astype(np.intp)
-    ends = counts.cumsum()
-    found: list[np.ndarray] = []
-    size = start = 0
-    while start < counts.size:
-        before = ends[start - 1] if start else 0
-        stop = min(ends.searchsorted(before + (limit - size), side="right") + 1, counts.size)
-        block = counts[start:stop]
-        pair = np.arange(start, stop).repeat(block)
-        s, q = np.divmod(pair, phases.size)
-        # the candidates of a pair are n = n0, n0 + 1, ...
-        n = n0[pair] + (np.arange(pair.size) - (block.cumsum() - block).repeat(block))
-        z = z0[s] + (phases[q] + n * period - y0[s]) / slope[s]
-        z = z[(z0[s] - 1e-12 <= z) & (z <= z1[s] + 1e-12)]
-        z = np.minimum(np.maximum(z, 0.0), period)
-        found.append(z[z < period])
-        size += found[-1].size
-        if size > limit:
-            return None
-        start = stop
-    return np.concatenate(found) if found else np.empty(0)
+    counts = np.maximum(n1 - n0 + 1.0, 0.0)
+    if counts.sum() > _MAX_KINKS:
+        return None
+    counts = counts.astype(np.intp)
+    pair = np.arange(counts.size).repeat(counts)
+    s, q = np.divmod(pair, phases.size)
+    # the candidates of a pair are n = n0, n0 + 1, ...
+    n = n0[pair] + (np.arange(pair.size) - (counts.cumsum() - counts).repeat(counts))
+    z = z0[s] + (phases[q] + n * period - y0[s]) / slope[s]
+    z = z[(z0[s] - 1e-12 <= z) & (z <= z1[s] + 1e-12)]
+    z = np.minimum(np.maximum(z, 0.0), period)
+    return z[z < period]
 
 
-def _kink_phases(eq: DelayEquation, level: int, cache: KernelCache) -> np.ndarray:
-    """Kink phases of the level-``level`` integrand g_level in [0, P).
+def _with_preimages(lags, period: float, phases) -> np.ndarray:
+    """``phases`` and their delay preimages under ``lags``, or ``phases``
+    alone when the preimages would pass _MAX_KINKS."""
+    pre = _preimage_phases(lags, period, phases)
+    return phases if pre is None else np.concatenate([phases, pre])
 
-    Level 0 is the breakpoint lattice; each further level adds the delay
-    preimages of the previous set, unless that would take it past
-    _MAX_KINKS phases: the level then keeps the previous set.
-    """
 
-    def build():
-        if level == 0:
-            funcs = eq.coefficients + eq.lags
-            return np.array(sorted({t for f in funcs for t in f.interior_times}), dtype=float)
-        prev = _kink_phases(eq, level - 1, cache)
-        new = _preimage_phases(eq.lags, eq.period, prev, _MAX_KINKS - len(prev))
-        return prev if new is None else _merge_close(np.concatenate([prev, new]))
+def _lattice(eq: DelayEquation) -> np.ndarray:
+    """The breakpoint phases of every coefficient and lag in [0, P)."""
+    funcs = eq.coefficients + eq.lags
+    return np.array(sorted({t for f in funcs for t in f.interior_times}), dtype=float)
 
-    return cache._table(("kinks", eq, level, None, None, None), build)
+
+def _kink_phases(eq: DelayEquation, cache: KernelCache) -> np.ndarray:
+    """The seed phases of every table of ``eq``: the breakpoint lattice and
+    its delay preimages.  A level integrand g_L jumps only where a
+    coefficient jumps, at a lattice point, so the first derivative of
+    G_L(tau_i(z)) breaks only where tau_i(z) hits the lattice; deeper
+    preimages break a higher derivative, left to the tail rule."""
+    return cache._table(
+        ("kinks", eq),
+        lambda: _merge_close(_with_preimages(eq.lags, eq.period, _lattice(eq))),
+    )
 
 
 # -- the tables ---------------------------------------------------------------
@@ -357,7 +349,7 @@ def _level(eq: DelayEquation, level: int, cache: KernelCache, tol: float):
             return _Table()
         return _fit_table(
             lambda zs: _weighted_sums(eq, range(eq.m), prev, zs, prev.values(zs)[None]),
-            _seed_edges(_kink_phases(eq, level, cache), 0.0, eq.period),
+            _seed_edges(_kink_phases(eq, cache), 0.0, eq.period),
             tol,
         )[0]
 
@@ -374,7 +366,7 @@ def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> list[_Tabl
         g = _level(eq, r - 1, cache, tol)
         if g.saturated:
             return [_Table()] if transient else [_Table(), _Table()]
-        kinks = _kink_phases(eq, r, cache)
+        kinks = _kink_phases(eq, cache)
         if transient:
             h, lo, hi = env, min(env(0.0), 0.0), env.t_stab
             k0, k1 = math.floor(lo / period), math.ceil(hi / period)
@@ -386,8 +378,9 @@ def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> list[_Tabl
         else:
             # the settled envelope, continued periodically
             h, lo, hi = EnvelopeFunction(0.0, (), env.tail_lag), 0.0, period
-            prev = _kink_phases(eq, r - 1, cache)
-            points = np.concatenate([kinks, _preimage_phases([env.tail_lag], period, prev)])
+            # h(z) = z - tail_lag(z) hits the lattice at its preimages
+            tail = _with_preimages([env.tail_lag], period, _lattice(eq))
+            points = np.concatenate([kinks, tail])
 
             def f(zs):
                 # F's integrand and W's, exp(0.0 - G(tau_i)), on one lookup

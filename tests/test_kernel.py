@@ -198,36 +198,35 @@ def test_table_lookup_sums_like_chebval():
     assert np.array_equal(kernel._chebval_rows(u, block), want)
 
 
-# a tent lag rising from 500 to 1000 periods over half a period and falling
-# back: each phase has about 2000 delay preimages per level
+# a tent lag rising from L/2 to L over half a period and falling back: its
+# two lattice phases have about 2 L/P delay preimages
 _LONG_SLOPED_LAG_RUN = """
-import json, resource, time
+import json, resource, sys, time
 from delayosc import DelayEquation, KernelCache, PiecewisePeriodic, check_all, kernel
 
-ratio = 1000.0
+ratio = float(sys.argv[1])
 lag = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.5 * ratio), (0.5, ratio)))
 p = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.3 / ratio),))
 eq = DelayEquation(coefficients=(p,), lags=(lag,))
 start = time.perf_counter()
 overall = check_all(eq, 2).overall
 seconds = time.perf_counter() - start
-cache = KernelCache()
-kinks = [len(kernel._kink_phases(eq, level, cache)) for level in (0, 1, 2)]
+kinks = len(kernel._kink_phases(eq, KernelCache()))
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(dict(overall=overall, kinks=kinks, seconds=seconds, rss_mb=rss_mb)))
 """
 
 
-def test_kink_phases_stay_under_the_cap_on_a_long_sloped_lag():
-    # level 2 would hold about 4 million phases; a cap that looked only at
-    # the previous level built them all and ran out of memory.  The check
-    # runs in a child capped at 1 GiB of address space, so a regression
-    # fails here instead of exhausting the machine
+def _run_long_sloped_lag(ratio):
+    """``check_all`` at r=2 on the tent lag at L/P = ``ratio``, in a child
+    capped at 1 GiB of address space, so a regression fails here instead of
+    exhausting the machine."""
+
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     proc = subprocess.run(
-        [sys.executable, "-c", _LONG_SLOPED_LAG_RUN],
+        [sys.executable, "-c", _LONG_SLOPED_LAG_RUN, str(ratio)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -237,23 +236,29 @@ def test_kink_phases_stay_under_the_cap_on_a_long_sloped_lag():
     assert proc.returncode == 0, proc.stderr[-2000:]
     out = json.loads(proc.stdout)
     assert out["overall"] == "inconclusive"
-    assert max(out["kinks"]) <= kernel._MAX_KINKS, out
     assert out["seconds"] <= 10.0 and out["rss_mb"] <= 300.0, out
-
-
-# -- kink phases: the vectorised builders against their loop versions --------
-
-
-def _merge_close_loop(values, tol=1e-9):
-    out = []
-    for v in sorted(values):
-        if not out or v - out[-1] > tol:
-            out.append(float(v))
     return out
 
 
-def _preimage_phases_loop(lags, period, phases, limit=math.inf):
-    found = []
+def test_kink_phases_stay_under_the_cap_on_a_long_sloped_lag():
+    # the seeds hold the lattice and its 2000 delay preimages
+    out = _run_long_sloped_lag(1000.0)
+    lattice = len(kernel._lattice(_tent_lag_equation(1000.0)))
+    assert lattice < out["kinks"] <= lattice + kernel._MAX_KINKS, out
+
+
+def test_kink_phases_fall_back_to_the_lattice_past_the_cap():
+    # at L/P = 1e4 the preimages would pass the cap: the lattice alone
+    out = _run_long_sloped_lag(1e4)
+    assert out["kinks"] == len(kernel._lattice(_tent_lag_equation(1e4))), out
+
+
+# -- kink phases: the vectorised builder against its loop version --------------
+
+
+def _preimage_phases_loop(lags, period, phases):
+    """(the number of candidates, the preimages found among them)."""
+    count, found = 0, []
     for lag in lags:
         poly = kernel._tau_polyline(lag, 0.0, period)
         for (z0, y0), (z1, y1) in zip(poly, poly[1:]):
@@ -266,15 +271,14 @@ def _preimage_phases_loop(lags, period, phases, limit=math.inf):
             for phi in phases:
                 n0 = math.ceil((ylo - phi) / period - 1e-12)
                 n1 = math.floor((yhi - phi) / period + 1e-12)
+                count += max(n1 - n0 + 1, 0)
                 for n in range(n0, n1 + 1):
                     z = z0 + (phi + n * period - y0) / slope
                     if z0 - 1e-12 <= z <= z1 + 1e-12:
                         z = min(max(z, 0.0), period)
                         if z < period:
                             found.append(z)
-                if len(found) > limit:
-                    return None
-    return found
+    return count, found
 
 
 def _tent_lag_equation(ratio):
@@ -286,7 +290,7 @@ def _tent_lag_equation(ratio):
 
 def _kink_cases():
     # the demo, a benchmark-style piecewise lag (non-monotone, up to 20
-    # periods), random draws and the tent lag at L/P = 1000
+    # periods), random draws and the tent lag at L/P = 1000 and past the cap
     piecewise = DelayEquation(
         coefficients=(PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.012), (0.51, 0.0115))),),
         lags=(
@@ -295,46 +299,40 @@ def _kink_cases():
     )
     rng = np.random.default_rng(11)
     draws = [make_random_equation(rng) for _ in range(6)]
-    return [make_demo_equation(), piecewise, *draws, _tent_lag_equation(1000.0)]
+    tents = [_tent_lag_equation(1000.0), _tent_lag_equation(1e4)]
+    return [make_demo_equation(), piecewise, *draws, *tents]
 
 
-@pytest.mark.parametrize("case", range(9))
-def test_kink_phases_equal_the_loop_versions(case):
+@pytest.mark.parametrize("case", range(10))
+def test_kink_phases_equal_the_loop_versions(case, monkeypatch):
     eq = _kink_cases()[case]
-    cache = KernelCache()
-    for level in (1, 2):
-        prev = kernel._kink_phases(eq, level - 1, cache)
-        want = _preimage_phases_loop(eq.lags, eq.period, list(prev))
-        got = kernel._preimage_phases(eq.lags, eq.period, prev)
-        assert np.array_equal(np.sort(got), np.sort(want))
-        # None exactly when the set passes the limit
-        for limit in (len(want), len(want) - 1, kernel._MAX_KINKS - len(prev)):
-            got = kernel._preimage_phases(eq.lags, eq.period, prev, limit)
-            ref = _preimage_phases_loop(eq.lags, eq.period, list(prev), limit)
-            assert (got is None) == (ref is None) == (len(want) > limit)
-        merged = kernel._merge_close(np.concatenate([prev, want]))
-        assert merged.tolist() == _merge_close_loop(list(prev) + want)
-        if len(want) > kernel._MAX_KINKS:
-            break  # the tent lag: level 2 would hold millions
-
-
-def test_merge_close_keeps_a_value_past_the_last_kept_one():
-    # neighbours 0.6e-9 apart: a gap rule would merge the whole chain, the
-    # rule keeps each value more than 1e-9 past the last one it kept
-    values = [0.0, 0.6e-9, 1.2e-9, 1.8e-9, 2.4e-9, 5.0, 5.0 + 1e-10, 7.0, 7.0]
-    assert kernel._merge_close(values).tolist() == _merge_close_loop(values)
-    assert _merge_close_loop(values) == [0.0, 1.2e-9, 2.4e-9, 5.0, 7.0]
-    assert kernel._merge_close([]).size == 0
+    lattice = kernel._lattice(eq)
+    for lags in (eq.lags, [combined_envelope(eq).tail_lag]):
+        count, want = _preimage_phases_loop(lags, eq.period, list(lattice))
+        got = kernel._preimage_phases(lags, eq.period, lattice)
+        assert (got is None) == (count > kernel._MAX_KINKS)
+        if got is not None:
+            assert np.array_equal(np.sort(got), np.sort(want))
+        # None exactly when the candidates pass the cap
+        for cap in (count, count - 1):
+            monkeypatch.setattr(kernel, "_MAX_KINKS", cap)
+            assert (kernel._preimage_phases(lags, eq.period, lattice) is None) == (count > cap)
+        monkeypatch.undo()
+    # the seeds: the lattice and its preimages, or the lattice alone
+    pre = kernel._preimage_phases(eq.lags, eq.period, lattice)
+    seeds = kernel._kink_phases(eq, KernelCache())
+    want = lattice if pre is None else kernel._merge_close(np.concatenate([lattice, pre]))
+    assert np.array_equal(seeds, want)
 
 
 def test_preimage_phases_build_about_the_limit_at_most():
-    # level 2 of the tent lag at L/P = 1000 holds about 4 million preimages;
-    # refused under the cap, it must not build them first
-    eq = _tent_lag_equation(1000.0)
-    prev = kernel._kink_phases(eq, 1, KernelCache())
+    # the tent lag at L/P = 1e6: its lattice has about 2 million preimages,
+    # 16 MB per array; refused under the cap, they must not be built first
+    eq = _tent_lag_equation(1e6)
+    lattice = kernel._lattice(eq)
     tracemalloc.start()
     try:
-        assert kernel._preimage_phases(eq.lags, eq.period, prev, 20000) is None
+        assert kernel._preimage_phases(eq.lags, eq.period, lattice) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -363,9 +361,10 @@ def test_an_overflowing_row_saturates_only_its_own_table(late):
         steep = 1e6 * (zs - 0.999) + 709.0 if late else 800.0 * zs
         return np.stack([np.exp(steep), smooth(zs)])
 
-    steep, joint = kernel._fit_table(both, edges, 1e-10)
+    # tol 1e-8: the tail test reads tol / 100
+    steep, joint = kernel._fit_table(both, edges, 1e-8)
     assert steep.saturated and steep.total == math.inf
-    (alone,) = kernel._fit_table(lambda zs: smooth(zs)[None], edges, 1e-10)
+    (alone,) = kernel._fit_table(lambda zs: smooth(zs)[None], edges, 1e-8)
     if late:
         # the rows were bisected together until the overflow
         assert len(joint.edges) > len(alone.edges)

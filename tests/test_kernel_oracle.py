@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from delayosc import (
+    DelayEquation,
     KernelCache,
+    PiecewisePeriodic,
     combined_envelope,
     decay_kernel,
     inner_criterion_integral,
@@ -152,12 +154,24 @@ def _transient_draw():
             return eq
 
 
+def _sloped_lag_equation():
+    """A tent lag from 2 up to 4 periods and back, and a coefficient that
+    jumps at the wrap point: its jump is seen through a sloped lag across
+    several periods, so at r=2 the integrands break, in a higher
+    derivative, at deeper delay preimages of the lattice than the seeds
+    hold."""
+    lag = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 2.0), (0.3, 4.0), (0.45, 3.2)))
+    p = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.02), (0.6, 0.035), (1.0, 0.045)))
+    return DelayEquation(coefficients=(p,), lags=(lag,))
+
+
 def _cases():
     rng = np.random.default_rng(20250822)
     random_eqs = [make_random_equation(rng) for _ in range(3)]
     cases = [("demo", make_demo_equation()), ("control", make_constant_equation(0.2, 1.0))]
     cases += [(f"random{k}", eq) for k, eq in enumerate(random_eqs)]
     cases.append(("transient", _transient_draw()))
+    cases.append(("sloped_lag", _sloped_lag_equation()))
     return [pytest.param(name, eq, id=name) for name, eq in cases]
 
 
