@@ -33,11 +33,13 @@ import numpy as np
 
 from .envelope import (
     EnvelopeFunction,
+    _lattice_preimages,
+    _merge_close,
     combined_envelope,
     tau_max_polyline,
     tau_max_values,
 )
-from .kernel import DEFAULT_TOL, KernelCache, _check_depth, _frozen, _merge_close, _sliding
+from .kernel import DEFAULT_TOL, KernelCache, _check_depth, _frozen, _sliding
 from .model import DelayEquation, breakpoint_times
 
 __all__ = [
@@ -180,9 +182,9 @@ def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
     drops the grid points beside it and the knots just after it."""
     same = _SAME_POINT_REL * (w1 - w0)
     grid = np.linspace(w0, w1, n_grid + 1)
-    knots = np.asarray(list(knots), dtype=float)
+    knots = np.asarray(knots, dtype=float)
     # sorted, and a knot within ``same`` of the one before it dropped: this
-    # drops repeats too (np.unique would import numpy.ma under numpy 2.4)
+    # drops repeats too
     knots = _merge_close(knots[(knots >= w0) & (knots <= w1)], same)
     if knots.size:
         i = np.searchsorted(knots, grid)
@@ -192,8 +194,7 @@ def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
         )
         grid = grid[gap > same]
     # grid points can repeat where the float spacing is coarser than the grid
-    out = np.sort(np.concatenate([grid, knots]))
-    return out[np.concatenate([[True], out[1:] != out[:-1]])]
+    return _merge_close(np.concatenate([grid, knots]), 0.0)
 
 
 def _brackets(vals, tie: float):
@@ -297,30 +298,14 @@ def _window(eq: DelayEquation, env: EnvelopeFunction | None, depth: int):
     return env, w0, w0 + eq.period
 
 
-def _preimages(poly, targets):
-    out = []
-    for (t0, y0), (t1, y1) in zip(poly, poly[1:]):
-        if y1 == y0:
-            continue
-        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-        for y in targets:
-            if lo <= y <= hi:
-                t = t0 + (y - y0) * (t1 - t0) / (y1 - y0)
-                if t0 <= t <= t1:
-                    out.append(t)
-    return out
-
-
 def _integral_profile_knots(eq, poly, w0, w1):
     """Kinks of t -> integral_{lower(t)}^t coeff-sum, where ``poly`` is the
     polyline of the lower limit over [w0, w1]: coefficient breakpoints hit by
-    either integration limit, plus kinks of the lower limit itself."""
-    knots = set(breakpoint_times(eq.coefficients, w0, w1))
-    knots.update(t for t, _ in poly)
-    ys = [y for _, y in poly]
-    targets = breakpoint_times(eq.coefficients, min(ys), max(ys))
-    knots.update(_preimages(poly, targets))
-    return sorted(t for t in knots if w0 <= t <= w1)
+    either integration limit, plus kinks of the lower limit itself.  Unsorted,
+    with repeats; ``_scan_grid`` sorts and merges them."""
+    phases = sorted({t for c in eq.coefficients for t in c.interior_times})
+    pre = _lattice_preimages(poly, phases, eq.period)
+    return np.concatenate([breakpoint_times(eq.coefficients, w0, w1), poly[0], pre])
 
 
 def _check_tol(tol: float) -> None:
@@ -465,9 +450,8 @@ def criterion_profile(
             return _sliding(eq, r, terms, env, cache, tol, h, ts)
         return _frozen(eq, r, terms, env, cache, tol, h, h, ts)
 
-    knots = set(breakpoint_times(list(eq.coefficients) + list(eq.lags), w0, w1))
-    knots.update(env.knots(w0, w1))
-    return f, w0, _scan_grid(w0, w1, knots, n_grid)
+    knots = breakpoint_times(list(eq.coefficients) + list(eq.lags), w0, w1)
+    return f, w0, _scan_grid(w0, w1, np.concatenate([knots, env.knots(w0, w1)]), n_grid)
 
 
 def limsup_envelope_integral(

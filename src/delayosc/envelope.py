@@ -1,17 +1,24 @@
-"""Running suprema of non-monotone delay arguments.
+"""Running suprema of non-monotone delay arguments, on one polyline toolkit.
 
-For a delay argument tau(t) = t - d(t) that need not be monotone, the
-envelope h(t) = sup_{0 <= s <= t} tau(s) is nondecreasing and eventually
-periodic in lag form: e(t) = t - h(t) repeats with the common period from
-the second period onward (the running supremum only ever looks one period
-back once a full period has been swept).  The envelope is stored as an
+A polyline is a pair of knot arrays ``(ts, ys)``: times in increasing
+order and the values there, linear in between.  Every piecewise-linear
+operation of the package works on this one format: evaluation
+(``_eval``), the running maximum, the pointwise maximum of two
+polylines, and the lattice preimages (the times where a polyline takes a
+value ``phase + n * period``), which seed the kernel tables and the scan
+grids of the criteria alike.
+
+For delay arguments tau_i(t) = t - d_i(t) that need not be monotone, the
+envelope h(t) = sup_{0 <= s <= t} max_i tau_i(s) is nondecreasing and
+eventually periodic in lag form: e(t) = t - h(t) repeats with the common
+period from the second period onward (the running supremum only ever
+looks one period back once a full period has been swept).  It is built
+by one running maximum over the first three periods and stored as an
 optional transient polyline on [0, t_stab) plus a periodic tail lag.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,105 +39,135 @@ __all__ = [
 # value (at least 1): they are differences of absolute times up to 3 periods.
 _PERIODIC_TOL = 1e-12
 
-# A polyline is a list of (t, y) nodes, linear in between, strictly
-# increasing in t.
+
+def _merge_close(values, tol: float = 1e-9) -> np.ndarray:
+    """The sorted values, each dropped when within ``tol`` of the one before
+    it; ``tol = 0`` drops repeats (np.unique would import numpy.ma)."""
+    v = np.sort(np.asarray(values, dtype=float))
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = v[1:] - v[:-1] > tol
+    return v[keep]
+
+
+def _eval(poly, x):
+    """The polyline at ``x``, elementwise; its end segments extend past its
+    span."""
+    ts, ys = poly
+    j = np.minimum(np.maximum(np.searchsorted(ts, x, side="right") - 1, 0), ts.size - 2)
+    t0, t1, y0, y1 = ts[j], ts[j + 1], ys[j], ys[j + 1]
+    flat = t1 == t0
+    return np.where(flat, y0, y0 + (y1 - y0) * (x - t0) / np.where(flat, 1.0, t1 - t0))
+
+
+def _closed(ts, a: float, b: float) -> np.ndarray:
+    """The sorted times ``ts`` of [a, b], with ``a`` and ``b`` added where
+    missing."""
+    ts = np.asarray(ts, dtype=float)
+    head = [a] if not ts.size or ts[0] > a else []
+    tail = [b] if not ts.size or ts[-1] < b else []
+    return np.concatenate([head, ts, tail])
 
 
 def _canonical(poly):
-    """Drop interior nodes that are collinear with their neighbours."""
-    if len(poly) <= 2:
-        return list(poly)
-    out = [poly[0]]
-    for k in range(1, len(poly) - 1):
-        t0, y0 = out[-1]
-        t1, y1 = poly[k]
-        t2, y2 = poly[k + 1]
-        interp = y0 + (y2 - y0) * (t1 - t0) / (t2 - t0)
-        if abs(interp - y1) > 1e-13 * max(1.0, abs(y1)):
-            out.append(poly[k])
-    out.append(poly[-1])
-    return out
-
-
-def _poly_eval(poly, t: float) -> float:
-    ts = [p[0] for p in poly]
-    j = bisect_right(ts, t) - 1
-    j = min(max(j, 0), len(poly) - 2)
-    t0, y0 = poly[j]
-    t1, y1 = poly[j + 1]
-    if t1 == t0:
-        return y0
-    return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
+    """Drop interior knots that are collinear with their neighbours."""
+    ts, ys = poly
+    if ts.size <= 2:
+        return poly
+    t0, t1, t2 = ts[:-2], ts[1:-1], ts[2:]
+    y0, y1, y2 = ys[:-2], ys[1:-1], ys[2:]
+    interp = y0 + (y2 - y0) * (t1 - t0) / (t2 - t0)
+    keep = np.ones(ts.size, dtype=bool)
+    keep[1:-1] = np.abs(interp - y1) > 1e-13 * np.maximum(1.0, np.abs(y1))
+    return ts[keep], ys[keep]
 
 
 def _tau_polyline(lag: PiecewisePeriodic, a: float, b: float):
     """Polyline of the delay argument t - lag(t) on [a, b]."""
-    ts = breakpoint_times([lag], a, b)
-    if not ts or ts[0] > a:
-        ts.insert(0, a)
-    if ts[-1] < b:
-        ts.append(b)
-    return [(t, t - lag(t)) for t in ts]
+    ts = _closed(breakpoint_times([lag], a, b), a, b)
+    return ts, ts - lag.values(ts)
 
 
 def _running_max(poly):
-    """Running maximum of a polyline, again as a polyline."""
-    t0, y0 = poly[0]
-    out = [(t0, y0)]
-    m = y0
-    for (ta, ya), (tb, yb) in zip(poly, poly[1:]):
-        if ya >= m and yb >= ya:
-            # rising (or flat) above the old maximum
-            out.append((tb, yb))
-            m = yb
-        elif yb <= m:
-            # stays below: the maximum is flat here
-            out.append((tb, m))
-        else:
-            # crosses the running maximum inside the segment
-            c = ta + (m - ya) * (tb - ta) / (yb - ya)
-            if c > out[-1][0]:
-                out.append((c, m))
-            out.append((tb, yb))
-            m = yb
-    return _canonical(out)
+    """Running maximum of a polyline, again as a polyline: the maximum so
+    far at each knot, plus the point where a segment rises across it."""
+    ts, ys = poly
+    m = np.maximum.accumulate(ys)
+    ta, tb, ya, yb, mp = ts[:-1], ts[1:], ys[:-1], ys[1:], m[:-1]
+    k = np.flatnonzero((ya < mp) & (yb > mp))
+    if k.size:
+        c = ta[k] + (mp[k] - ya[k]) * (tb[k] - ta[k]) / (yb[k] - ya[k])
+        inside = c > ta[k]
+        k, c = k[inside], c[inside]
+        ts, m = np.insert(ts, k + 1, c), np.insert(m, k + 1, mp[k])
+    return _canonical((ts, m))
 
 
 def _max_overlay(p1, p2):
     """Pointwise maximum of two polylines over the same span."""
-    ts = sorted({t for t, _ in p1} | {t for t, _ in p2})
-    nodes = []
-    for t in ts:
-        nodes.append((t, _poly_eval(p1, t), _poly_eval(p2, t)))
-    out = []
-    for k, (t, f, g) in enumerate(nodes):
-        if k > 0:
-            tp, fp, gp = nodes[k - 1]
-            dp, dc = fp - gp, f - g
-            if dp * dc < 0.0:
-                # the two lines cross strictly inside the cell
-                c = tp + (t - tp) * dp / (dp - dc)
-                if tp < c < t:
-                    out.append((c, _poly_eval(p1, c)))
-        out.append((t, max(f, g)))
-    return _canonical(out)
+    ts = _merge_close(np.concatenate([p1[0], p2[0]]), 0.0)
+    f, g = _eval(p1, ts), _eval(p2, ts)
+    ys = np.maximum(f, g)
+    d = f - g
+    # the two lines cross strictly inside a cell where f - g changes sign
+    k = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    if k.size:
+        tp, t = ts[k], ts[k + 1]
+        c = tp + (t - tp) * d[k] / (d[k] - d[k + 1])
+        inside = (tp < c) & (c < t)
+        k, c = k[inside], c[inside]
+        ts, ys = np.insert(ts, k + 1, c), np.insert(ys, k + 1, _eval(p1, c))
+    return _canonical((ts, ys))
+
+
+def _lattice_preimages(poly, phases, period: float, cap: float | None = None):
+    """Every time in the span of ``poly`` where it takes a value
+    ``phase + n * period``, for a phase of ``phases`` and an integer n; or
+    None when the candidates number more than ``cap``.  They are counted,
+    over all segments, before any is built, so a refused set is never built.
+
+    A flat segment is skipped, as a plateau's preimages are its ends, knots
+    already; so is a segment whose time does not increase, so ``poly`` may
+    chain several polylines over one span.
+    """
+    ts, ys = poly
+    phases = np.asarray(phases, dtype=float)
+    dz, dy = ts[1:] - ts[:-1], ys[1:] - ys[:-1]
+    slope = dy / np.where(dz > 0.0, dz, 1.0)
+    s = np.flatnonzero((dz > 0.0) & (np.abs(slope) >= 1e-13))
+    z0, y0, z1, slope = ts[s], ys[s], ts[s + 1], slope[s]
+    ylo, yhi = np.minimum(y0, ys[s + 1]), np.maximum(y0, ys[s + 1])
+    # entry (s, q): the periods n0..n1 in which segment s meets phase q
+    n0 = np.ceil((ylo[:, None] - phases) / period - 1e-12).ravel()
+    n1 = np.floor((yhi[:, None] - phases) / period + 1e-12).ravel()
+    counts = np.maximum(n1 - n0 + 1.0, 0.0)
+    if cap is not None and counts.sum() > cap:
+        return None
+    counts = counts.astype(np.intp)
+    pair = np.arange(counts.size).repeat(counts)
+    s, q = np.divmod(pair, phases.size)
+    # the candidates of a pair are n = n0, n0 + 1, ...
+    n = n0[pair] + (np.arange(pair.size) - (counts.cumsum() - counts).repeat(counts))
+    z = z0[s] + (phases[q] + n * period - y0[s]) / slope[s]
+    z = z[(z0[s] - 1e-12 <= z) & (z <= z1[s] + 1e-12)]
+    return np.minimum(np.maximum(z, ts[0]), ts[-1])
 
 
 def _window_form(poly, w0: float, w1: float):
-    """Nodes of a polyline restricted to [w0, w1), shifted to start at 0."""
-    nodes = [(t - w0, y) for t, y in poly if w0 <= t < w1]
-    if not nodes or nodes[0][0] > 0.0:
-        nodes.insert(0, (0.0, _poly_eval(poly, w0)))
-    return _canonical(nodes + [(w1 - w0, _poly_eval(poly, w1))])
+    """Polyline restricted to [w0, w1], shifted to start at 0."""
+    ts, ys = poly
+    inside = (w0 <= ts) & (ts < w1)
+    t, y = ts[inside] - w0, ys[inside]
+    y0, y1 = _eval(poly, np.array([w0, w1]))
+    if not t.size or t[0] > 0.0:
+        t, y = np.append(0.0, t), np.append(y0, y)
+    return _canonical((np.append(t, w1 - w0), np.append(y, y1)))
 
 
 def _windows_match(wa, wb) -> bool:
-    if len(wa) != len(wb):
+    if wa[0].size != wb[0].size:
         return False
-    tol = _PERIODIC_TOL * max(1.0, *(max(abs(t), abs(y)) for t, y in wa + wb))
-    return all(
-        abs(ta - tb) <= tol and abs(ya - yb) <= tol for (ta, ya), (tb, yb) in zip(wa, wb)
-    )
+    tol = _PERIODIC_TOL * max(1.0, *(np.abs(v).max() for v in (*wa, *wb)))
+    return all((np.abs(u - v) <= tol).all() for u, v in zip(wa, wb))
 
 
 @dataclass(frozen=True)
@@ -138,7 +175,9 @@ class EnvelopeFunction:
     """Nondecreasing envelope of a delay argument.
 
     ``h(t) = t - tail_lag(t)`` for ``t >= t_stab``; on ``[0, t_stab)`` the
-    transient polyline applies.  ``t_stab`` is 0 or one period.
+    transient polyline applies, given as ``(t, y)`` pairs so the envelope
+    stays hashable (it keys the kernel tables).  ``t_stab`` is 0 or one
+    period.
     """
 
     t_stab: float
@@ -147,15 +186,12 @@ class EnvelopeFunction:
 
     def __post_init__(self):
         nodes = np.asarray(self.transient, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "_transient_ts", nodes[:, 0])
-        object.__setattr__(self, "_transient_ys", nodes[:, 1])
+        object.__setattr__(self, "_transient", (nodes[:, 0], nodes[:, 1]))
 
     def __call__(self, t: float) -> float:
         if t < 0.0:
             raise ValueError(f"envelope is defined for t >= 0, got {t}")
-        if t < self.t_stab:
-            return _poly_eval(list(self.transient), t)
-        return t - self.tail_lag(t)
+        return float(self.values(t))
 
     def values(self, ts) -> np.ndarray:
         x = np.asarray(ts, dtype=float)
@@ -164,86 +200,68 @@ class EnvelopeFunction:
             pre = x < self.t_stab
             if pre.any():
                 out = np.array(out)
-                out[pre] = self._transient_values(x[pre])
+                out[pre] = _eval(self._transient, x[pre])
         return out[()]
 
-    def _transient_values(self, x):
-        """``_poly_eval`` of the transient polyline, elementwise."""
-        ts, ys = self._transient_ts, self._transient_ys
-        j = np.searchsorted(ts, x, side="right") - 1
-        j = np.minimum(np.maximum(j, 0), len(ts) - 2)
-        t0, t1, y0, y1 = ts[j], ts[j + 1], ys[j], ys[j + 1]
-        flat = t1 == t0
-        step = np.where(flat, 1.0, t1 - t0)
-        return np.where(flat, y0, y0 + (y1 - y0) * (x - t0) / step)
-
-    def knots(self, a: float, b: float) -> list[float]:
-        """Kink locations of the envelope inside [a, b]."""
-        out = {t for t, _ in self.transient if a <= t <= min(b, self.t_stab)}
-        lo = max(a, self.t_stab)
-        out.update(breakpoint_times([self.tail_lag], lo, b))
-        if a <= self.t_stab <= b:
-            out.add(self.t_stab)
-        return sorted(out)
+    def knots(self, a: float, b: float) -> np.ndarray:
+        """Kink locations of the envelope inside [a, b], sorted."""
+        tt = self._transient[0]
+        parts = [
+            tt[(a <= tt) & (tt <= min(b, self.t_stab))],
+            breakpoint_times([self.tail_lag], max(a, self.t_stab), b),
+            [self.t_stab] if a <= self.t_stab <= b else [],
+        ]
+        return _merge_close(np.concatenate(parts), 0.0)
 
     def polyline(self, a: float, b: float):
-        ts = self.knots(a, b)
-        if not ts or ts[0] > a:
-            ts.insert(0, a)
-        if ts[-1] < b:
-            ts.append(b)
-        return [(t, self(t)) for t in ts]
+        """The envelope on [a, b] as a polyline ``(ts, ys)``."""
+        ts = _closed(self.knots(a, b), a, b)
+        return ts, self.values(ts)
+
+
+def _pairs(ts, ys) -> tuple[tuple[float, float], ...]:
+    """The knots as hashable ``(t, y)`` pairs of floats."""
+    return tuple(zip(ts.tolist(), ys.tolist()))
 
 
 def _envelope_from_polyline(period: float, h_poly) -> EnvelopeFunction:
     """Build the transient + periodic-tail form from a 3-period sweep of h."""
-    e_poly = _canonical([(t, t - y) for t, y in h_poly])
-    w0 = _window_form(e_poly, 0.0, period)
-    w1 = _window_form(e_poly, period, 2.0 * period)
-    w2 = _window_form(e_poly, 2.0 * period, 3.0 * period)
+    ts, ys = h_poly
+    e_poly = _canonical((ts, ts - ys))
+    w0, w1, w2 = (_window_form(e_poly, k * period, (k + 1) * period) for k in range(3))
     if not _windows_match(w1, w2):
         raise ValueError(
             "lag form of the running supremum failed to settle after one period"
         )
-    if _windows_match(w0, w1):
-        t_stab = 0.0
-        tail_nodes = w0
-    else:
-        t_stab = period
-        tail_nodes = w1
+    t_stab, (tail_ts, tail_ys) = (0.0, w0) if _windows_match(w0, w1) else (period, w1)
 
-    # final node sits at t = period; it only restates continuity, so it is
-    # dropped unless it records a genuine closing value (it never does here:
-    # the lag form of a running supremum is continuous)
-    bps = [(t, y) for t, y in tail_nodes if t < period]
-    tail = PiecewisePeriodic(period, tuple(bps))
+    # final knot sits at t = period; it only restates continuity, so it is
+    # dropped (the lag form of a running supremum is continuous)
+    body = tail_ts < period
+    tail = PiecewisePeriodic(period, _pairs(tail_ts[body], tail_ys[body]))
+    transient = ()
     if t_stab > 0.0:
-        # the transient polyline must close AT t_stab: a node beyond it may
-        # carry the segment that covers [last kept node, t_stab)
-        nodes = [p for p in h_poly if p[0] < t_stab]
-        nodes.append((t_stab, _poly_eval(h_poly, t_stab)))
-        transient = tuple(nodes)
-    else:
-        transient = ()
+        # the transient polyline must close AT t_stab: a knot beyond it may
+        # carry the segment that covers [last kept knot, t_stab)
+        pre = ts < t_stab
+        transient = _pairs(np.append(ts[pre], t_stab), np.append(ys[pre], _eval(h_poly, t_stab)))
     return EnvelopeFunction(t_stab=t_stab, transient=transient, tail_lag=tail)
 
 
 def running_sup(lag: PiecewisePeriodic) -> EnvelopeFunction:
     """Envelope of the delay argument t - lag(t)."""
     period = lag.period
-    tau_poly = _tau_polyline(lag, 0.0, 3.0 * period)
-    h_poly = _running_max(tau_poly)
-    return _envelope_from_polyline(period, h_poly)
+    return _envelope_from_polyline(period, _running_max(_tau_polyline(lag, 0.0, 3.0 * period)))
 
 
 def combined_envelope(eq: DelayEquation) -> EnvelopeFunction:
-    """Pointwise maximum of the per-term envelopes."""
+    """Envelope of max_i tau_i, the pointwise maximum of the per-term
+    envelopes: the running supremum of a maximum is the maximum of the
+    running suprema."""
     period = eq.period
-    polys = [running_sup(d).polyline(0.0, 3.0 * period) for d in eq.lags]
-    acc = polys[0]
-    for p in polys[1:]:
-        acc = _max_overlay(acc, p)
-    return _envelope_from_polyline(period, acc)
+    return _envelope_from_polyline(
+        period, _running_max(tau_max_polyline(eq, 0.0, 3.0 * period))
+    )
 
 
 def tau_max(eq: DelayEquation, t: float) -> float:

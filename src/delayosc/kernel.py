@@ -34,9 +34,12 @@ preimages, one level deep:
 The settled F and W differ only in the base of the exponent, G_{r-1}(h(z))
 or 0, so they are fitted together on F's seeds: one set of samples, one
 set of pieces, W keyed by the envelope like F; their seeds add the phases
-where h(z) hits the lattice.  Kernel exponents past 709
-saturate to +inf (reciprocals to 0.0), and so does every integral over a
-table whose integrand overflows; each table saturates on its own.
+where h(z) hits the lattice.  Both kinds of preimage come from the
+polyline toolkit in ``envelope``: ``_lattice_preimages``, the routine that
+also puts the preimages of the coefficient lattice into the criteria's
+scan grids.  Kernel exponents past 709 saturate to +inf (reciprocals to
+0.0), and so does every integral over a table whose integrand overflows;
+each table saturates on its own.
 """
 
 from __future__ import annotations
@@ -46,7 +49,13 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .envelope import EnvelopeFunction, _tau_polyline, combined_envelope
+from .envelope import (
+    EnvelopeFunction,
+    _lattice_preimages,
+    _merge_close,
+    _tau_polyline,
+    combined_envelope,
+)
 from .model import DelayEquation
 
 __all__ = [
@@ -255,14 +264,6 @@ def _fit_table(f, edges, tol: float) -> list[_Table]:
 # -- kink phases that seed the tables -------------------------------------------
 
 
-def _merge_close(values, tol: float = 1e-9) -> np.ndarray:
-    """The sorted values, each dropped when within ``tol`` of the one before it."""
-    v = np.sort(np.asarray(values, dtype=float))
-    keep = np.ones(v.size, dtype=bool)
-    keep[1:] = v[1:] - v[:-1] > tol
-    return v[keep]
-
-
 def _seed_edges(points, lo: float, hi: float) -> np.ndarray:
     inner = _merge_close(points)
     inner = inner[(lo + 1e-9 < inner) & (inner < hi - 1e-9)]
@@ -271,33 +272,13 @@ def _seed_edges(points, lo: float, hi: float) -> np.ndarray:
 
 def _preimage_phases(lags, period: float, phases):
     """All z in [0, P) where some z - lag(z) hits a phase of ``phases`` mod P,
-    or None when the candidates number more than _MAX_KINKS.  They are
-    counted before any is built, so a refused set is never built."""
-    phases = np.asarray(phases, dtype=float)
-    seg = []  # z0, y0, z1, slope, min y, max y of every sloped segment
-    for lag in lags:
-        poly = _tau_polyline(lag, 0.0, period)
-        for (z0, y0), (z1, y1) in zip(poly, poly[1:]):
-            slope = (y1 - y0) / (z1 - z0) if z1 > z0 else 0.0
-            # a plateau's kinks sit at its ends, already lattice points
-            if abs(slope) >= 1e-13:
-                seg.append((z0, y0, z1, slope, min(y0, y1), max(y0, y1)))
-    z0, y0, z1, slope, ylo, yhi = np.array(seg, dtype=float).reshape(-1, 6).T
-    # entry (s, q): the periods n0..n1 in which segment s meets phase q
-    n0 = np.ceil((ylo[:, None] - phases) / period - 1e-12).ravel()
-    n1 = np.floor((yhi[:, None] - phases) / period + 1e-12).ravel()
-    counts = np.maximum(n1 - n0 + 1.0, 0.0)
-    if counts.sum() > _MAX_KINKS:
-        return None
-    counts = counts.astype(np.intp)
-    pair = np.arange(counts.size).repeat(counts)
-    s, q = np.divmod(pair, phases.size)
-    # the candidates of a pair are n = n0, n0 + 1, ...
-    n = n0[pair] + (np.arange(pair.size) - (counts.cumsum() - counts).repeat(counts))
-    z = z0[s] + (phases[q] + n * period - y0[s]) / slope[s]
-    z = z[(z0[s] - 1e-12 <= z) & (z <= z1[s] + 1e-12)]
-    z = np.minimum(np.maximum(z, 0.0), period)
-    return z[z < period]
+    or None when the candidates number more than _MAX_KINKS; the delay
+    arguments of ``lags`` over one period, chained into one polyline, go
+    through one ``_lattice_preimages`` call, so the cap counts them all."""
+    polys = [_tau_polyline(lag, 0.0, period) for lag in lags]
+    chain = tuple(np.concatenate(part) for part in zip(*polys))
+    z = _lattice_preimages(chain, phases, period, _MAX_KINKS)
+    return None if z is None else z[z < period]
 
 
 def _with_preimages(lags, period: float, phases) -> np.ndarray:

@@ -163,22 +163,6 @@ class PiecewisePeriodic:
 
     # -- exact integration -------------------------------------------------
 
-    def _cum_scalar(self, x: float) -> float:
-        k = math.floor(x / self.period)
-        u = x - k * self.period
-        if u < 0.0:
-            u += self.period
-            k -= 1
-        elif u >= self.period:
-            u -= self.period
-            k += 1
-        j = bisect_right(self._ts_list, u) - 1
-        if j >= self._nseg:
-            j = self._nseg - 1
-        du = u - self._ts_list[j]
-        part = self._cum[j] + (self._vs_list[j] + 0.5 * self._slopes_list[j] * du) * du
-        return k * self._period_integral + part + self.offset * x
-
     def antiderivative(self, ts) -> np.ndarray:
         """Vectorised exact antiderivative  x -> integral of f over [0, x]."""
         x = np.asarray(ts, dtype=float)
@@ -196,12 +180,6 @@ class PiecewisePeriodic:
         du = u - self._ts[j]
         part = self._cum[j] + (self._vs[j] + 0.5 * self._slopes[j] * du) * du
         return k * self._period_integral + part + self.offset * x
-
-    def integrate(self, a: float, b: float) -> float:
-        """Exact integral over [a, b]; requires a <= b."""
-        if a > b:
-            raise ValueError(f"integration bounds out of order: {a} > {b}")
-        return self._cum_scalar(b) - self._cum_scalar(a)
 
 
 @dataclass(frozen=True)
@@ -270,44 +248,13 @@ class DelayEquation:
     def max_lag(self) -> float:
         return max(d.max_value for d in self.lags)
 
-    # -- pointwise helpers -------------------------------------------------
-
-    def coeff_sum(self, t: float) -> float:
-        return sum(c(t) for c in self.coefficients)
-
-    def coeff_sum_values(self, ts) -> np.ndarray:
-        out = self.coefficients[0].values(ts)
-        for c in self.coefficients[1:]:
-            out = out + c.values(ts)
-        return out
+    # -- exact integral of the coefficient sum ------------------------------
 
     def coeff_sum_antiderivative(self, ts) -> np.ndarray:
         out = self.coefficients[0].antiderivative(ts)
         for c in self.coefficients[1:]:
             out = out + c.antiderivative(ts)
         return out
-
-    def lag(self, i: int, t: float) -> float:
-        return self.lags[i](t)
-
-    def tau(self, i: int, t: float) -> float:
-        """Delay argument of term i: tau_i(t) = t - d_i(t) < t."""
-        return t - self.lags[i](t)
-
-    def tau_values(self, i: int, ts) -> np.ndarray:
-        x = np.asarray(ts, dtype=float)
-        return x - self.lags[i].values(x)
-
-    # -- exact integral of the coefficient sum ------------------------------
-
-    def integrate_coeff_sum(self, s: float, t: float) -> float:
-        """Integral of sum_i p_i over [s, t], exact for the representation.
-
-        Periodicity and additivity hold to rounding; s > t is rejected.
-        """
-        if s > t:
-            raise ValueError(f"integration bounds out of order: {s} > {t}")
-        return sum(c._cum_scalar(t) - c._cum_scalar(s) for c in self.coefficients)
 
 
 def breakpoint_times(funcs, a: float, b: float) -> list[float]:

@@ -324,9 +324,9 @@ def check_envelope_ratio(
 
     ts = np.linspace(a, b, n_samples)
     min_ratio = math.inf
-    for t in ts:
-        x_t = traj(float(t))
-        x_h = traj(env(float(t)))
+    for t, h in zip(ts.tolist(), env.values(ts).tolist()):
+        x_t = traj(t)
+        x_h = traj(h)
         if x_t <= 0.0 or x_h <= 0.0:
             raise ValueError(
                 "the envelope ratio bound applies to eventually positive "

@@ -95,6 +95,31 @@ def make_random_equation(rng: np.random.Generator) -> DelayEquation:
     return DelayEquation(coefficients=tuple(coeffs), lags=tuple(lags))
 
 
+
+def make_tent_lag_equation(ratio: float) -> DelayEquation:
+    """A lag rising from ratio/2 to ratio periods over half a period and
+    back, period 1, and the constant coefficient 0.3 / ratio: p * d(t) runs
+    from 0.15 to 0.3."""
+    lag = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.5 * ratio), (0.5, ratio)))
+    p = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.3 / ratio),))
+    return DelayEquation(coefficients=(p,), lags=(lag,))
+
+
+def kink_cases() -> list[DelayEquation]:
+    """The demo, a benchmark-style piecewise lag (non-monotone, up to 20
+    periods), random draws and the tent lag at L/P = 1000 and at 1e4, past
+    the kernel's kink cap."""
+    piecewise = DelayEquation(
+        coefficients=(PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.012), (0.51, 0.0115))),),
+        lags=(
+            PiecewisePeriodic(period=1.0, breakpoints=((0.0, 20.0), (0.36, 11.7), (0.58, 16.4))),
+        ),
+    )
+    rng = np.random.default_rng(11)
+    draws = [make_random_equation(rng) for _ in range(6)]
+    tents = [make_tent_lag_equation(1000.0), make_tent_lag_equation(1e4)]
+    return [make_demo_equation(), piecewise, *draws, *tents]
+
 # -- oracles ----------------------------------------------------------------
 
 

@@ -17,14 +17,23 @@ from delayosc import (
     alpha,
     alpha_over_envelope,
     check_all,
+    combined_envelope,
     hunt_yorke_liminf,
     kwong_limsup,
     lambda0,
     limsup_envelope_integral,
 )
 from delayosc import criteria
+from delayosc.envelope import tau_max_polyline
+from delayosc.model import breakpoint_times
 
-from conftest import fixed_point_lambda, make_constant_equation, make_random_equation
+from conftest import (
+    fixed_point_lambda,
+    kink_cases,
+    make_constant_equation,
+    make_random_equation,
+    make_tent_lag_equation,
+)
 
 INV_E = math.exp(-1.0)
 
@@ -514,6 +523,85 @@ def test_many_knots_bracket_no_more_than_exact_ties(monkeypatch):
     exact = check_all(eq, 1)
     assert tied.overall == exact.overall
     assert brackets[0] <= brackets[1], brackets
+
+
+# -- scan-grid knots: the vectorised preimages against a loop ------------------
+
+
+def _preimages_loop(nodes, targets):
+    """Times where the polyline of ``(t, y)`` nodes takes a value of
+    ``targets``, segment by segment and target by target."""
+    out = []
+    for (t0, y0), (t1, y1) in zip(nodes, nodes[1:]):
+        if y1 == y0:
+            continue
+        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
+        for y in targets:
+            if lo <= y <= hi:
+                t = t0 + (y - y0) * (t1 - t0) / (y1 - y0)
+                if t0 <= t <= t1:
+                    out.append(t)
+    return out
+
+
+def _integral_profile_knots_loop(eq, nodes, w0, w1):
+    """The knots of ``criteria._integral_profile_knots``, by loops: the
+    coefficient lattice over the polyline's value range, and its preimages."""
+    knots = set(breakpoint_times(eq.coefficients, w0, w1))
+    knots.update(t for t, _ in nodes)
+    ys = [y for _, y in nodes]
+    targets = breakpoint_times(eq.coefficients, min(ys), max(ys))
+    knots.update(_preimages_loop(nodes, targets))
+    return sorted(t for t in knots if w0 <= t <= w1)
+
+
+# the benchmark's ``piecewise`` config at seed 1
+_BENCH_PIECEWISE = DelayEquation(
+    coefficients=(
+        PiecewisePeriodic(
+            1.0, ((0.0, 0.013081112871182245), (0.4822079806359817, 0.013076758673129385))
+        ),
+    ),
+    lags=(
+        PiecewisePeriodic(
+            1.0,
+            (
+                (0.0, 20.0),
+                (0.343414100820367, 11.907991738767091),
+                (0.6196621556292266, 15.854718618190658),
+            ),
+        ),
+    ),
+)
+
+
+@pytest.mark.parametrize("case", range(11))
+def test_integral_profile_knots_equal_the_loop_version(case):
+    # the scan grids of the tau_max and envelope profiles over the real scan
+    # window, far from t = 0, where the preimages are clamped to the
+    # polyline's span; a rounding or two apart, as the two compute the
+    # lattice values and the preimages in different orders
+    eq = [*kink_cases(), _BENCH_PIECEWISE][case]
+    env = combined_envelope(eq)
+    _, w0, w1 = criteria._window(eq, env, 0)
+    for poly in (tau_max_polyline(eq, w0, w1), env.polyline(w0, w1)):
+        got = criteria._integral_profile_knots(eq, poly, w0, w1)
+        want = _integral_profile_knots_loop(eq, list(zip(*(v.tolist() for v in poly))), w0, w1)
+        for n_grid in (8, 500, 2000):
+            grid_got = criteria._scan_grid(w0, w1, got, n_grid)
+            grid_want = criteria._scan_grid(w0, w1, want, n_grid)
+            assert grid_got.size == grid_want.size
+            assert np.abs(grid_got - grid_want).max() <= 1e-14 * max(1.0, abs(w1))
+
+
+@pytest.mark.parametrize("ratio", [1e4, 1e5, 1e6])
+def test_liminf_scans_at_long_lags_are_closed_form(ratio):
+    # one term, p * d(t) from 0.15 to 0.3: the integral of p over
+    # [tau(t), t] is p * d(t) too, whatever the lag's length
+    eq = make_tent_lag_equation(ratio)
+    assert alpha(eq) == pytest.approx(0.15, rel=1e-9)
+    assert hunt_yorke_liminf(eq) == pytest.approx(0.15, rel=1e-9)
+    assert kwong_limsup(eq) == pytest.approx(0.3, rel=1e-9)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])

@@ -1,5 +1,7 @@
 """Running supremum of the delay argument and the combined envelope."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from delayosc import (
     tau_max,
     tau_min,
 )
-from delayosc.envelope import _poly_eval, tau_max_values
+from delayosc import envelope
+from delayosc.envelope import tau_max_values
 
 from conftest import make_random_equation
 
@@ -129,11 +132,9 @@ def test_envelope_bounds(demo_eq, demo_env):
 
 def test_envelope_slopes_come_from_delay_segments(demo_eq, demo_env):
     # every envelope piece is flat or inherits a rising delay-argument slope
-    poly = demo_env.polyline(0.0, 9.0)
-    slopes = set()
-    for (t0, y0), (t1, y1) in zip(poly, poly[1:]):
-        if t1 > t0:
-            slopes.add(round((y1 - y0) / (t1 - t0), 9))
+    ts, ys = demo_env.polyline(0.0, 9.0)
+    assert np.all(np.diff(ts) > 0.0)
+    slopes = set(np.round(np.diff(ys) / np.diff(ts), 9).tolist())
     assert slopes <= {0.0, 1.0, 5.0}
 
 
@@ -187,8 +188,19 @@ def test_values_matches_scalar(demo_env):
     assert np.allclose(demo_env.values(ts), [demo_env(t) for t in ts], atol=1e-14)
 
 
+def _poly_eval(nodes, t):
+    """Reference: the polyline of ``(t, y)`` nodes at ``t``, one point at a
+    time in plain floats, its end segments extended."""
+    ts = [p[0] for p in nodes]
+    j = min(max(bisect_right(ts, t) - 1, 0), len(nodes) - 2)
+    (t0, y0), (t1, y1) = nodes[j], nodes[j + 1]
+    if t1 == t0:
+        return y0
+    return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
+
+
 def test_transient_values_match_the_scalar_polyline():
-    # the vectorised transient branch against the per-point polyline lookup,
+    # the vectorised transient branch against a per-point polyline lookup,
     # bitwise, on draws that settle only after one period
     rng = np.random.default_rng(5)
     checked = 0
@@ -198,10 +210,83 @@ def test_transient_values_match_the_scalar_polyline():
             continue
         nodes = [t for t, _ in env.transient]
         ts = np.concatenate([rng.uniform(0.0, env.t_stab, 500), nodes[:-1]])
-        expected = np.array([_poly_eval(list(env.transient), t) for t in ts])
+        expected = np.array([_poly_eval(env.transient, t) for t in ts.tolist()])
         assert np.array_equal(env.values(ts).view(np.int64), expected.view(np.int64))
         checked += 1
     assert checked >= 2
+
+
+# -- the polyline toolkit against per-node loops -------------------------------
+
+
+def _canonical_loop(nodes):
+    """Reference: drop each interior node collinear with the last node kept
+    and the next one."""
+    if len(nodes) <= 2:
+        return list(nodes)
+    out = [nodes[0]]
+    for k in range(1, len(nodes) - 1):
+        t0, y0 = out[-1]
+        t1, y1 = nodes[k]
+        t2, y2 = nodes[k + 1]
+        interp = y0 + (y2 - y0) * (t1 - t0) / (t2 - t0)
+        if abs(interp - y1) > 1e-13 * max(1.0, abs(y1)):
+            out.append(nodes[k])
+    out.append(nodes[-1])
+    return out
+
+
+def _running_max_loop(nodes):
+    """Reference: the running maximum of a polyline, segment by segment."""
+    t0, y0 = nodes[0]
+    out = [(t0, y0)]
+    m = y0
+    for (ta, ya), (tb, yb) in zip(nodes, nodes[1:]):
+        if ya >= m and yb >= ya:
+            out.append((tb, yb))
+            m = yb
+        elif yb <= m:
+            out.append((tb, m))
+        else:
+            c = ta + (m - ya) * (tb - ta) / (yb - ya)
+            if c > out[-1][0]:
+                out.append((c, m))
+            out.append((tb, yb))
+            m = yb
+    return _canonical_loop(out)
+
+
+def _max_overlay_loop(p1, p2):
+    """Reference: the pointwise maximum of two polylines, node by node."""
+    ts = sorted({t for t, _ in p1} | {t for t, _ in p2})
+    nodes = [(t, _poly_eval(p1, t), _poly_eval(p2, t)) for t in ts]
+    out = []
+    for k, (t, f, g) in enumerate(nodes):
+        if k > 0:
+            tp, fp, gp = nodes[k - 1]
+            dp, dc = fp - gp, f - g
+            if dp * dc < 0.0:
+                c = tp + (t - tp) * dp / (dp - dc)
+                if tp < c < t:
+                    out.append((c, _poly_eval(p1, c)))
+        out.append((t, max(f, g)))
+    return _canonical_loop(out)
+
+
+def _nodes(poly):
+    return list(zip(*(v.tolist() for v in poly)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_running_max_and_overlay_equal_the_loop_versions(seed):
+    # the three-period sweep behind combined_envelope, bitwise
+    eq = make_random_equation(np.random.default_rng(seed))
+    polys = [envelope._tau_polyline(d, 0.0, 3.0 * eq.period) for d in eq.lags]
+    acc, acc_loop = polys[0], _nodes(polys[0])
+    for p in polys[1:]:
+        acc, acc_loop = envelope._max_overlay(acc, p), _max_overlay_loop(acc_loop, _nodes(p))
+        assert _nodes(acc) == acc_loop
+    assert _nodes(envelope._running_max(acc)) == _running_max_loop(acc_loop)
 
 
 def test_values_of_a_scalar_on_the_transient():

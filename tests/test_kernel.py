@@ -28,7 +28,13 @@ from delayosc import (
 )
 from delayosc import kernel
 
-from conftest import make_demo_equation, make_random_equation, midpoint_integral
+from conftest import (
+    kink_cases,
+    make_demo_equation,
+    make_random_equation,
+    make_tent_lag_equation,
+    midpoint_integral,
+)
 
 
 @pytest.fixture(scope="module")
@@ -243,14 +249,14 @@ def _run_long_sloped_lag(ratio):
 def test_kink_phases_stay_under_the_cap_on_a_long_sloped_lag():
     # the seeds hold the lattice and its 2000 delay preimages
     out = _run_long_sloped_lag(1000.0)
-    lattice = len(kernel._lattice(_tent_lag_equation(1000.0)))
+    lattice = len(kernel._lattice(make_tent_lag_equation(1000.0)))
     assert lattice < out["kinks"] <= lattice + kernel._MAX_KINKS, out
 
 
 def test_kink_phases_fall_back_to_the_lattice_past_the_cap():
     # at L/P = 1e4 the preimages would pass the cap: the lattice alone
     out = _run_long_sloped_lag(1e4)
-    assert out["kinks"] == len(kernel._lattice(_tent_lag_equation(1e4))), out
+    assert out["kinks"] == len(kernel._lattice(make_tent_lag_equation(1e4))), out
 
 
 # -- kink phases: the vectorised builder against its loop version --------------
@@ -260,8 +266,8 @@ def _preimage_phases_loop(lags, period, phases):
     """(the number of candidates, the preimages found among them)."""
     count, found = 0, []
     for lag in lags:
-        poly = kernel._tau_polyline(lag, 0.0, period)
-        for (z0, y0), (z1, y1) in zip(poly, poly[1:]):
+        nodes = list(zip(*(v.tolist() for v in kernel._tau_polyline(lag, 0.0, period))))
+        for (z0, y0), (z1, y1) in zip(nodes, nodes[1:]):
             if z1 <= z0:
                 continue
             slope = (y1 - y0) / (z1 - z0)
@@ -281,31 +287,9 @@ def _preimage_phases_loop(lags, period, phases):
     return count, found
 
 
-def _tent_lag_equation(ratio):
-    # a lag rising from ratio/2 to ratio periods over half a period and back
-    lag = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.5 * ratio), (0.5, ratio)))
-    p = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.3 / ratio),))
-    return DelayEquation(coefficients=(p,), lags=(lag,))
-
-
-def _kink_cases():
-    # the demo, a benchmark-style piecewise lag (non-monotone, up to 20
-    # periods), random draws and the tent lag at L/P = 1000 and past the cap
-    piecewise = DelayEquation(
-        coefficients=(PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.012), (0.51, 0.0115))),),
-        lags=(
-            PiecewisePeriodic(period=1.0, breakpoints=((0.0, 20.0), (0.36, 11.7), (0.58, 16.4))),
-        ),
-    )
-    rng = np.random.default_rng(11)
-    draws = [make_random_equation(rng) for _ in range(6)]
-    tents = [_tent_lag_equation(1000.0), _tent_lag_equation(1e4)]
-    return [make_demo_equation(), piecewise, *draws, *tents]
-
-
 @pytest.mark.parametrize("case", range(10))
 def test_kink_phases_equal_the_loop_versions(case, monkeypatch):
-    eq = _kink_cases()[case]
+    eq = kink_cases()[case]
     lattice = kernel._lattice(eq)
     for lags in (eq.lags, [combined_envelope(eq).tail_lag]):
         count, want = _preimage_phases_loop(lags, eq.period, list(lattice))
@@ -328,7 +312,7 @@ def test_kink_phases_equal_the_loop_versions(case, monkeypatch):
 def test_preimage_phases_build_about_the_limit_at_most():
     # the tent lag at L/P = 1e6: its lattice has about 2 million preimages,
     # 16 MB per array; refused under the cap, they must not be built first
-    eq = _tent_lag_equation(1e6)
+    eq = make_tent_lag_equation(1e6)
     lattice = kernel._lattice(eq)
     tracemalloc.start()
     try:

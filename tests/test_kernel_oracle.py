@@ -109,11 +109,11 @@ class Oracle:
             mpmath.quad(lambda z: f(np.array([float(z)]))[0], pts, method="gauss-legendre")
         )
 
+    def coeff_sum(self, zs):
+        return sum(c.values(zs) for c in self.eq.coefficients)
+
     def kernel(self, r, t, s):
-        if r == 1:
-            f = self.eq.coeff_sum_values
-        else:
-            f = self.g1
+        f = self.coeff_sum if r == 1 else self.g1
         return math.exp(self.quad(f, s, t, self.level_kinks[r - 1]))
 
     def sliding(self, r, terms, a, b):
@@ -127,7 +127,7 @@ class Oracle:
                 acc = acc + c.values(zs) * np.exp(base - self.level(r, zs - d.values(zs)))
             return acc
 
-        env_knots = [self.a] + env.knots(self.a, self.b) + [self.b]
+        env_knots = [self.a, *env.knots(self.a, self.b), self.b]
         kinks = self.lattice + env_knots + self.tau_preimages(self.level_kinks[r - 1])
         kinks += preimages(env.values, env_knots, self.level_kinks[r - 1])
         return self.quad(f, a, b, kinks)

@@ -26,9 +26,10 @@ def test_demo_lag_values(demo_eq):
 
 def test_delay_argument_values(demo_eq):
     # tau(t) = t - lag(t)
-    assert demo_eq.tau(0, 0.5) == pytest.approx(-0.5, abs=1e-15)
-    assert demo_eq.tau(0, 2.0) == pytest.approx(-3.0, abs=1e-15)
-    assert demo_eq.tau(1, 2.0) == pytest.approx(-3.1, abs=1e-15)
+    d1, d2 = demo_eq.lags
+    assert 0.5 - d1.values(0.5) == pytest.approx(-0.5, abs=1e-15)
+    assert 2.0 - d1.values(2.0) == pytest.approx(-3.0, abs=1e-15)
+    assert 2.0 - d2.values(2.0) == pytest.approx(-3.1, abs=1e-15)
 
 
 def test_offset_shifts_values(demo_eq):
@@ -72,11 +73,18 @@ def test_jump_representation():
 # -- exact integration ------------------------------------------------------
 
 
+def _integral(eq, s, t):
+    """Integral of the coefficient sum over [s, t]: a difference of its
+    exact antiderivative."""
+    anti = eq.coeff_sum_antiderivative([s, t])
+    return anti[1] - anti[0]
+
+
 def test_coeff_sum_integral_demo(demo_eq):
     for k in (0, 1, 4):
-        val = demo_eq.integrate_coeff_sum(3.0 * k, 3.0 * k + 1.0)
+        val = _integral(demo_eq, 3.0 * k, 3.0 * k + 1.0)
         assert val == pytest.approx(0.27, abs=1e-14)
-    assert demo_eq.integrate_coeff_sum(5.0, 5.0) == 0.0
+    assert _integral(demo_eq, 5.0, 5.0) == 0.0
 
 
 def test_linear_sawtooth_integral():
@@ -89,18 +97,18 @@ def test_linear_sawtooth_integral():
     saw = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.0), (1.0, 1.0)))
     lag = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 0.5),))
     eq = DelayEquation(coefficients=(saw,), lags=(lag,))
-    assert eq.integrate_coeff_sum(0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+    assert _integral(eq, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
     assert midpoint_integral(saw.values, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
     # n_start divisible by 10 keeps every refinement's cell edges on the
     # wrap jumps at z = 1, 2, where midpoint cells would otherwise straddle
     oracle = midpoint_integral(saw.values, 0.25, 2.75, n_start=80)
-    assert eq.integrate_coeff_sum(0.25, 2.75) == pytest.approx(oracle, abs=1e-9)
+    assert _integral(eq, 0.25, 2.75) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_integral_additivity_demo(demo_eq):
     s, u, t = 0.42, 3.91, 10.07
-    whole = demo_eq.integrate_coeff_sum(s, t)
-    split = demo_eq.integrate_coeff_sum(s, u) + demo_eq.integrate_coeff_sum(u, t)
+    whole = _integral(demo_eq, s, t)
+    split = _integral(demo_eq, s, u) + _integral(demo_eq, u, t)
     assert abs(split - whole) <= 1e-12 * max(1.0, abs(whole))
 
 
@@ -109,8 +117,8 @@ def test_integral_additivity_demo(demo_eq):
 def test_integral_additivity_property(a, b, c):
     eq = make_demo_equation()
     s, u, t = sorted((a, b, c))
-    whole = eq.integrate_coeff_sum(s, t)
-    split = eq.integrate_coeff_sum(s, u) + eq.integrate_coeff_sum(u, t)
+    whole = _integral(eq, s, t)
+    split = _integral(eq, s, u) + _integral(eq, u, t)
     assert abs(split - whole) <= 1e-12 * max(1.0, abs(whole))
 
 
@@ -122,32 +130,24 @@ def test_integral_periodicity_property(s, span, k):
     f = PiecewisePeriodic(period=2.0, breakpoints=((0.0, 0.4), (0.5, 0.1), (1.2, 0.8)))
     lag = PiecewisePeriodic(period=2.0, breakpoints=((0.0, 1.0),))
     eq = DelayEquation(coefficients=(f,), lags=(lag,))
-    base = eq.integrate_coeff_sum(s, s + span)
-    shifted = eq.integrate_coeff_sum(s + 2.0 * k, s + span + 2.0 * k)
+    base = _integral(eq, s, s + span)
+    shifted = _integral(eq, s + 2.0 * k, s + span + 2.0 * k)
     assert math.isclose(shifted, base, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_integral_periodicity_exact_on_lattice(demo_eq):
     # dyadic endpoints: the shifted evaluation runs through identical float
     # arithmetic segment by segment
-    assert demo_eq.integrate_coeff_sum(3.25, 5.5) == demo_eq.integrate_coeff_sum(
-        0.25, 2.5
-    )
+    assert _integral(demo_eq, 3.25, 5.5) == _integral(demo_eq, 0.25, 2.5)
 
 
 def test_antiderivative_consistency(demo_eq):
+    # the coefficient is the constant 0.135: each difference is 0.135 * (b - a)
     c = demo_eq.coefficients[0]
     xs = np.array([0.0, 0.4, 1.7, 3.0, 8.25])
     anti = c.antiderivative(xs)
     for a, b, fa, fb in zip(xs, xs[1:], anti, anti[1:]):
-        assert c.integrate(a, b) == pytest.approx(fb - fa, abs=1e-13)
-
-
-def test_integral_order_rejected(demo_eq):
-    with pytest.raises(ValueError, match="order"):
-        demo_eq.integrate_coeff_sum(2.0, 1.0)
-    with pytest.raises(ValueError, match="order"):
-        demo_eq.coefficients[0].integrate(5.0, 4.0)
+        assert 0.135 * (b - a) == pytest.approx(fb - fa, abs=1e-13)
 
 
 # -- construction validation ------------------------------------------------
