@@ -21,6 +21,7 @@ runs are byte-identical and values survive a parse round trip exactly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -203,22 +204,27 @@ def report_to_dict(report: CheckReport) -> dict:
     }
 
 
-def _open_out(path):
+def _write_out(path, lines) -> None:
+    """Write ``lines`` to the file ``path``, or to stdout for None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        sys.stdout.writelines(lines)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.writelines(lines)
+
+
+def _write_csv(path, header: str, *columns) -> None:
+    """Write ``columns`` side by side under ``header``, 17 digits a value."""
+    row = ",".join([_FMT] * len(columns)) + "\n"
+    rows = (row % values for values in zip(*(c.tolist() for c in columns)))
+    _write_out(path, itertools.chain([header + "\n"], rows))
 
 
 def cmd_check(args) -> int:
     eq = load_equation(args.config)
     report = check_all(eq, r=args.r, tol=args.tol, n_grid=args.grid)
     text = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
-    out, close = _open_out(args.out)
-    try:
-        out.write(text + "\n")
-    finally:
-        if close:
-            out.close()
+    _write_out(args.out, [text + "\n"])
     return 0 if report.overall == "oscillatory" else 3
 
 
@@ -226,15 +232,7 @@ def cmd_scan(args) -> int:
     eq = load_equation(args.config)
     f, w0, ts = criterion_profile(eq, args.r, args.kind, tol=args.tol, n_grid=args.grid)
     ts = ts[ts < w0 + eq.period - 1e-12]  # half-open period window: t mod period in [0, P)
-    values = f(ts)
-    out, close = _open_out(args.out)
-    try:
-        out.write("t,F\n")
-        for t, value in zip(ts, values):
-            out.write((_FMT % (t - w0)) + "," + (_FMT % value) + "\n")
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.out, "t,F", ts - w0, f(ts))
     return 0
 
 
@@ -272,14 +270,7 @@ def cmd_simulate(args) -> int:
     eq = load_equation(args.config)
     history = _parse_history(args.history)
     traj = integrate(eq, history, args.t_end, args.step)
-    out, close = _open_out(args.out)
-    try:
-        out.write("t,x\n")
-        for t, x in zip(traj.times, traj.values):
-            out.write((_FMT % t) + "," + (_FMT % x) + "\n")
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.out, "t,x", traj.times, traj.values)
     n_changes = count_sign_changes(traj)
     if n_changes:
         lo, hi = traj.sign_changes[0]

@@ -12,7 +12,6 @@ are stored this way (lags d_i, so the delay argument is tau_i(t) = t - d_i(t)).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,14 +71,13 @@ class PiecewisePeriodic:
         # Knot arrays covering the closed period [0, period].  A trailing pair
         # at t == period, when present, supplies the closing value; otherwise
         # the last segment interpolates back to v_0 (continuous wraparound).
-        if bps[-1][0] == self.period:
-            if len(bps) == 1:
-                raise ValueError("a lone breakpoint cannot sit at t=period")
-            ts = [t for t, _ in bps]
-            vs = [v for _, v in bps]
-        else:
-            ts = [t for t, _ in bps] + [self.period]
-            vs = [v for _, v in bps] + [bps[0][1]]
+        if bps[-1][0] == self.period and len(bps) == 1:
+            raise ValueError("a lone breakpoint cannot sit at t=period")
+        ts = [t for t, _ in bps]
+        vs = [v for _, v in bps]
+        if bps[-1][0] != self.period:
+            ts.append(self.period)
+            vs.append(bps[0][1])
 
         ts_arr = np.asarray(ts, dtype=float)
         vs_arr = np.asarray(vs, dtype=float)
@@ -94,55 +92,43 @@ class PiecewisePeriodic:
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_cum", cum)
         object.__setattr__(self, "_period_integral", float(cum[-1]))
-        object.__setattr__(self, "_ts_list", ts)
-        object.__setattr__(self, "_vs_list", vs)
-        object.__setattr__(self, "_slopes_list", slopes.tolist())
         object.__setattr__(self, "_nseg", len(ts) - 1)
+        object.__setattr__(self, "_interior_times", tuple(ts[:-1]))
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def closing_value(self) -> float:
         """Left limit of the interpolant at the wrap point (before offset)."""
-        return self._vs_list[-1]
+        return float(self._vs[-1])
 
     @property
     def wrap_jump(self) -> float:
         """Jump at the wrap point: f(period-) minus f(period)."""
-        return self._vs_list[-1] - self._vs_list[0]
+        return float(self._vs[-1] - self._vs[0])
 
     @property
     def min_value(self) -> float:
         """Minimum over one period (attained at a knot: pieces are linear)."""
-        return min(self._vs_list) + self.offset
+        return float(self._vs.min()) + self.offset
 
     @property
     def max_value(self) -> float:
-        return max(self._vs_list) + self.offset
+        return float(self._vs.max()) + self.offset
 
     @property
     def max_slope(self) -> float:
-        return max(self._slopes_list)
+        return float(self._slopes.max())
 
     @property
     def interior_times(self) -> tuple[float, ...]:
         """Breakpoint times inside [0, period), wrap-closing pair excluded."""
-        return tuple(self._ts_list[: self._nseg])
+        return self._interior_times
 
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t: float) -> float:
-        u = math.fmod(t, self.period)
-        if u < 0.0:
-            u += self.period
-        j = bisect_right(self._ts_list, u) - 1
-        if j >= self._nseg:
-            j = self._nseg - 1
-        return (
-            self._vs_list[j]
-            + self._slopes_list[j] * (u - self._ts_list[j])
-            + self.offset
-        )
+        return float(self.values(t))
 
     def values(self, ts) -> np.ndarray:
         """Vectorised evaluation."""

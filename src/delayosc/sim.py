@@ -3,8 +3,15 @@
 The right-hand side x'(t) = -sum_i p_i(t) x(tau_i(t)) does not involve the
 current value x(t), so the classic RK4 step collapses to Simpson's rule on
 the derivative (the two middle stages coincide).  Delayed values are read
-from the stored past with cubic Hermite interpolation; lags exceed the step
-size by assumption, so a lookup never lands inside the step being computed.
+from the stored past with cubic Hermite interpolation.
+
+Since tau_i(t) <= t - min_lag, the stages of the B = max(1, floor(min_lag /
+h) - 1) steps from step k0 on read only steps up to k0 (Bellen & Zennaro,
+*Numerical Methods for Delay Differential Equations*, 2003, ch. 3).  So a
+block of B steps is computed as arrays, and x advances over it by a
+sequential ``np.add.accumulate``: the same additions in the same order as
+one step at a time.  Each block costs a fixed number of numpy calls, so a
+lag of a few steps costs more per step than a long one.
 """
 
 from __future__ import annotations
@@ -29,6 +36,10 @@ __all__ = [
     "check_kernel_bound",
     "check_envelope_ratio",
 ]
+
+# steps whose x-independent stage data are prepared at once, rounded to
+# whole blocks, so their memory stays bounded on long runs
+_CHUNK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -69,16 +80,21 @@ class History:
         return self.times[0] if self.kind == "tabulated" else -math.inf
 
     def __call__(self, t: float) -> float:
+        return float(self.values(t))
+
+    def values(self, ts) -> np.ndarray:
+        """Vectorised evaluation."""
+        t = np.asarray(ts, dtype=float)
         if self.kind == "constant":
-            return self.level
+            return np.full(t.shape, self.level)
         if self.kind == "exponential":
-            return math.exp(-self.rate * t)
-        if t < self.times[0] - 1e-12:
+            return np.exp(-self.rate * t)
+        if t.size and t.min() < self.times[0] - 1e-12:
             raise ValueError(
-                f"history lookup at t={t} precedes the tabulated start "
+                f"history lookup at t={t.min()} precedes the tabulated start "
                 f"{self.times[0]}: insufficient history extent"
             )
-        return float(np.interp(t, self.times, self.samples))
+        return np.interp(t, self.times, self.samples)
 
 
 @dataclass(frozen=True)
@@ -97,32 +113,55 @@ class Trajectory:
         return float(self.times[-1])
 
     def __call__(self, t: float) -> float:
+        return float(self.at(t))
+
+    def at(self, ts) -> np.ndarray:
         """Dense evaluation: history for t <= 0, cubic Hermite inside steps."""
-        if t <= 0.0:
-            return self.history(t)
-        if t > self.times[-1] + 1e-12:
-            raise ValueError(f"lookup at t={t} beyond trajectory end {self.times[-1]}")
-        h = self.h_step
-        j = min(int(t / h), len(self.times) - 2)
-        return _hermite(
-            t - self.times[j],
-            h,
-            self.values[j],
-            self.values[j + 1],
-            self.derivs[j],
-            self.derivs[j + 1],
-        )
+        t = np.asarray(ts, dtype=float)
+        if t.size and t.max() > self.times[-1] + 1e-12:
+            raise ValueError(f"lookup at t={t.max()} beyond trajectory end {self.times[-1]}")
+        plan = _lookup_plan(t, len(self.times) - 2, self.h_step, self.history)
+        return _dense(plan, self.values, self.derivs)
 
 
-def _hermite(dt, h, y0, y1, m0, m1):
-    s = dt / h
+def _lookup_plan(theta, jmax, h, history):
+    """What a dense lookup at ``theta`` needs that does not depend on the
+    solution: the points with theta <= 0 and their history values (None
+    when there are none), the step j = int(theta / h) clamped per point to
+    ``jmax``, and the cubic Hermite weights of x_j, x'_j, x_{j+1}, x'_{j+1}
+    stacked on a leading axis."""
+    past = theta <= 0.0
+    hist = history.values(np.minimum(theta, 0.0)) if past.any() else None
+    j = np.maximum(np.minimum((theta / h).astype(np.intp), jmax), 0)
+    s = (theta - j * h) / h
     s2 = s * s
     s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
-    return h00 * y0 + h10 * h * m0 + h01 * y1 + h11 * h * m1
+    h00, h01 = 2.0 * s3 - 3.0 * s2 + 1.0, -2.0 * s3 + 3.0 * s2
+    w = np.stack((h00, (s3 - 2.0 * s2 + s) * h, h01, (s3 - s2) * h))
+    return past, hist, j, w
+
+
+def _dense(plan, xs, ds):
+    """The solution at a plan's points, from its values and derivatives."""
+    past, hist, j, (w0, w1, w2, w3) = plan
+    y = w0 * xs[j] + w1 * ds[j] + w2 * xs[j + 1] + w3 * ds[j + 1]
+    return y if hist is None else np.where(past, hist, y)
+
+
+def _stages(eq, t, jmax, h, history):
+    """The coefficients at the stage times ``t`` and the lookup plan of the
+    delayed arguments there, one row per term."""
+    p = np.array([c.values(t) for c in eq.coefficients])
+    theta = np.array([t - d.values(t) for d in eq.lags])
+    return p, _lookup_plan(theta, jmax, h, history)
+
+
+def _rhs(p, plan, xs, ds):
+    """x' = -sum_i p_i x(tau_i), summed term by term from 0.0."""
+    acc = 0.0
+    for p_i, x_i in zip(p, _dense(plan, xs, ds)):
+        acc = acc + p_i * x_i
+    return -acc
 
 
 def integrate(
@@ -149,68 +188,51 @@ def integrate(
     if abs(n * h_step - t_end) > 1e-9 * max(1.0, t_end):
         n = int(math.ceil(t_end / h_step - 1e-12))
     h = h_step
+    block = max(1, math.floor(d_min / h) - 1)
+    chunk = block * max(1, _CHUNK_STEPS // block)
 
-    coeffs = eq.coefficients
-    lags = eq.lags
-    xs = [0.0] * (n + 1)
-    ds = [0.0] * (n + 1)
-
-    def lookup(theta: float, completed: int) -> float:
-        if theta <= 0.0:
-            return history(theta)
-        j = int(theta / h)
-        if j > completed - 1:
-            j = completed - 1
-        # the interval [t_j, t_{j+1}] is fully computed: lags exceed h
-        return _hermite(theta - j * h, h, xs[j], xs[j + 1], ds[j], ds[j + 1])
-
-    def deriv(t: float, completed: int) -> float:
-        acc = 0.0
-        for c, d in zip(coeffs, lags):
-            acc += c(t) * lookup(t - d(t), completed)
-        return -acc
-
+    xs = np.zeros(n + 1)
+    ds = np.zeros(n + 1)
     xs[0] = history(0.0)
-    ds[0] = deriv(0.0, 0)
-    for k in range(n):
-        t = k * h
-        # RK4 with an x-independent right-hand side: k2 == k3, so the update
-        # is Simpson's rule over the step
-        f0 = ds[k]
-        fm = deriv(t + 0.5 * h, k)
-        f1 = deriv(t + h, k)
-        xs[k + 1] = xs[k] + (h / 6.0) * (f0 + 4.0 * fm + f1)
-        ds[k + 1] = f1
+    ds[0] = _rhs(*_stages(eq, np.zeros(1), -1, h, history), xs, ds)[0]
+    for c0 in range(0, n, chunk):
+        c1 = min(c0 + chunk, n)
+        # Simpson's rule (RK4 with k2 == k3): step k's stages sit at
+        # t_k + h/2 and t_k + h, and their lookups read steps up to k
+        t = h * np.arange(c0, c1)
+        stage_t = np.stack((t + 0.5 * h, t + h))
+        p, plan = _stages(eq, stage_t, np.arange(c0 - 1, c1 - 1), h, history)
+        for k0 in range(c0, c1, block):
+            k1 = min(k0 + block, c1)
+            cut = np.s_[..., k0 - c0 : k1 - c0]
+            part = tuple(a if a is None else a[cut] for a in plan)
+            fm, f1 = _rhs(p[cut], part, xs, ds)
+            ds[k0 + 1 : k1 + 1] = f1
+            dx = (h / 6.0) * (ds[k0:k1] + 4.0 * fm + f1)
+            # x_{k+1} = x_k + dx_k, added in sequence from x_{k0}
+            dx[0] += xs[k0]
+            np.add.accumulate(dx, out=xs[k0 + 1 : k1 + 1])
 
     times = h * np.arange(n + 1)
-    values = np.asarray(xs)
-    derivs = np.asarray(ds)
-    changes = _detect_sign_changes(times, values)
     return Trajectory(
         h_step=h,
         times=times,
-        values=values,
-        derivs=derivs,
+        values=xs,
+        derivs=ds,
         history=history,
-        sign_changes=changes,
+        sign_changes=_detect_sign_changes(times, xs),
     )
 
 
 def _detect_sign_changes(times, values):
     """Strict alternations between samples; exact zeros count once per run."""
-    changes = []
-    in_zero = False
-    for k in range(len(values)):
-        v = values[k]
-        if v == 0.0:
-            if not in_zero:
-                changes.append((float(times[k]), float(times[k])))
-                in_zero = True
-        else:
-            in_zero = False
-            if k > 0 and values[k - 1] != 0.0 and values[k - 1] * v < 0.0:
-                changes.append((float(times[k - 1]), float(times[k])))
-    return tuple(changes)
+    zero = values == 0.0
+    event = zero.copy()
+    event[1:] &= ~zero[:-1]
+    event[1:] |= values[:-1] * values[1:] < 0.0
+    k = np.flatnonzero(event)
+    lo = times[np.where(zero[k], k, k - 1)]
+    return tuple(zip(lo.tolist(), times[k].tolist()))
 
 
 def count_sign_changes(traj: Trajectory, window=None) -> int:
@@ -260,9 +282,8 @@ def check_kernel_bound(
     max_raw = -math.inf
     max_rel = -math.inf
     flagged = []
-    for s, t in pairs:
-        x_s = traj(s)
-        x_t = traj(t)
+    x = traj.at(np.reshape(pairs, (-1, 2))).tolist()
+    for (s, t), (x_s, x_t) in zip(pairs, x):
         if x_s <= 0.0 or x_t <= 0.0:
             raise ValueError(
                 "the decay bound premise needs a positive trajectory; "
@@ -323,16 +344,15 @@ def check_envelope_ratio(
         )
 
     ts = np.linspace(a, b, n_samples)
-    min_ratio = math.inf
-    for t, h in zip(ts.tolist(), env.values(ts).tolist()):
-        x_t = traj(t)
-        x_h = traj(h)
-        if x_t <= 0.0 or x_h <= 0.0:
-            raise ValueError(
-                "the envelope ratio bound applies to eventually positive "
-                f"solutions; found a non-positive value near t={t}"
-            )
-        min_ratio = min(min_ratio, x_h / x_t)
+    x_t = traj.at(ts)
+    x_h = traj.at(env.values(ts))
+    bad = np.flatnonzero((x_t <= 0.0) | (x_h <= 0.0))
+    if bad.size:
+        raise ValueError(
+            "the envelope ratio bound applies to eventually positive "
+            f"solutions; found a non-positive value near t={ts[bad[0]]}"
+        )
+    min_ratio = float(np.min(x_h / x_t, initial=math.inf))
     return EnvelopeRatioReport(
         min_ratio=min_ratio,
         lambda0=lam,

@@ -1,6 +1,7 @@
 """Config parsing, command dispatch, report emission, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -345,6 +346,30 @@ def test_simulate_demo_reports_first_change(tmp_path, capsys):
     assert code == 0
     summary = capsys.readouterr().out.strip()
     assert summary.startswith("# sign_changes=2 first_change_t=4.84")
+
+
+@pytest.mark.parametrize(
+    "config,summary,sha",
+    [
+        (
+            DEMO_CONFIG,
+            "# sign_changes=6 first_change_t=4.8488252807368939",
+            "3cad278911a88f32059150672cd7ed2e6421fedcb0fb955568b26b6791165d45",
+        ),
+        (
+            CONTROL_CONFIG,
+            "# sign_changes=0 first_change_t=none",
+            "9a80ac6aea03c80e1cef7567bb5134e415bfe552b4918c8b6463209a3f2e2231",
+        ),
+    ],
+    ids=["demo", "control"],
+)
+def test_simulate_defaults_pinned(tmp_path, capsys, config, summary, sha):
+    # the same bytes as the benchmark's pinned references
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", config, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == summary
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
 def test_simulate_histories(tmp_path, capsys):

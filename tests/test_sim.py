@@ -1,6 +1,7 @@
 """Method-of-steps integration, sign-change counting, decay-bound checks."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from delayosc import (
     History,
     Trajectory,
+    check_all,
     check_envelope_ratio,
     check_kernel_bound,
     count_sign_changes,
@@ -18,7 +20,12 @@ from delayosc import (
 )
 from delayosc.sim import _detect_sign_changes
 
-from conftest import char_root, make_constant_equation
+from conftest import (
+    char_root,
+    make_constant_equation,
+    make_demo_equation,
+    make_random_equation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +132,130 @@ def test_sign_count_invariant_under_scaling(demo_eq):
     assert count_sign_changes(b) == count_sign_changes(a)
 
 
+# -- the block integrator against a step-by-step reference ------------------
+
+
+def _ref_hermite(dt, h, y0, y1, m0, m1):
+    s = dt / h
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h10 = s3 - 2.0 * s2 + s
+    h01 = -2.0 * s3 + 3.0 * s2
+    h11 = s3 - s2
+    return h00 * y0 + h10 * h * m0 + h01 * y1 + h11 * h * m1
+
+
+def _ref_scalar(f):
+    """Scalar evaluation of a periodic piecewise-linear function, one
+    bisection per call."""
+    ts, vs, slopes = f._ts.tolist(), f._vs.tolist(), f._slopes.tolist()
+
+    def value(t):
+        u = math.fmod(t, f.period)
+        if u < 0.0:
+            u += f.period
+        j = min(bisect_right(ts, u) - 1, len(ts) - 2)
+        return vs[j] + slopes[j] * (u - ts[j]) + f.offset
+
+    return value
+
+
+def _ref_history(history, t):
+    if history.kind == "constant":
+        return history.level
+    if history.kind == "exponential":
+        return math.exp(-history.rate * t)
+    return float(np.interp(t, history.times, history.samples))
+
+
+def _ref_integrate(eq, history, t_end, h):
+    """One scalar Simpson step at a time, each lookup clamped to the steps
+    finished so far: the block integrator must match it to the bit."""
+    n = int(round(t_end / h))
+    if abs(n * h - t_end) > 1e-9 * max(1.0, t_end):
+        n = int(math.ceil(t_end / h - 1e-12))
+    xs = [0.0] * (n + 1)
+    ds = [0.0] * (n + 1)
+    terms = [(_ref_scalar(c), _ref_scalar(d)) for c, d in zip(eq.coefficients, eq.lags)]
+
+    def lookup(theta, completed):
+        if theta <= 0.0:
+            return _ref_history(history, theta)
+        j = min(int(theta / h), completed - 1)
+        return _ref_hermite(theta - j * h, h, xs[j], xs[j + 1], ds[j], ds[j + 1])
+
+    def deriv(t, completed):
+        acc = 0.0
+        for c, d in terms:
+            acc += c(t) * lookup(t - d(t), completed)
+        return -acc
+
+    xs[0] = _ref_history(history, 0.0)
+    ds[0] = deriv(0.0, 0)
+    for k in range(n):
+        t = k * h
+        fm = deriv(t + 0.5 * h, k)
+        f1 = deriv(t + h, k)
+        xs[k + 1] = xs[k] + (h / 6.0) * (ds[k] + 4.0 * fm + f1)
+        ds[k + 1] = f1
+    times = h * np.arange(n + 1)
+    values = np.asarray(xs)
+    return times, values, np.asarray(ds), _naive_sign_changes(times, values)
+
+
+def _reference_cases():
+    """(id, equation, t_end, step): the demo and the control at the usual
+    steps, seeded random draws, and the control at steps where a block is
+    one step (min_lag / h = 1.67) and two steps (3.33)."""
+    demo = make_demo_equation()
+    control = make_constant_equation(0.2, 1.0)
+    cases = [("demo", demo, 10.0, 2e-3), ("control", control, 10.0, 2e-3)]
+    rng = np.random.default_rng(20261019)
+    for i in range(4):
+        eq = make_random_equation(rng)
+        cases.append((f"random{i}", eq, 15.0, eq.min_lag / 37.0))
+    cases += [("block1", control, 60.0, 0.6), ("block2", control, 60.0, 0.3)]
+    return cases
+
+
+def _tabulated_for(eq):
+    ts = np.linspace(-eq.max_lag - 0.5, 0.0, 41)
+    return History.tabulated(ts, np.cos(ts) + 0.5)
+
+
+@pytest.mark.parametrize(
+    "eq,t_end,h", [c[1:] for c in _reference_cases()], ids=[c[0] for c in _reference_cases()]
+)
+def test_block_integrator_equals_step_by_step_reference(eq, t_end, h):
+    for history in (History.constant(1.0), _tabulated_for(eq)):
+        traj = integrate(eq, history, t_end, h)
+        times, values, derivs, changes = _ref_integrate(eq, history, t_end, h)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.values.tobytes() == values.tobytes()
+        assert traj.derivs.tobytes() == derivs.tobytes()
+        assert traj.sign_changes == changes
+    # np.exp and math.exp may differ by an ulp, so the exponential history
+    # agrees to rounding, not to the bit
+    history = History.exponential(0.5)
+    traj = integrate(eq, history, t_end, h)
+    _, values, derivs, _ = _ref_integrate(eq, history, t_end, h)
+    assert np.max(np.abs(traj.values - values)) <= 1e-12 * np.max(np.abs(values))
+    assert np.max(np.abs(traj.derivs - derivs)) <= 1e-12 * np.max(np.abs(derivs))
+
+
+def test_dense_lookup_matches_scalar_hermite(control_traj):
+    tr, h = control_traj, control_traj.h_step
+    x, d = tr.values, tr.derivs
+    ts = np.linspace(1e-4, tr.t_end, 997)
+    ref = []
+    for t in ts.tolist():
+        j = min(int(t / h), len(tr.times) - 2)
+        ref.append(_ref_hermite(t - tr.times[j], h, x[j], x[j + 1], d[j], d[j + 1]))
+    assert tr.at(ts).tobytes() == np.asarray(ref).tobytes()
+    assert tr.at(ts.reshape(1, -1)).shape == (1, 997)
+
+
 # -- sign-change bookkeeping ------------------------------------------------
 
 
@@ -159,11 +290,31 @@ def test_window_validation(control_traj):
         count_sign_changes(control_traj, window=(0.0, 100.0))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.sampled_from([-2.0, -1.0, 1.0, 3.0]), min_size=2, max_size=40))
+def _naive_sign_changes(times, values):
+    """Sign changes one sample at a time, a run of exact zeros once."""
+    changes = []
+    in_zero = False
+    for k in range(len(values)):
+        v = values[k]
+        if v == 0.0:
+            if not in_zero:
+                changes.append((float(times[k]), float(times[k])))
+                in_zero = True
+        else:
+            in_zero = False
+            if k > 0 and values[k - 1] != 0.0 and values[k - 1] * v < 0.0:
+                changes.append((float(times[k - 1]), float(times[k])))
+    return tuple(changes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 3.0]), min_size=2, max_size=40))
 def test_sign_count_matches_naive_property(vals):
-    naive = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0.0)
-    assert count_sign_changes(_fake_traj(vals)) == naive
+    traj = _fake_traj(vals)
+    assert traj.sign_changes == _naive_sign_changes(traj.times, traj.values)
+    if 0.0 not in vals:
+        naive = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0.0)
+        assert count_sign_changes(traj) == naive
 
 
 # -- decay-bound check ------------------------------------------------------
@@ -231,3 +382,22 @@ def test_envelope_ratio_rejects_sign_changes(demo_eq):
     traj = integrate(demo_eq, History.constant(1.0), 40.0, 2e-3)
     with pytest.raises(ValueError, match="positive"):
         check_envelope_ratio(demo_eq, traj)
+
+
+# -- verdict oracle -----------------------------------------------------------
+
+
+def test_oscillatory_verdicts_oscillate_in_simulation():
+    # the criteria are sufficient conditions: when check says oscillatory,
+    # every solution changes sign, so a simulation from a positive history
+    # must too; draws are filtered by nothing but their verdict
+    rng = np.random.default_rng(20261019)
+    eqs = [make_demo_equation()] + [make_random_equation(rng) for _ in range(60)]
+    oscillatory = [eq for eq in eqs if check_all(eq, r=3).overall == "oscillatory"]
+    assert len(oscillatory) == 6  # the demo and 5 of the draws
+    for eq in oscillatory:
+        horizon = 30.0 * (eq.max_lag + eq.period)
+        h = min(1e-2, eq.min_lag / 8.0)
+        for history in (History.constant(1.0), History.exponential(0.5)):
+            traj = integrate(eq, history, horizon, h)
+            assert count_sign_changes(traj, window=(0.0, traj.t_end)) >= 1
