@@ -34,13 +34,12 @@ import numpy as np
 from .envelope import (
     EnvelopeFunction,
     _lattice_preimages,
-    _merge_close,
     combined_envelope,
+    tau_max,
     tau_max_polyline,
-    tau_max_values,
 )
-from .kernel import DEFAULT_TOL, KernelCache, _check_depth, _frozen, _sliding
-from .model import DelayEquation, breakpoint_times
+from .kernel import DEFAULT_TOL, KernelCache, _criterion
+from .model import DelayEquation, _merge_close, breakpoint_times, phase_lattice
 
 __all__ = [
     "CRITERIA_ORDER",
@@ -180,6 +179,7 @@ def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
     """Uniform grid over [w0, w1] joined with the knots that fall inside.
     Points closer than ``_SAME_POINT_REL * (w1 - w0)`` are one point: a knot
     drops the grid points beside it and the knots just after it."""
+    _check_grid(n_grid)
     same = _SAME_POINT_REL * (w1 - w0)
     grid = np.linspace(w0, w1, n_grid + 1)
     knots = np.asarray(knots, dtype=float)
@@ -303,14 +303,18 @@ def _integral_profile_knots(eq, poly, w0, w1):
     polyline of the lower limit over [w0, w1]: coefficient breakpoints hit by
     either integration limit, plus kinks of the lower limit itself.  Unsorted,
     with repeats; ``_scan_grid`` sorts and merges them."""
-    phases = sorted({t for c in eq.coefficients for t in c.interior_times})
-    pre = _lattice_preimages(poly, phases, eq.period)
+    pre = _lattice_preimages(poly, phase_lattice(eq.coefficients), eq.period)
     return np.concatenate([breakpoint_times(eq.coefficients, w0, w1), poly[0], pre])
 
 
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
+def _check_grid(n_grid: int, name: str = "n_grid") -> None:
+    if not n_grid >= 1:
+        raise ValueError(f"{name} must be >= 1, got {n_grid}")
 
 
 def _refine_xtol(tol: float) -> float:
@@ -335,7 +339,7 @@ def _coeff_integral_profile(eq, lower, polyline, n_grid, env):
 
 def _tau_max_profile(eq, n_grid, env):
     """The profile of ``alpha`` and ``kwong_limsup``: lower limit tau_max."""
-    lower, poly = partial(tau_max_values, eq), partial(tau_max_polyline, eq)
+    lower, poly = partial(tau_max, eq), partial(tau_max_polyline, eq)
     return _coeff_integral_profile(eq, lower, poly, n_grid, env)
 
 
@@ -344,14 +348,19 @@ def _hunt_yorke_profile(eq, n_grid, env):
     _, w0, w1 = _window(eq, env, 0)
 
     def f(ts):
-        acc = None
-        for c, d in zip(eq.coefficients, eq.lags):
-            term = c.values(ts) * d.values(ts)
-            acc = term if acc is None else acc + term
-        return acc
+        terms = zip(eq.coefficients, eq.lags)
+        return np.sum([c.values(ts) * d.values(ts) for c, d in terms], axis=0)
 
-    knots = breakpoint_times(list(eq.coefficients) + list(eq.lags), w0, w1)
+    knots = breakpoint_times(eq.coefficients + eq.lags, w0, w1)
     return f, _scan_grid(w0, w1, knots, n_grid)
+
+
+def _kernel_grid(eq, r, env, n_grid):
+    """``(w0, ts)``: the scan window ``[w0, w0 + P]`` of the depth-``r``
+    criterion integrals and its grid, knots of every function and ``env``."""
+    _, w0, w1 = _window(eq, env, r)
+    knots = breakpoint_times(eq.coefficients + eq.lags, w0, w1)
+    return w0, _scan_grid(w0, w1, np.concatenate([knots, env.knots(w0, w1)]), n_grid)
 
 
 # -- liminf quantities -----------------------------------------------------
@@ -434,24 +443,10 @@ def criterion_profile(
     ``kind`` selects the sliding-envelope ("inner") or frozen-envelope
     ("outer") integrand.
     """
-    if kind not in ("inner", "outer"):
-        raise ValueError(f"kind must be 'inner' or 'outer', got {kind!r}")
     _check_tol(tol)
-    _check_depth(r)
-    env, w0, w1 = _window(eq, env, r)
-    cache = cache if cache is not None else KernelCache()
-    terms = tuple(range(eq.m))
-
-    # the table lookups behind inner_/outer_criterion_integral, minus their
-    # per-call checks: the window lies past t = 0
-    def f(ts):
-        h = env.values(ts)
-        if kind == "inner":
-            return _sliding(eq, r, terms, env, cache, tol, h, ts)
-        return _frozen(eq, r, terms, env, cache, tol, h, h, ts)
-
-    knots = breakpoint_times(list(eq.coefficients) + list(eq.lags), w0, w1)
-    return f, w0, _scan_grid(w0, w1, np.concatenate([knots, env.knots(w0, w1)]), n_grid)
+    env = env if env is not None else combined_envelope(eq)
+    f = _criterion(eq, r, kind, env, cache, tol)
+    return (f, *_kernel_grid(eq, r, env, n_grid))
 
 
 def limsup_envelope_integral(
@@ -532,14 +527,16 @@ def check_all(
     as marginal and never count as satisfied.
     """
     xtol = _refine_xtol(tol)
+    _check_grid(n_grid_liminf, "n_grid_liminf")
     env = combined_envelope(eq)
     cache = KernelCache()
     strict = 10.0 * tol
 
-    # every extremum in one lockstep scan; alpha and Kwong share a profile
-    scan = dict(tol=tol, n_grid=n_grid, cache=cache, env=env)
-    f_inner, _, ts = criterion_profile(eq, r, "inner", **scan)
-    f_outer, _, _ = criterion_profile(eq, r, "outer", **scan)
+    # every extremum in one lockstep scan; alpha and Kwong share a profile,
+    # the two criterion integrals a grid
+    f_inner = _criterion(eq, r, "inner", env, cache, tol)
+    f_outer = _criterion(eq, r, "outer", env, cache, tol)
+    w0, ts = _kernel_grid(eq, r, env, n_grid)
     (a_min, kw_max), (hy_min,), (inner,), (outer,) = _scan_extrema(
         [
             (*_tau_max_profile(eq, n_grid_liminf, env), ("min", "max")),
@@ -554,7 +551,7 @@ def check_all(
     lam = lambda0(a_val) if 0.0 < a_val <= INV_E else None
 
     window_liminf = _window(eq, env, 0)[1:]
-    window_kernel = _window(eq, env, r)[1:]
+    window_kernel = (w0, w0 + eq.period)
     base_params = {"tol": tol, "r": None}
 
     def params_liminf():

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DelayEquation, PiecewisePeriodic, breakpoint_times
+from .model import DelayEquation, PiecewisePeriodic, _merge_close, breakpoint_times
 
 __all__ = [
     "EnvelopeFunction",
@@ -38,15 +38,6 @@ __all__ = [
 # and values agree to this tolerance, relative to the windows' largest time or
 # value (at least 1): they are differences of absolute times up to 3 periods.
 _PERIODIC_TOL = 1e-12
-
-
-def _merge_close(values, tol: float = 1e-9) -> np.ndarray:
-    """The sorted values, each dropped when within ``tol`` of the one before
-    it; ``tol = 0`` drops repeats (np.unique would import numpy.ma)."""
-    v = np.sort(np.asarray(values, dtype=float))
-    keep = np.ones(v.size, dtype=bool)
-    keep[1:] = v[1:] - v[:-1] > tol
-    return v[keep]
 
 
 def _eval(poly, x):
@@ -264,22 +255,18 @@ def combined_envelope(eq: DelayEquation) -> EnvelopeFunction:
     )
 
 
-def tau_max(eq: DelayEquation, t: float) -> float:
-    """Largest delay argument at t (smallest lag)."""
-    return t - min(d(t) for d in eq.lags)
+def tau_max(eq: DelayEquation, t):
+    """Largest delay argument at t (smallest lag), in the shape of ``t``."""
+    x = np.asarray(t, dtype=float)
+    out = x - np.min([d.values(x) for d in eq.lags], axis=0)
+    return float(out) if out.ndim == 0 else out
 
 
-def tau_min(eq: DelayEquation, t: float) -> float:
-    """Smallest delay argument at t (largest lag)."""
-    return t - max(d(t) for d in eq.lags)
-
-
-def tau_max_values(eq: DelayEquation, ts) -> np.ndarray:
-    x = np.asarray(ts, dtype=float)
-    lag_min = eq.lags[0].values(x)
-    for d in eq.lags[1:]:
-        lag_min = np.minimum(lag_min, d.values(x))
-    return x - lag_min
+def tau_min(eq: DelayEquation, t):
+    """Smallest delay argument at t (largest lag), in the shape of ``t``."""
+    x = np.asarray(t, dtype=float)
+    out = x - np.max([d.values(x) for d in eq.lags], axis=0)
+    return float(out) if out.ndim == 0 else out
 
 
 def tau_max_polyline(eq: DelayEquation, a: float, b: float):

@@ -49,14 +49,8 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .envelope import (
-    EnvelopeFunction,
-    _lattice_preimages,
-    _merge_close,
-    _tau_polyline,
-    combined_envelope,
-)
-from .model import DelayEquation
+from .envelope import EnvelopeFunction, _lattice_preimages, _tau_polyline, combined_envelope
+from .model import DelayEquation, _merge_close, phase_lattice
 
 __all__ = [
     "KernelCache",
@@ -288,21 +282,16 @@ def _with_preimages(lags, period: float, phases) -> np.ndarray:
     return phases if pre is None else np.concatenate([phases, pre])
 
 
-def _lattice(eq: DelayEquation) -> np.ndarray:
-    """The breakpoint phases of every coefficient and lag in [0, P)."""
-    funcs = eq.coefficients + eq.lags
-    return np.array(sorted({t for f in funcs for t in f.interior_times}), dtype=float)
-
-
 def _kink_phases(eq: DelayEquation, cache: KernelCache) -> np.ndarray:
     """The seed phases of every table of ``eq``: the breakpoint lattice and
     its delay preimages.  A level integrand g_L jumps only where a
     coefficient jumps, at a lattice point, so the first derivative of
     G_L(tau_i(z)) breaks only where tau_i(z) hits the lattice; deeper
     preimages break a higher derivative, left to the tail rule."""
+    funcs = eq.coefficients + eq.lags
     return cache._table(
         ("kinks", eq),
-        lambda: _merge_close(_with_preimages(eq.lags, eq.period, _lattice(eq))),
+        lambda: _merge_close(_with_preimages(eq.lags, eq.period, phase_lattice(funcs))),
     )
 
 
@@ -360,7 +349,8 @@ def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> list[_Tabl
             # the settled envelope, continued periodically
             h, lo, hi = EnvelopeFunction(0.0, (), env.tail_lag), 0.0, period
             # h(z) = z - tail_lag(z) hits the lattice at its preimages
-            tail = _with_preimages([env.tail_lag], period, _lattice(eq))
+            lattice = phase_lattice(eq.coefficients + eq.lags)
+            tail = _with_preimages([env.tail_lag], period, lattice)
             points = np.concatenate([kinks, tail])
 
             def f(zs):
@@ -437,22 +427,22 @@ def decay_kernel(
     tol: float = DEFAULT_TOL,
     cache: KernelCache | None = None,
 ) -> float:
-    """Kernel value K_r(t, s).  Reversed arguments give the reciprocal."""
+    """Kernel value K_r(t, s).  Reversed arguments give the reciprocal.
+
+    ``t`` and ``s`` may be arrays; the result then has their broadcast shape.
+    """
     _check_depth(r)
-    if not (math.isfinite(t) and math.isfinite(s)):
+    ts, ss = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float)) for x in (t, s)))
+    if not (np.isfinite(ts).all() and np.isfinite(ss).all()):
         raise ValueError(f"kernel arguments must be finite, got t={t}, s={s}")
-    if t == s:
-        return 1.0
     g = _level(eq, r - 1, cache if cache is not None else KernelCache(), tol)
-    lo, hi = (s, t) if s < t else (t, s)
-    expo = math.inf if g.saturated else float(g.values(hi) - g.values(lo))
+    lo, hi = np.minimum(ts, ss), np.maximum(ts, ss)
+    expo = np.full(lo.shape, math.inf) if g.saturated else g.values(hi) - g.values(lo)
     # deep kernels grow doubly exponentially in r; saturate past float range
-    value = math.inf if expo > _EXP_MAX else math.exp(expo)
-    return value if t >= s else 1.0 / value
-
-
-def _resolve_env(eq, env):
-    return env if env is not None else combined_envelope(eq)
+    with np.errstate(over="ignore"):
+        value = np.where(expo > _EXP_MAX, math.inf, np.exp(expo))
+    out = np.where(ts == ss, 1.0, np.where(ts >= ss, value, 1.0 / value))
+    return _as_output(out, t, s)
 
 
 def _times(t):
@@ -462,8 +452,30 @@ def _times(t):
     return ts
 
 
-def _as_output(values, t):
-    return float(values[0]) if np.ndim(t) == 0 else values
+def _as_output(values, *args):
+    """A float for scalar arguments, else the array ``values``."""
+    return float(values[0]) if all(np.ndim(a) == 0 for a in args) else values
+
+
+def _criterion(eq, r, kind, env, cache, tol):
+    """The vectorised criterion integral ``ts -> integral_{h(t)}^t``, times
+    past 0, over the tables of ``env`` (built when None): the sliding
+    envelope h(z) for ``kind`` "inner", the envelope frozen at h(t) for
+    "outer"."""
+    if kind not in ("inner", "outer"):
+        raise ValueError(f"kind must be 'inner' or 'outer', got {kind!r}")
+    _check_depth(r)
+    env = env if env is not None else combined_envelope(eq)
+    cache = cache if cache is not None else KernelCache()
+    terms = tuple(range(eq.m))
+
+    def f(ts):
+        h = env.values(ts)
+        if kind == "inner":
+            return _sliding(eq, r, terms, env, cache, tol, h, ts)
+        return _frozen(eq, r, terms, env, cache, tol, h, h, ts)
+
+    return f
 
 
 def inner_criterion_integral(
@@ -479,12 +491,7 @@ def inner_criterion_integral(
 
     ``t`` may be an array of times; the result then has its shape.
     """
-    _check_depth(r)
-    env = _resolve_env(eq, env)
-    cache = cache if cache is not None else KernelCache()
-    ts = _times(t)
-    out = _sliding(eq, r, tuple(range(eq.m)), env, cache, tol, env.values(ts), ts)
-    return _as_output(out, t)
+    return _as_output(_criterion(eq, r, "inner", env, cache, tol)(_times(t)), t)
 
 
 def outer_criterion_integral(
@@ -500,12 +507,7 @@ def outer_criterion_integral(
 
     ``t`` may be an array of times; the result then has its shape.
     """
-    _check_depth(r)
-    env = _resolve_env(eq, env)
-    cache = cache if cache is not None else KernelCache()
-    ts = _times(t)
-    c = env.values(ts)
-    return _as_output(_frozen(eq, r, tuple(range(eq.m)), env, cache, tol, c, c, ts), t)
+    return _as_output(_criterion(eq, r, "outer", env, cache, tol)(_times(t)), t)
 
 
 def term_integral(
@@ -532,7 +534,7 @@ def term_integral(
     if a > b:
         raise ValueError(f"integration bounds out of order: {a} > {b}")
     cache = cache if cache is not None else KernelCache()
-    env = _resolve_env(eq, env)
+    env = env if env is not None else combined_envelope(eq)
     if envelope_at is None:
         return float(_sliding(eq, r, (i,), env, cache, tol, a, b))
     return float(_frozen(eq, r, (i,), env, cache, tol, envelope_at, a, b))

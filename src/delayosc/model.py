@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PiecewisePeriodic", "DelayEquation", "breakpoint_times"]
+__all__ = ["PiecewisePeriodic", "DelayEquation", "breakpoint_times", "phase_lattice"]
 
 # Lags have to close up continuously at the wrap point; a mismatch above this
 # is rejected.  Coefficients may jump there (sawtooth and piecewise-constant
@@ -243,17 +243,31 @@ class DelayEquation:
         return out
 
 
-def breakpoint_times(funcs, a: float, b: float) -> list[float]:
-    """All absolute times in [a, b] where any of the periodic functions has a
-    breakpoint (the periodic lattice k*period + t_j).  Sorted, deduplicated."""
-    out = set()
-    for f in funcs:
-        period = f.period
-        for t_j in f.interior_times:
-            k = math.floor((a - t_j) / period)
-            t = k * period + t_j
-            while t <= b:
-                if t >= a:
-                    out.add(t)
-                t += period
-    return sorted(out)
+def _merge_close(values, tol: float = 1e-9) -> np.ndarray:
+    """The sorted values, each dropped when within ``tol`` of the one before
+    it; ``tol = 0`` drops repeats (np.unique would import numpy.ma)."""
+    v = np.sort(np.asarray(values, dtype=float))
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = v[1:] - v[:-1] > tol
+    return v[keep]
+
+
+def phase_lattice(funcs) -> np.ndarray:
+    """The breakpoint phases in [0, period) of the periodic functions
+    ``funcs``: their ``interior_times``, sorted and distinct."""
+    return _merge_close(np.concatenate([f.interior_times for f in funcs]), 0.0)
+
+
+def breakpoint_times(funcs, a: float, b: float) -> np.ndarray:
+    """All absolute times in [a, b] where any of the periodic functions, of
+    one period, has a breakpoint (the periodic lattice k*period + t_j), sorted
+    and distinct.  Each phase's k*period + t_j at or below ``a`` is stepped by
+    the period in sequence, the same floats as a loop would give."""
+    period = funcs[0].period
+    phases = phase_lattice(funcs)
+    first = np.floor((a - phases) / period) * period + phases
+    steps = int(np.ceil((b - first.min()) / period)) + 2
+    ts = np.full((phases.size, max(steps, 1)), period)
+    ts[:, 0] = first
+    np.add.accumulate(ts, axis=1, out=ts)
+    return _merge_close(ts[(ts >= a) & (ts <= b)], 0.0)

@@ -266,42 +266,39 @@ def check_kernel_bound(
     sample_pairs,
     *,
     tol: float = 1e-5,
-    quad_tol: float = 1e-8,
     cache: KernelCache | None = None,
 ) -> KernelBoundReport:
-    """Test the decay bound x(t) * K_r(t, s) <= x(s) on sample pairs.
+    """Test the decay bound x(t) * K_r(t, s) <= x(s) on sample pairs (s, t).
 
-    The premise needs a positive solution; a non-positive sample raises.
-    Violations are measured relative to x(s) and flagged beyond ``tol``.
+    The premise needs a positive solution; a non-positive sample raises, and
+    so does an empty set of pairs.  Violations are measured relative to x(s)
+    and flagged beyond ``tol``.
     """
-    cache = cache if cache is not None else KernelCache()
-    pairs = [(float(s), float(t)) for s, t in sample_pairs]
-    for s, t in pairs:
-        if s > t:
-            raise ValueError(f"sample pair out of order: s={s} > t={t}")
-    max_raw = -math.inf
-    max_rel = -math.inf
-    flagged = []
-    x = traj.at(np.reshape(pairs, (-1, 2))).tolist()
-    for (s, t), (x_s, x_t) in zip(pairs, x):
-        if x_s <= 0.0 or x_t <= 0.0:
-            raise ValueError(
-                "the decay bound premise needs a positive trajectory; "
-                f"got x({s})={x_s}, x({t})={x_t}"
-            )
-        raw = x_t * decay_kernel(eq, r, t, s, tol=quad_tol, cache=cache) - x_s
-        rel = raw / x_s
-        max_raw = max(max_raw, raw)
-        max_rel = max(max_rel, rel)
-        if rel > tol:
-            flagged.append((s, t))
+    pairs = np.asarray(sample_pairs, dtype=float).reshape(-1, 2)
+    if not pairs.size:
+        raise ValueError("the decay bound needs at least one sample pair")
+    s, t = pairs.T
+    k = np.flatnonzero(s > t)
+    if k.size:
+        raise ValueError(f"sample pair out of order: s={s[k[0]]} > t={t[k[0]]}")
+    x_s, x_t = traj.at(pairs).T
+    k = np.flatnonzero((x_s <= 0.0) | (x_t <= 0.0))
+    if k.size:
+        i = k[0]
+        raise ValueError(
+            "the decay bound premise needs a positive trajectory; "
+            f"got x({s[i]})={x_s[i]}, x({t[i]})={x_t[i]}"
+        )
+    raw = x_t * decay_kernel(eq, r, t, s, cache=cache) - x_s
+    rel = raw / x_s
+    flagged = rel > tol
     return KernelBoundReport(
         r=r,
         pairs_checked=len(pairs),
-        max_violation=max_raw,
-        max_relative_violation=max_rel,
+        max_violation=float(raw.max()),
+        max_relative_violation=float(rel.max()),
         tolerance=tol,
-        flagged_pairs=tuple(flagged),
+        flagged_pairs=tuple(zip(s[flagged].tolist(), t[flagged].tolist())),
     )
 
 
@@ -326,8 +323,10 @@ def check_envelope_ratio(
 
     Applies to nonoscillatory (eventually positive) solutions with
     alpha in (0, 1/e]; a trajectory that is not positive on the window
-    raises.
+    raises, and so does ``n_samples`` below 1.
     """
+    if not n_samples >= 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     env = combined_envelope(eq)
     if alpha_val is None:
         alpha_val = criteria_mod.alpha(eq, env=env)
@@ -352,7 +351,7 @@ def check_envelope_ratio(
             "the envelope ratio bound applies to eventually positive "
             f"solutions; found a non-positive value near t={ts[bad[0]]}"
         )
-    min_ratio = float(np.min(x_h / x_t, initial=math.inf))
+    min_ratio = float((x_h / x_t).min())
     return EnvelopeRatioReport(
         min_ratio=min_ratio,
         lambda0=lam,

@@ -123,6 +123,25 @@ def kink_cases() -> list[DelayEquation]:
 # -- oracles ----------------------------------------------------------------
 
 
+def breakpoint_times_reference(funcs, a: float, b: float) -> list[float]:
+    """The breakpoint lattice k*period + t_j in [a, b] of the periodic
+    functions ``funcs``, sorted and distinct, by a loop over functions,
+    phases and periods: each phase's first point at or below ``a``, then
+    stepped by the period."""
+    out = set()
+    for f in funcs:
+        period = f.period
+        for t_j in f.interior_times:
+            k = math.floor((a - t_j) / period)
+            t = k * period + t_j
+            while t <= b:
+                if t >= a:
+                    out.add(t)
+                t += period
+    return sorted(out)
+
+
+
 def char_root(p: float) -> float:
     """Smaller root of mu = p * e^mu by bisection, for p in (0, 1/e).
 

@@ -192,6 +192,32 @@ def test_check_rejects_a_bad_tol(capsys, tol):
     assert captured.err.startswith("error:") and "tol" in captured.err
 
 
+@pytest.mark.parametrize("command", ["check", "scan"])
+def test_negative_grid_is_an_error_naming_the_argument(capsys, command):
+    assert main([command, DEMO_CONFIG, "--grid", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_grid must be >= 1, got -3\n"
+
+
+@pytest.mark.parametrize(
+    "config,r,sha",
+    [
+        (CONTROL_CONFIG, 1, "bd905c4cb02a3ada95ca093d18195010aa9fccb1d399fdad5b1f78705b62d55f"),
+        (CONTROL_CONFIG, 2, "6f7a64faedcd9796444d9a3fe5d9c4e38c989250264ec757d8e9fef4aafabef0"),
+        (CONTROL_CONFIG, 3, "486e831e16a0ecfdb9bff819b1e5ccc949e3915ea4a38d863361c03fd543f63f"),
+        (DEMO_CONFIG, 1, "b1dc3e0f95a739866a93ead1d242ec95bc264467776979707c5b07640e879bf4"),
+        (DEMO_CONFIG, 2, "2f72b2a1053efbfac1128f89ed265a7f27b09a5941f712471db8f008efdb97fe"),
+        (DEMO_CONFIG, 3, "6f72b2c111271c69fd9d9802de20abc63be4e2f1325abc33b6b8ae3151f79cd7"),
+    ],
+    ids=["control-r1", "control-r2", "control-r3", "demo-r1", "demo-r2", "demo-r3"],
+)
+def test_check_stdout_pinned(capsys, config, r, sha):
+    main(["check", config, "--r", str(r)])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
 def test_check_envelope_that_never_settles_is_an_error(monkeypatch, capsys):
     monkeypatch.setattr(envelope, "_windows_match", lambda wa, wb: False)
     assert main(["check", CONTROL_CONFIG]) == 1

@@ -25,9 +25,9 @@ from delayosc import (
 )
 from delayosc import criteria
 from delayosc.envelope import tau_max_polyline
-from delayosc.model import breakpoint_times
 
 from conftest import (
+    breakpoint_times_reference,
     fixed_point_lambda,
     kink_cases,
     make_constant_equation,
@@ -547,10 +547,10 @@ def _preimages_loop(nodes, targets):
 def _integral_profile_knots_loop(eq, nodes, w0, w1):
     """The knots of ``criteria._integral_profile_knots``, by loops: the
     coefficient lattice over the polyline's value range, and its preimages."""
-    knots = set(breakpoint_times(eq.coefficients, w0, w1))
+    knots = set(breakpoint_times_reference(eq.coefficients, w0, w1))
     knots.update(t for t, _ in nodes)
     ys = [y for _, y in nodes]
-    targets = breakpoint_times(eq.coefficients, min(ys), max(ys))
+    targets = breakpoint_times_reference(eq.coefficients, min(ys), max(ys))
     knots.update(_preimages_loop(nodes, targets))
     return sorted(t for t in knots if w0 <= t <= w1)
 
@@ -612,6 +612,18 @@ def test_scanners_reject_a_bad_tol(control_eq, tol):
     for scan in (limsup_envelope_integral, criteria.criterion_profile, check_all):
         with pytest.raises(ValueError, match="tol"):
             scan(control_eq, 1, tol=tol)
+
+
+@pytest.mark.parametrize("n_grid", [0, -3])
+def test_scanners_reject_a_grid_below_one(control_eq, n_grid):
+    for scan in (alpha, alpha_over_envelope, kwong_limsup, hunt_yorke_liminf):
+        with pytest.raises(ValueError, match="^n_grid must be >= 1"):
+            scan(control_eq, n_grid=n_grid)
+    for scan in (limsup_envelope_integral, criteria.criterion_profile, check_all):
+        with pytest.raises(ValueError, match="^n_grid must be >= 1"):
+            scan(control_eq, 1, n_grid=n_grid)
+    with pytest.raises(ValueError, match="^n_grid_liminf must be >= 1"):
+        check_all(control_eq, 1, n_grid_liminf=n_grid)
 
 
 _RANDOM_EQS = [make_random_equation(np.random.default_rng(k)) for k in range(4)]

@@ -14,7 +14,6 @@ from delayosc import (
     tau_min,
 )
 from delayosc import envelope
-from delayosc.envelope import tau_max_values
 
 from conftest import make_random_equation
 
@@ -101,11 +100,14 @@ def test_single_term_tau_extremes_coincide(control_eq):
         assert tau_max(control_eq, t) == tau_min(control_eq, t) == t - 1.0
 
 
-def test_tau_max_values_vectorised(demo_eq):
-    ts = np.linspace(0.0, 9.0, 181)
-    assert np.allclose(
-        tau_max_values(demo_eq, ts), [tau_max(demo_eq, t) for t in ts], atol=1e-14
-    )
+def test_tau_max_and_tau_min_take_arrays(demo_eq):
+    ts = np.linspace(0.0, 9.0, 181).reshape(1, -1)
+    for tau in (tau_max, tau_min):
+        got = tau(demo_eq, ts)
+        assert got.shape == ts.shape
+        want = [tau(demo_eq, float(t)) for t in ts.ravel()]
+        assert all(type(v) is float for v in want)
+        assert got.ravel().tobytes() == np.array(want).tobytes()
 
 
 # -- invariants -------------------------------------------------------------
@@ -125,7 +127,7 @@ def test_envelope_nondecreasing(demo_eq, demo_env):
 def test_envelope_bounds(demo_eq, demo_env):
     ts = _dense_grid(demo_env, demo_eq, 15.0)[1:]  # skip t = 0
     hs = demo_env.values(ts)
-    assert np.all(tau_max_values(demo_eq, ts) <= hs + 1e-12)
+    assert np.all(tau_max(demo_eq, ts) <= hs + 1e-12)
     assert np.all(hs < ts)
     assert np.all(hs <= ts - demo_eq.min_lag + 1e-12)
 

@@ -27,6 +27,7 @@ from delayosc import (
     term_integral,
 )
 from delayosc import kernel
+from delayosc.model import phase_lattice
 
 from conftest import (
     kink_cases,
@@ -163,6 +164,24 @@ def test_reversed_arguments_are_reciprocal(demo_eq, demo_cache):
         assert rev <= 1.0
 
 
+def test_decay_kernel_on_arrays_equals_its_scalar_calls(demo_eq, demo_cache):
+    rng = np.random.default_rng(8)
+    t = rng.uniform(0.0, 40.0, (4, 25))
+    s = rng.uniform(0.0, 40.0, (4, 25))
+    s[0] = t[0]  # t == s
+    for r in (1, 2, 5):
+        got = decay_kernel(demo_eq, r, t, s, cache=demo_cache)
+        assert got.shape == t.shape
+        want = [decay_kernel(demo_eq, r, a, b, cache=demo_cache) for a, b in zip(t.flat, s.flat)]
+        assert all(type(v) is float for v in want)
+        assert got.tobytes() == np.array(want).reshape(t.shape).tobytes()
+        assert (got[0] == 1.0).all()
+    # broadcast against a scalar; the saturated depth 5 reversed is exactly 0.0
+    assert (decay_kernel(demo_eq, 5, 37.0, np.array([40.0, 41.0]), cache=demo_cache) == 0.0).all()
+    with pytest.raises(ValueError, match="finite"):
+        decay_kernel(demo_eq, 1, np.array([2.0, math.nan]), 1.0)
+
+
 def test_cache_transparency(demo_eq):
     warm = KernelCache()
     for r in (1, 2, 3):
@@ -246,17 +265,22 @@ def _run_long_sloped_lag(ratio):
     return out
 
 
+def _lattice(eq):
+    """The breakpoint phases of every coefficient and lag."""
+    return phase_lattice(eq.coefficients + eq.lags)
+
+
 def test_kink_phases_stay_under_the_cap_on_a_long_sloped_lag():
     # the seeds hold the lattice and its 2000 delay preimages
     out = _run_long_sloped_lag(1000.0)
-    lattice = len(kernel._lattice(make_tent_lag_equation(1000.0)))
+    lattice = len(_lattice(make_tent_lag_equation(1000.0)))
     assert lattice < out["kinks"] <= lattice + kernel._MAX_KINKS, out
 
 
 def test_kink_phases_fall_back_to_the_lattice_past_the_cap():
     # at L/P = 1e4 the preimages would pass the cap: the lattice alone
     out = _run_long_sloped_lag(1e4)
-    assert out["kinks"] == len(kernel._lattice(make_tent_lag_equation(1e4))), out
+    assert out["kinks"] == len(_lattice(make_tent_lag_equation(1e4))), out
 
 
 # -- kink phases: the vectorised builder against its loop version --------------
@@ -290,7 +314,7 @@ def _preimage_phases_loop(lags, period, phases):
 @pytest.mark.parametrize("case", range(10))
 def test_kink_phases_equal_the_loop_versions(case, monkeypatch):
     eq = kink_cases()[case]
-    lattice = kernel._lattice(eq)
+    lattice = _lattice(eq)
     for lags in (eq.lags, [combined_envelope(eq).tail_lag]):
         count, want = _preimage_phases_loop(lags, eq.period, list(lattice))
         got = kernel._preimage_phases(lags, eq.period, lattice)
@@ -313,7 +337,7 @@ def test_preimage_phases_build_about_the_limit_at_most():
     # the tent lag at L/P = 1e6: its lattice has about 2 million preimages,
     # 16 MB per array; refused under the cap, they must not be built first
     eq = make_tent_lag_equation(1e6)
-    lattice = kernel._lattice(eq)
+    lattice = _lattice(eq)
     tracemalloc.start()
     try:
         assert kernel._preimage_phases(eq.lags, eq.period, lattice) is None

@@ -22,9 +22,13 @@ from delayosc import (
     outer_criterion_integral,
     term_integral,
 )
-from delayosc.model import breakpoint_times
 
-from conftest import make_constant_equation, make_demo_equation, make_random_equation
+from conftest import (
+    breakpoint_times_reference,
+    make_constant_equation,
+    make_demo_equation,
+    make_random_equation,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -64,8 +68,8 @@ class Oracle:
         span = eq.max_lag + eq.period
         a, b = min(lo, self.env(0.0)) - 2.0 * span, hi + span
         self.a, self.b = a, b
-        self.lattice = breakpoint_times(list(eq.coefficients) + list(eq.lags), a, b)
-        coeff_kinks = breakpoint_times(eq.coefficients, a, b)
+        self.lattice = breakpoint_times_reference(eq.coefficients + eq.lags, a, b)
+        coeff_kinks = breakpoint_times_reference(eq.coefficients, a, b)
         self.level_kinks = {
             0: coeff_kinks,
             1: sorted(set(self.lattice) | set(self.tau_preimages(coeff_kinks))),
@@ -80,7 +84,7 @@ class Oracle:
         )
 
     def lag_knots(self, lag):
-        return [self.a] + breakpoint_times([lag], self.a, self.b) + [self.b]
+        return [self.a] + breakpoint_times_reference([lag], self.a, self.b) + [self.b]
 
     def tau_preimages(self, targets):
         out = []

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayosc import DelayEquation, PiecewisePeriodic
+from delayosc.model import breakpoint_times
 
-from conftest import make_demo_equation, midpoint_integral
+from conftest import breakpoint_times_reference, make_demo_equation, midpoint_integral
 
 
 # -- evaluation -------------------------------------------------------------
@@ -148,6 +149,38 @@ def test_antiderivative_consistency(demo_eq):
     anti = c.antiderivative(xs)
     for a, b, fa, fb in zip(xs, xs[1:], anti, anti[1:]):
         assert 0.135 * (b - a) == pytest.approx(fb - fa, abs=1e-13)
+
+
+# -- the breakpoint lattice -------------------------------------------------
+
+
+def _random_functions(rng, period):
+    """1-4 periodic functions of 1-4 breakpoints each; some share phases."""
+    funcs = []
+    for _ in range(int(rng.integers(1, 5))):
+        if funcs and rng.random() < 0.3:
+            ts = [t for t, _ in funcs[-1].breakpoints]
+        else:
+            ts = [0.0, *np.sort(rng.uniform(0.0, period, int(rng.integers(0, 4))))]
+        ts = [t for i, t in enumerate(ts) if i == 0 or t > ts[i - 1]]
+        bps = tuple((float(t), float(v)) for t, v in zip(ts, rng.uniform(0.1, 2.0, len(ts))))
+        funcs.append(PiecewisePeriodic(period=period, breakpoints=bps))
+    return funcs
+
+
+def test_breakpoint_times_equal_the_loop_bitwise():
+    rng = np.random.default_rng(20261019)
+    for _ in range(3000):
+        period = float(10.0 ** rng.uniform(-3.0, 3.0))
+        funcs = _random_functions(rng, period)
+        a = float(rng.uniform(-50.0, 50.0)) * period
+        if rng.random() < 0.2:
+            # a window starting on a lattice point
+            a = math.floor(a / period) * period + funcs[0].interior_times[-1]
+        b = a + float(rng.choice([1.0, 3.0])) * period
+        got = breakpoint_times(funcs, a, b)
+        want = np.array(breakpoint_times_reference(funcs, a, b), dtype=float)
+        assert got.tobytes() == want.tobytes(), (period, a, b)
 
 
 # -- construction validation ------------------------------------------------

@@ -15,6 +15,7 @@ from delayosc import (
     check_envelope_ratio,
     check_kernel_bound,
     count_sign_changes,
+    decay_kernel,
     integrate,
     lambda0,
 )
@@ -352,6 +353,27 @@ def test_kernel_bound_rejects_bad_pair(control_eq, control_traj):
         check_kernel_bound(control_eq, control_traj, 1, [(6.0, 4.0)])
 
 
+def test_kernel_bound_rejects_no_pairs(control_eq, control_traj):
+    with pytest.raises(ValueError, match="at least one"):
+        check_kernel_bound(control_eq, control_traj, 1, [])
+
+
+def test_kernel_bound_matches_pair_by_pair(control_eq, control_traj):
+    rng = np.random.default_rng(4)
+    pairs = [tuple(np.sort(rng.uniform(5.0, 20.0, 2)).tolist()) for _ in range(50)]
+    rel = []
+    for s, t in pairs:
+        x_s, x_t = control_traj(s), control_traj(t)
+        rel.append((x_t * decay_kernel(control_eq, 2, t, s) - x_s) / x_s)
+    tol = float(np.median(rel))
+    rep = check_kernel_bound(control_eq, control_traj, 2, pairs, tol=tol)
+    assert type(rep.max_violation) is float
+    assert type(rep.max_relative_violation) is float
+    assert rep.max_relative_violation == max(rel)
+    assert rep.flagged_pairs == tuple(p for p, v in zip(pairs, rel) if v > tol)
+    assert all(type(x) is float for pair in rep.flagged_pairs for x in pair)
+
+
 # -- envelope-ratio check ---------------------------------------------------
 
 
@@ -376,6 +398,11 @@ def test_envelope_ratio_near_degenerate_limit():
     assert rep.margin >= -1e-9
     assert rep.min_ratio == pytest.approx(1.0, abs=2e-3)
     assert rep.lambda0 == pytest.approx(1.0, abs=2e-3)
+
+
+def test_envelope_ratio_rejects_no_samples(control_eq, control_traj):
+    with pytest.raises(ValueError, match="n_samples"):
+        check_envelope_ratio(control_eq, control_traj, 0.2, n_samples=0)
 
 
 def test_envelope_ratio_rejects_sign_changes(demo_eq):
