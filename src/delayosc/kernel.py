@@ -20,8 +20,8 @@ with h the combined envelope of the equation.
 
 Every value is a lookup in an antiderivative table built by ``_fit_table``
 (degree-16 Chebyshev pieces, kept once their trailing coefficients fall
-below ``tol / 100``, bisected otherwise).  Every table of an equation is
-seeded from one set of kink phases, the breakpoint lattice and its delay
+below ``tol / 100``, cut otherwise).  Every table of an equation is seeded
+from one set of kink phases, the breakpoint lattice and its delay
 preimages, one level deep:
 
     G_L  of g_L(z) = sum_i p_i(z) K_L(z, tau_i(z)), one period;
@@ -34,12 +34,17 @@ preimages, one level deep:
 The settled F and W differ only in the base of the exponent, G_{r-1}(h(z))
 or 0, so they are fitted together on F's seeds: one set of samples, one
 set of pieces, W keyed by the envelope like F; their seeds add the phases
-where h(z) hits the lattice.  Both kinds of preimage come from the
-polyline toolkit in ``envelope``: ``_lattice_preimages``, the routine that
-also puts the preimages of the coefficient lattice into the criteria's
-scan grids.  Kernel exponents past 709 saturate to +inf (reciprocals to
-0.0), and so does every integral over a table whose integrand overflows;
-each table saturates on its own.
+where h(z) hits the lattice.  Deeper preimage levels break higher
+derivatives: a depth-r table, whose integrand reads G_{r-1} at the delayed
+arguments, breaks at r levels, and the seeds hold one.  A piece that fails
+its tail test is cut at one of these deeper kinks, its hints, rather than
+at its midpoint, so its pieces end on the breaks that halving only
+approaches.  Both kinds of preimage come from the polyline toolkit in
+``envelope``: ``_lattice_preimages``, the routine that also puts the
+preimages of the coefficient lattice into the criteria's scan grids.
+Kernel exponents past 709 saturate to +inf (reciprocals to 0.0), and so
+does every integral over a table whose integrand overflows; each table
+saturates on its own.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .envelope import EnvelopeFunction, _lattice_preimages, _tau_polyline, combined_envelope
 from .model import DelayEquation, _merge_close, phase_lattice
@@ -68,13 +72,27 @@ _CHEB_DEG = 16
 _CHEB_U = np.cos(
     np.pi * (2.0 * np.arange(_CHEB_DEG + 1) + 1.0) / (2.0 * (_CHEB_DEG + 1))
 )
+
+
+def _chebvander(x, deg: int) -> np.ndarray:
+    """numpy's ``chebvander(x, deg)``, row k holding T_0..T_deg at x[k], by
+    the same recurrence."""
+    v = np.empty((deg + 1,) + x.shape)
+    v[0] = x * 0 + 1
+    x2 = 2 * x
+    v[1] = x
+    for i in range(2, deg + 1):
+        v[i] = v[i - 1] * x2 - v[i - 2]
+    return np.moveaxis(v, 0, -1)
+
+
 # values at _CHEB_U -> Chebyshev coefficients of the interpolant
-_CHEB_FIT = np.linalg.inv(cheb.chebvander(_CHEB_U, _CHEB_DEG))
+_CHEB_FIT = np.linalg.inv(_chebvander(_CHEB_U, _CHEB_DEG))
 # A piece whose tail sits at the rounding noise of its samples cannot improve
-# by bisection, whatever ``tol`` asks for.  Samples exp(x) carry a relative
+# by cutting, whatever ``tol`` asks for.  Samples exp(x) carry a relative
 # error of about eps * |x|, so the floor grows with the log of the scale.
 _TAIL_FLOOR = 1e-14
-# bisection rounds per seed piece, and pieces per table, past which the
+# rounds of cuts per seed piece, and pieces per table, past which the
 # remaining pieces are kept as they are
 _MAX_BISECT = 40
 _MAX_PIECES = 1 << 16
@@ -83,17 +101,19 @@ _MAX_PIECES = 1 << 16
 # tail understates a piece's error (at the default tol the sloped-lag oracle
 # case is off by 8e-11 with tol / 10, by 1e-12 with tol / 100)
 _TAIL_DIV = 100.0
-# delay preimages past which the seeds are the breakpoint lattice alone, the
-# tail rule then bisecting to the kinks they miss
+# delay preimages per level past which the level is not built: the seeds are
+# then the breakpoint lattice alone, and the hints stop at the last level
+# under the cap, the tail rule halving down to the kinks they miss
 _MAX_KINKS = 20000
 _EXP_MAX = 709.0
 
 
 class KernelCache:
     """Antiderivative tables keyed by (kind, equation, level, terms, envelope,
-    tol), plus the one set of kink phases per equation that seeds them all
-    (the breakpoint lattice alone when its delay preimages would pass
-    _MAX_KINKS).  The settled sliding table F and the frozen table W of a
+    tol), plus the kink phases of an equation: one level of them seeds every
+    table (the breakpoint lattice alone when its delay preimages would pass
+    _MAX_KINKS), and deeper levels give the hints a failing piece is cut at,
+    built only when some piece fails.  The settled sliding table F and the frozen table W of a
     level are fitted together, so they share F's pieces and one entry, keyed
     by the envelope.
 
@@ -133,6 +153,26 @@ def _chebval_rows(u, c):
     for i in range(3, c.shape[1] + 1):
         c0, c1 = c[:, -i] - c1, c0 + c1 * u2
     return c0 + c1 * u
+
+
+def _chebint(c) -> np.ndarray:
+    """Antiderivative coefficients, zero at u = -1, of the Chebyshev series
+    along the last axis of ``c``: numpy's ``chebint(c, lbnd=-1, axis=-1)``,
+    by the same operations in the same order (numpy.polynomial costs a few
+    milliseconds to import)."""
+    c = np.moveaxis(c, -1, 0)
+    n = len(c)
+    tmp = np.empty((n + 1,) + c.shape[1:])
+    tmp[0] = c[0] * 0
+    tmp[1] = c[0]
+    tmp[2] = c[1] / 4
+    for j in range(2, n):
+        tmp[j + 1] = c[j] / (2 * (j + 1))
+        tmp[j - 1] -= c[j] / (2 * (j - 1))
+    out = np.moveaxis(tmp, 0, -1)
+    # minus the series at u = -1
+    tmp[0] += 0 - _chebval_rows(-1.0, out.reshape(-1, n + 1)).reshape(tmp.shape[1:])
+    return out
 
 
 class _Table:
@@ -190,7 +230,7 @@ class _CoeffSumLevel:
         self.total = float(self.values(eq.period))
 
 
-def _fit_table(f, edges, tol: float) -> list[_Table]:
+def _fit_table(f, edges, tol: float, hints=None) -> list[_Table]:
     """Antiderivative tables of ``k`` integrands over [edges[0], edges[-1]],
     on common pieces.
 
@@ -198,9 +238,12 @@ def _fit_table(f, edges, tol: float) -> list[_Table]:
     integrand.  Each piece between ``edges`` is interpolated in _CHEB_DEG + 1
     Chebyshev points and kept once the two trailing coefficients of every
     row fall below ``tol / _TAIL_DIV`` (or the rounding floor); otherwise it
-    is bisected, at most _MAX_BISECT times and while the tables stay within
+    is cut, at most _MAX_BISECT times and while the tables stay within
     _MAX_PIECES pieces.  This is chebfun's splitting rule (Pachon, Platte &
-    Trefethen, IMA J. Numer. Anal. 30 (2010); Trefethen, ATAP ch. 3 and 8).
+    Trefethen, IMA J. Numer. Anal. 30 (2010); Trefethen, ATAP ch. 3 and 8),
+    which puts a break at a detected edge: ``hints``, when given, is called
+    on the first failure for the sorted points where the integrands may
+    break (see ``_cut_points``); without it a piece is cut at its midpoint.
     A row with a non-finite value saturates its own table and takes no
     further part in the splitting.
     """
@@ -209,6 +252,7 @@ def _fit_table(f, edges, tol: float) -> list[_Table]:
     kept_lo, kept_hi, kept_c = [], [], []
     dead = False
     pieces = 0
+    cut_at = None
     for depth in range(_MAX_BISECT + 1):
         mids = 0.5 * (los + his)
         halves = 0.5 * (his - los)
@@ -227,23 +271,29 @@ def _fit_table(f, edges, tol: float) -> list[_Table]:
         floor = _TAIL_FLOOR * scale * np.maximum(1.0, np.abs(np.log(scale + 1e-300)))
         keep = (mag[:, :, -2:].max(axis=2) <= np.maximum(tol / _TAIL_DIV, floor)).all(axis=0)
         pieces += int(keep.sum())
-        if depth == _MAX_BISECT or pieces + 2 * int((~keep).sum()) > _MAX_PIECES:
+        fail = ~keep
+        lo, hi, mid = los[fail], his[fail], mids[fail]
+        if lo.size and hints is not None and cut_at is None:
+            cut_at = hints()
+        if cut_at is not None and cut_at.size:
+            new_lo, new_hi = _cut_points(lo, hi, cut_at, multi=depth > 0)
+        else:
+            new_lo, new_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        if depth == _MAX_BISECT or pieces + new_lo.size > _MAX_PIECES:
             keep[:] = True
         kept_lo.append(los[keep])
         kept_hi.append(his[keep])
         kept_c.append(c[:, keep])
         if keep.all():
             break
-        split = ~keep
-        los = np.concatenate([los[split], mids[split]])
-        his = np.concatenate([mids[split], his[split]])
+        los, his = new_lo, new_hi
 
     lo = np.concatenate(kept_lo)
     order = np.argsort(lo)
     lo = lo[order]
     hi = np.concatenate(kept_hi)[order]
     c = np.concatenate(kept_c, axis=1)[:, order]
-    coef = cheb.chebint(c, lbnd=-1.0, axis=2) * (0.5 * (hi - lo))[:, None]
+    coef = _chebint(c) * (0.5 * (hi - lo))[:, None]
     edges = np.append(lo, hi[-1])
     tables = []
     for cj, saturated in zip(coef, dead):
@@ -253,6 +303,41 @@ def _fit_table(f, edges, tol: float) -> list[_Table]:
         ok = not saturated and math.isfinite(cum[-1])
         tables.append(_Table(edges, cj, cum) if ok else _Table())
     return tables
+
+
+def _cut_points(lo, hi, hints, multi: bool):
+    """The pieces that the failing pieces [lo, hi] are cut into, as (lows,
+    highs), given the sorted ``hints``.  A piece is cut at the hint nearest
+    its midpoint among those in its middle half, or at its midpoint when
+    that half holds none.  With ``multi`` (the pieces failed before), a
+    piece holding 2 to _CHEB_DEG hints farther than 1/64 of its width from
+    its ends is cut at all of them.  A cut never falls at or next to an end:
+    a single cut leaves at most 3/4 of a piece, and a multi-way cut uses up
+    the hints it cuts at, so breaks the hints miss are still found."""
+    width = hi - lo
+    mid = 0.5 * (lo + hi)
+    a = np.searchsorted(hints, lo + 0.25 * width, side="left")
+    b = np.searchsorted(hints, hi - 0.25 * width, side="right")
+    # the hint nearest the midpoint: of the two beside it, those in [a, b)
+    k = np.searchsorted(hints, mid)
+    top = np.minimum(np.maximum(b - 1, a), hints.size - 1)
+    left = hints[np.minimum(np.maximum(k - 1, a), top)]
+    right = hints[np.minimum(np.maximum(k, a), top)]
+    nearest = np.where(np.abs(right - mid) < np.abs(left - mid), right, left)
+    single = np.where(b > a, nearest, mid)
+    first = np.searchsorted(hints, lo + width / 64, side="right")
+    count = np.searchsorted(hints, hi - width / 64, side="left") - first
+    every = multi & (count >= 2) & (count <= _CHEB_DEG)
+    n = np.where(every, count, 1)
+    ends = np.cumsum(n)
+    rank = np.arange(n.sum()) - np.repeat(ends - n, n)
+    at = np.minimum(np.repeat(first, n) + rank, hints.size - 1)
+    cuts = np.where(np.repeat(every, n), hints[at], np.repeat(single, n))
+    # piece k: [lo_k, its first cut], then from each cut to the next or hi_k
+    nxt = np.empty_like(cuts)
+    nxt[:-1] = cuts[1:]
+    nxt[ends - 1] = hi
+    return np.concatenate([lo, cuts]), np.concatenate([cuts[ends - n], nxt])
 
 
 # -- kink phases that seed the tables -------------------------------------------
@@ -282,29 +367,57 @@ def _with_preimages(lags, period: float, phases) -> np.ndarray:
     return phases if pre is None else np.concatenate([phases, pre])
 
 
-def _kink_phases(eq: DelayEquation, cache: KernelCache) -> np.ndarray:
-    """The seed phases of every table of ``eq``: the breakpoint lattice and
-    its delay preimages.  A level integrand g_L jumps only where a
-    coefficient jumps, at a lattice point, so the first derivative of
-    G_L(tau_i(z)) breaks only where tau_i(z) hits the lattice; deeper
-    preimages break a higher derivative, left to the tail rule."""
-    funcs = eq.coefficients + eq.lags
+def _kink_phases(eq: DelayEquation, cache: KernelCache, levels: int = 1) -> np.ndarray:
+    """The breakpoint lattice and ``levels`` levels of its delay preimages,
+    level k + 1 where some tau_i(z) hits level k; a level whose preimages
+    would pass _MAX_KINKS repeats the one before.  One level seeds every
+    table of ``eq``: a level integrand g_L jumps only where a coefficient
+    jumps, at a lattice point, so the first derivative of G_L(tau_i(z))
+    breaks only where tau_i(z) hits the lattice.  Level k breaks the k-th
+    derivative, which the tail rule finds, cutting at ``_hints``."""
+    if levels == 0:
+        return cache._table(("kinks", eq, 0), lambda: phase_lattice(eq.coefficients + eq.lags))
     return cache._table(
-        ("kinks", eq),
-        lambda: _merge_close(_with_preimages(eq.lags, eq.period, phase_lattice(funcs))),
+        ("kinks", eq, levels),
+        lambda: _merge_close(
+            _with_preimages(eq.lags, eq.period, _kink_phases(eq, cache, levels - 1))
+        ),
     )
+
+
+def _hints(eq: DelayEquation, cache: KernelCache, depth: int, tail_lag=None):
+    """The points a depth-``depth`` table, whose integrand reads G_{depth-1}
+    at the delayed arguments, is cut at: the lattice and depth - 1 levels of
+    its delay preimages; for a settled sliding table also the phases where
+    h(z) = z - tail_lag(z) hits level depth - 2.  A thunk for
+    ``_fit_table``, built on its first call, once per cache; None below
+    depth 3, where the seeds hold every hint."""
+    if depth < 3:
+        return None
+
+    def build():
+        kinks = _kink_phases(eq, cache, depth - 1)
+        if tail_lag is None:
+            return kinks
+        below = _kink_phases(eq, cache, depth - 2)
+        return _merge_close(np.concatenate([kinks, _with_preimages([tail_lag], eq.period, below)]))
+
+    return lambda: cache._table(("hints", eq, depth, tail_lag), build)
 
 
 # -- the tables ---------------------------------------------------------------
 
 
-def _weighted_sums(eq: DelayEquation, terms, level, zs, bases):
-    """Row k: the sum over ``terms`` of p_i(z) * exp(bases[k] - G(tau_i(z))),
-    G = ``level``; ``bases`` is a (k, n) array."""
+def _weighted_sums(eq: DelayEquation, terms, level, zs, base_at, rows: int = 1):
+    """Row 0: the sum over ``terms`` of p_i(z) * exp(G(base_at) - G(tau_i(z))),
+    G = ``level``; with ``rows`` 2, row 1 the same with the base 0.  The base
+    points and every delayed argument take one lookup."""
+    n = zs.size
+    g = level.values(np.concatenate([base_at, *(zs - eq.lags[i].values(zs) for i in terms)]))
+    bases = g[None, :n] if rows == 1 else np.stack([g[:n], np.zeros(n)])
     acc = 0.0
-    for i in terms:
-        tau = zs - eq.lags[i].values(zs)
-        acc = acc + eq.coefficients[i].values(zs) * np.exp(bases - level.values(tau))
+    for k, i in enumerate(terms, 1):
+        acc = acc + eq.coefficients[i].values(zs) * np.exp(bases - g[k * n : (k + 1) * n])
     return acc
 
 
@@ -318,9 +431,10 @@ def _level(eq: DelayEquation, level: int, cache: KernelCache, tol: float):
         if prev.saturated:
             return _Table()
         return _fit_table(
-            lambda zs: _weighted_sums(eq, range(eq.m), prev, zs, prev.values(zs)[None]),
+            lambda zs: _weighted_sums(eq, range(eq.m), prev, zs, zs),
             _seed_edges(_kink_phases(eq, cache), 0.0, eq.period),
             tol,
+            _hints(eq, cache, level),
         )[0]
 
     return cache._table(("G", eq, level, None, None, tol), build)
@@ -343,24 +457,23 @@ def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> list[_Tabl
             points = (kinks[None, :] + np.arange(k0, k1)[:, None] * period).ravel()
 
             def f(zs):
-                return _weighted_sums(eq, terms, g, zs, g.values(h.values(zs))[None])
+                return _weighted_sums(eq, terms, g, zs, h.values(zs))
 
+            hints = None
         else:
             # the settled envelope, continued periodically
             h, lo, hi = EnvelopeFunction(0.0, (), env.tail_lag), 0.0, period
             # h(z) = z - tail_lag(z) hits the lattice at its preimages
-            lattice = phase_lattice(eq.coefficients + eq.lags)
-            tail = _with_preimages([env.tail_lag], period, lattice)
+            tail = _with_preimages([env.tail_lag], period, _kink_phases(eq, cache, 0))
             points = np.concatenate([kinks, tail])
 
             def f(zs):
                 # F's integrand and W's, exp(0.0 - G(tau_i)), on one lookup
-                bases = np.zeros((2, zs.size))
-                bases[0] = g.values(h.values(zs))
-                return _weighted_sums(eq, terms, g, zs, bases)
+                return _weighted_sums(eq, terms, g, zs, h.values(zs), rows=2)
 
+            hints = _hints(eq, cache, r, env.tail_lag)
         edges = _seed_edges(np.concatenate([points, h.knots(lo, hi)]), lo, hi)
-        return _fit_table(f, edges, tol)
+        return _fit_table(f, edges, tol, hints)
 
     kind = "F-" if transient else "F"
     return cache._table((kind, eq, r, terms, env, tol), build)

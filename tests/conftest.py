@@ -105,6 +105,27 @@ def make_tent_lag_equation(ratio: float) -> DelayEquation:
     return DelayEquation(coefficients=(p,), lags=(lag,))
 
 
+def make_bench_piecewise_equation() -> DelayEquation:
+    """The benchmark's ``piecewise`` config at seed 1."""
+    return DelayEquation(
+        coefficients=(
+            PiecewisePeriodic(
+                1.0, ((0.0, 0.013081112871182245), (0.4822079806359817, 0.013076758673129385))
+            ),
+        ),
+        lags=(
+            PiecewisePeriodic(
+                1.0,
+                (
+                    (0.0, 20.0),
+                    (0.343414100820367, 11.907991738767091),
+                    (0.6196621556292266, 15.854718618190658),
+                ),
+            ),
+        ),
+    )
+
+
 def kink_cases() -> list[DelayEquation]:
     """The demo, a benchmark-style piecewise lag (non-monotone, up to 20
     periods), random draws and the tent lag at L/P = 1000 and at 1e4, past

@@ -208,7 +208,7 @@ def test_negative_grid_is_an_error_naming_the_argument(capsys, command):
         (CONTROL_CONFIG, 3, "486e831e16a0ecfdb9bff819b1e5ccc949e3915ea4a38d863361c03fd543f63f"),
         (DEMO_CONFIG, 1, "b1dc3e0f95a739866a93ead1d242ec95bc264467776979707c5b07640e879bf4"),
         (DEMO_CONFIG, 2, "2f72b2a1053efbfac1128f89ed265a7f27b09a5941f712471db8f008efdb97fe"),
-        (DEMO_CONFIG, 3, "6f72b2c111271c69fd9d9802de20abc63be4e2f1325abc33b6b8ae3151f79cd7"),
+        (DEMO_CONFIG, 3, "49ed46695cf48d2464a51700b0d1acbf30845d1d3f3d4b3abe784aea9223e444"),
     ],
     ids=["control-r1", "control-r2", "control-r3", "demo-r1", "demo-r2", "demo-r3"],
 )

@@ -30,6 +30,7 @@ from conftest import (
     breakpoint_times_reference,
     fixed_point_lambda,
     kink_cases,
+    make_bench_piecewise_equation,
     make_constant_equation,
     make_random_equation,
     make_tent_lag_equation,
@@ -469,7 +470,8 @@ def test_edge_brackets_evaluate_no_copies_of_their_centre(monkeypatch, control_e
 
 
 def test_check_does_not_import_numpy_ma():
-    # np.unique / np.union1d import numpy.ma under numpy 2.4, a cost paid by
+    # np.unique / np.union1d import numpy.ma under numpy 2.4, and
+    # numpy.polynomial takes a few milliseconds to import: costs paid by
     # every check process
     code = (
         "import sys\n"
@@ -477,7 +479,7 @@ def test_check_does_not_import_numpy_ma():
         "sys.path.insert(0, 'tests')\n"
         "from conftest import make_demo_equation\n"
         "check_all(make_demo_equation(), 2)\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
     )
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
@@ -485,7 +487,7 @@ def test_check_does_not_import_numpy_ma():
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=root, env=env
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_scan_grid_keeps_a_knot_not_the_grid_point_beside_it():
@@ -555,33 +557,13 @@ def _integral_profile_knots_loop(eq, nodes, w0, w1):
     return sorted(t for t in knots if w0 <= t <= w1)
 
 
-# the benchmark's ``piecewise`` config at seed 1
-_BENCH_PIECEWISE = DelayEquation(
-    coefficients=(
-        PiecewisePeriodic(
-            1.0, ((0.0, 0.013081112871182245), (0.4822079806359817, 0.013076758673129385))
-        ),
-    ),
-    lags=(
-        PiecewisePeriodic(
-            1.0,
-            (
-                (0.0, 20.0),
-                (0.343414100820367, 11.907991738767091),
-                (0.6196621556292266, 15.854718618190658),
-            ),
-        ),
-    ),
-)
-
-
 @pytest.mark.parametrize("case", range(11))
 def test_integral_profile_knots_equal_the_loop_version(case):
     # the scan grids of the tau_max and envelope profiles over the real scan
     # window, far from t = 0, where the preimages are clamped to the
     # polyline's span; a rounding or two apart, as the two compute the
     # lattice values and the preimages in different orders
-    eq = [*kink_cases(), _BENCH_PIECEWISE][case]
+    eq = [*kink_cases(), make_bench_piecewise_equation()][case]
     env = combined_envelope(eq)
     _, w0, w1 = criteria._window(eq, env, 0)
     for poly in (tau_max_polyline(eq, w0, w1), env.polyline(w0, w1)):

@@ -31,6 +31,7 @@ from delayosc.model import phase_lattice
 
 from conftest import (
     kink_cases,
+    make_bench_piecewise_equation,
     make_demo_equation,
     make_random_equation,
     make_tent_lag_equation,
@@ -212,6 +213,20 @@ def test_deep_kernel_saturates_to_inf(demo_eq, demo_cache):
 
 
 # -- table lookup -----------------------------------------------------------
+
+
+def test_fit_matrices_equal_numpys():
+    # the Vandermonde matrix and chebint by local numpy: the same floats, and
+    # chebint's memory layout too, as a table's cumulative sums follow it
+    u, deg = kernel._CHEB_U, kernel._CHEB_DEG
+    assert np.array_equal(kernel._chebvander(u, deg), cheb.chebvander(u, deg))
+    assert np.array_equal(kernel._CHEB_FIT, np.linalg.inv(cheb.chebvander(u, deg)))
+    rng = np.random.default_rng(9)
+    for scale in (1e-9, 1.0, 1e6):
+        c = rng.standard_normal((2, 300, deg + 1)) * scale
+        got, want = kernel._chebint(c), cheb.chebint(c, lbnd=-1.0, axis=2)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides
 
 
 def test_table_lookup_sums_like_chebval():
@@ -405,10 +420,168 @@ def test_check_fits_each_sliding_and_frozen_pair_once(monkeypatch, demo_eq):
     fits = []
     fit = kernel._fit_table
 
-    def counting_fit(f, edges, tol):
+    def counting_fit(f, edges, tol, hints=None):
         fits.append(len(edges))
-        return fit(f, edges, tol)
+        return fit(f, edges, tol, hints)
 
     monkeypatch.setattr(kernel, "_fit_table", counting_fit)
     check_all(demo_eq, 3)
     assert len(fits) == 3
+
+
+# -- cutting failing pieces at the delay preimages -------------------------------
+
+
+def _cut_points_loop(lo, hi, hints, multi):
+    """The pieces of ``kernel._cut_points``, sorted, by a loop over pieces."""
+    out = []
+    for a, b in zip(lo, hi):
+        w, mid = b - a, 0.5 * (a + b)
+        middle = [x for x in hints if a + 0.25 * w <= x <= b - 0.25 * w]
+        inner = [x for x in hints if a + w / 64 < x < b - w / 64]
+        if multi and 2 <= len(inner) <= kernel._CHEB_DEG:
+            cuts = inner
+        elif middle:
+            cuts = [min(middle, key=lambda x: abs(x - mid))]
+        else:
+            cuts = [mid]
+        ends = [a, *cuts, b]
+        out += zip(ends[:-1], ends[1:])
+    return sorted(out)
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_cut_points_equal_the_loop_version(multi):
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        edges = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(2, 12))))
+        fail = rng.random(edges.size - 1) < 0.7
+        lo, hi = edges[:-1][fail], edges[1:][fail]
+        # hints anywhere, on the pieces' ends and just inside them
+        hints = np.concatenate(
+            [rng.uniform(0.0, 1.0, int(rng.integers(1, 40))), edges, edges + 1e-12]
+        )
+        hints = np.sort(hints[rng.random(hints.size) < 0.6])
+        if not hints.size:
+            continue
+        new_lo, new_hi = kernel._cut_points(lo, hi, hints, multi)
+        assert sorted(zip(new_lo, new_hi)) == _cut_points_loop(lo, hi, hints, multi)
+
+
+def test_cut_points_away_from_hints_are_plain_halving():
+    # the same arrays in the same order as halving: a table with no hint in
+    # reach is the plain halving table, bitwise
+    lo, hi = np.array([0.0, 0.5, 2.0]), np.array([0.5, 1.0, 3.0])
+    mid = 0.5 * (lo + hi)
+    hints = np.array([0.01, 0.9, 2.1, 2.95])
+    new_lo, new_hi = kernel._cut_points(lo, hi, hints, multi=False)
+    assert np.array_equal(new_lo, np.concatenate([lo, mid]))
+    assert np.array_equal(new_hi, np.concatenate([mid, hi]))
+
+
+def _fitted(monkeypatch, eqs, rs, hints=True):
+    """(samples, tables): the integrand samples and the tables of every fit
+    that ``check_all`` makes for ``eqs`` at the depths ``rs``.  Without
+    ``hints`` each failing piece is cut at its midpoint.  The tables do not
+    depend on the scan grid, so the grid is small."""
+    fit = kernel._fit_table
+    samples, tables = [0], []
+
+    def counting_fit(f, edges, tol, cuts=None):
+        def counted(zs):
+            samples[0] += zs.size
+            return f(zs)
+
+        out = fit(counted, edges, tol, cuts if hints else None)
+        tables.extend(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "_fit_table", counting_fit)
+        for eq in eqs:
+            for r in rs:
+                check_all(eq, r, n_grid=50)
+    return samples[0], tables
+
+
+def test_hints_cut_the_demo_tables_in_fewer_samples(monkeypatch, demo_eq):
+    # depth 3 breaks the depth-3 sliding and frozen integrands at the
+    # depth-2 preimages; halving took 7752 samples at r = 3, 33 422 at r = 4
+    for r, most in ((3, 3200), (4, 13000)):
+        cut, _ = _fitted(monkeypatch, [demo_eq], [r])
+        halved, _ = _fitted(monkeypatch, [demo_eq], [r], hints=False)
+        assert cut <= most < halved, (r, cut, halved)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_hints_never_cost_samples_on_the_bench_piecewise_config(monkeypatch, r):
+    eq = make_bench_piecewise_equation()
+    cut, _ = _fitted(monkeypatch, [eq], [r])
+    halved, _ = _fitted(monkeypatch, [eq], [r], hints=False)
+    assert cut <= halved
+
+
+def test_hints_cost_little_on_random_draws(monkeypatch):
+    rng = np.random.default_rng(20261019)
+    eqs = [make_random_equation(rng) for _ in range(12)]
+    cut, _ = _fitted(monkeypatch, eqs, [2, 3])
+    halved, _ = _fitted(monkeypatch, eqs, [2, 3], hints=False)
+    assert cut <= 1.05 * halved, (cut, halved)
+
+
+def test_hints_past_the_kink_cap_leave_plain_halving(monkeypatch):
+    # at L/P = 1e4 even the first level of preimages passes _MAX_KINKS: the
+    # hints are the lattice, which the seeds already hold
+    eq = make_tent_lag_equation(1e4)
+    cache = KernelCache()
+    assert np.array_equal(kernel._hints(eq, cache, 3)(), kernel._kink_phases(eq, cache, 0))
+    cut, tables = _fitted(monkeypatch, [eq], [3])
+    halved, plain = _fitted(monkeypatch, [eq], [3], hints=False)
+    assert cut == halved
+    assert len(tables) == len(plain)
+    for a, b in zip(tables, plain):
+        _assert_same_table(a, b)
+
+
+def test_hint_levels_stop_at_the_last_one_under_the_cap(monkeypatch, demo_eq):
+    # the demo's levels hold 3, 18, 105, 471, 2196 and 10 188 phases; the
+    # next would pass _MAX_KINKS
+    cache = KernelCache()
+    sizes = [len(kernel._kink_phases(demo_eq, cache, k)) for k in range(8)]
+    assert sizes == [3, 18, 105, 471, 2196, 10188, 10188, 10188]
+    # one level, the default, seeds the tables
+    seeds = kernel._kink_phases(demo_eq, cache)
+    assert np.array_equal(kernel._kink_phases(demo_eq, cache, 1), seeds)
+    monkeypatch.setattr(kernel, "_MAX_KINKS", 200)
+    cache = KernelCache()
+    assert [len(kernel._kink_phases(demo_eq, cache, k)) for k in range(5)] == [3, 18, 105, 105, 105]
+
+
+def test_caps_hold_with_multi_way_cuts(monkeypatch, demo_eq):
+    env = combined_envelope(demo_eq)
+
+    def fw_table():
+        calls = []
+
+        def counting_fit(f, edges, tol, hints=None):
+            return fit(lambda zs: calls.append(zs.size) or f(zs), edges, tol, hints)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "_fit_table", counting_fit)
+            cache = KernelCache()
+            kernel._level(demo_eq, 2, cache, kernel.DEFAULT_TOL)
+            calls.clear()
+            tables = kernel._sliding_table(demo_eq, 3, (0, 1), env, cache, kernel.DEFAULT_TOL, False)
+        return tables[0], len(calls)
+
+    fit = kernel._fit_table
+    table, rounds = fw_table()
+    assert (len(table.edges) - 1, rounds) == (111, 4)
+    # _MAX_PIECES counts the pieces a round makes, multi-way cuts included
+    for cap in range(18, 112, 3):
+        monkeypatch.setattr(kernel, "_MAX_PIECES", cap)
+        assert len(fw_table()[0].edges) - 1 <= cap
+    monkeypatch.undo()
+    for cap in (0, 1, 2):
+        monkeypatch.setattr(kernel, "_MAX_BISECT", cap)
+        assert fw_table()[1] == cap + 1

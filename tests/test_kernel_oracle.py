@@ -1,10 +1,13 @@
 """Kernel tables against independent quadrature.
 
-Every reference value is an mpmath ``quad`` split at the kinks of its
-integrand.  Depth 1 integrands use the exact coefficient-sum antiderivative
-G_0.  Depth 2 integrands need the level antiderivative G_1 at many points;
-it comes from a 20-point Gauss-Legendre rule on a fine partition aligned with
-the kinks of g_1, never from the library's Chebyshev tables.
+Every reference value at depths 1 and 2 is an mpmath ``quad`` split at the
+kinks of its integrand.  Depth 1 integrands use the exact coefficient-sum
+antiderivative G_0.  Deeper integrands need the level antiderivatives
+G_1, G_2 at many points; each comes from a 20-point Gauss-Legendre rule on
+a fine partition aligned with the kinks of its integrand g_1, g_2, never
+from the library's Chebyshev tables.  At depth 3, mpmath's per-point
+``quad`` over these nested lookups would take minutes, so the reference
+integrals are the same Gauss-Legendre rule over pieces between their kinks.
 """
 
 import math
@@ -33,16 +36,18 @@ from conftest import (
 mpmath = pytest.importorskip("mpmath")
 
 AGREE = 1e-10
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_GL = np.polynomial.legendre.leggauss(20)
+_GL_SHORT = np.polynomial.legendre.leggauss(10)
 
 
-def gauss_legendre(f, a, b):
-    """Elementwise 20-point Gauss-Legendre integrals of f over [a, b]."""
+def gauss_legendre(f, a, b, rule=_GL):
+    """Elementwise Gauss-Legendre integrals of f over [a, b], by default in
+    20 points."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
-    pts = (0.5 * (a + b))[..., None] + half[..., None] * _GL_X
-    return half * (f(pts.ravel()).reshape(pts.shape) @ _GL_W)
+    pts = (0.5 * (a + b))[..., None] + half[..., None] * rule[0]
+    return half * (f(pts.ravel()).reshape(pts.shape) @ rule[1])
 
 
 def preimages(values, knots, targets):
@@ -70,18 +75,24 @@ class Oracle:
         self.a, self.b = a, b
         self.lattice = breakpoint_times_reference(eq.coefficients + eq.lags, a, b)
         coeff_kinks = breakpoint_times_reference(eq.coefficients, a, b)
-        self.level_kinks = {
-            0: coeff_kinks,
-            1: sorted(set(self.lattice) | set(self.tau_preimages(coeff_kinks))),
-        }
-        step = 0.02 * eq.period
-        nodes = np.unique(
-            np.concatenate([self.level_kinks[1], np.arange(a, b, step), [b]])
-        )
-        self.nodes = nodes
-        self.cum = np.concatenate(
-            [[0.0], np.cumsum(gauss_legendre(self.g1, nodes[:-1], nodes[1:]))]
-        )
+        self.level_kinks = {0: coeff_kinks}
+        self.nodes, self.cum = {}, {}
+        self.tabulate(1)
+
+    def tabulate(self, level):
+        """G_level at nodes aligned with the kinks of g_level: the lattice and
+        the delay preimages of the kinks one level down.  g_level reads
+        G_{level-1} down to max_lag below its argument, so each level starts
+        that much later."""
+        kinks = set(self.lattice) | set(self.tau_preimages(self.kinks(level - 1)))
+        self.level_kinks[level] = sorted(kinks)
+        start = self.a + (level - 1) * self.eq.max_lag
+        step = 0.02 * self.eq.period
+        nodes = np.array(sorted(kinks | set(np.arange(start, self.b, step)) | {self.b}))
+        nodes = nodes[nodes >= start]
+        self.nodes[level] = nodes
+        parts = gauss_legendre(lambda zs: self.g(level, zs), nodes[:-1], nodes[1:])
+        self.cum[level] = np.concatenate([[0.0], np.cumsum(parts)])
 
     def lag_knots(self, lag):
         return [self.a] + breakpoint_times_reference([lag], self.a, self.b) + [self.b]
@@ -92,20 +103,41 @@ class Oracle:
             out += preimages(lambda z: z - lag.values(z), self.lag_knots(lag), targets)
         return out
 
-    def g1(self, zs):
-        g0 = self.eq.coeff_sum_antiderivative
+    def kinks(self, level):
+        """The kinks of g_level (level 0: of the coefficient sum), its table
+        built on first use."""
+        if level not in self.level_kinks:
+            self.tabulate(level)
+        return self.level_kinks[level]
+
+    def g(self, level, zs):
+        """g_level(z) = sum_i p_i(z) exp(G_{level-1}(z) - G_{level-1}(tau_i(z)))."""
+        base = self.level(level, zs)
         acc = 0.0
         for c, d in zip(self.eq.coefficients, self.eq.lags):
-            acc = acc + c.values(zs) * np.exp(g0(zs) - g0(zs - d.values(zs)))
+            acc = acc + c.values(zs) * np.exp(base - self.level(level, zs - d.values(zs)))
         return acc
 
     def level(self, r, xs):
-        """G_{r-1}: the exact G_0, or G_1 by Gauss-Legendre from the nodes."""
+        """G_{r-1}: the exact G_0, else its table at the node below plus
+        Gauss-Legendre from there, in 20 points for G_1 and in 10 for G_2
+        (the nodes are at most 0.02 period apart).  In chunks: each value
+        of G_2 takes 10 (m + 1) values of G_1."""
         if r == 1:
             return self.eq.coeff_sum_antiderivative(xs)
+        self.kinks(r - 1)
+        nodes, cum = self.nodes[r - 1], self.cum[r - 1]
         xs = np.asarray(xs, dtype=float)
-        k = np.searchsorted(self.nodes, xs, side="right") - 1
-        return self.cum[k] + gauss_legendre(self.g1, self.nodes[k], xs)
+        out = np.empty(xs.size)
+        flat = xs.ravel()
+        for j in range(0, flat.size, 2048):
+            x = flat[j : j + 2048]
+            k = np.searchsorted(nodes, x, side="right") - 1
+            assert (k >= 0).all() and (x <= nodes[-1]).all(), "outside the oracle's span"
+            out[j : j + 2048] = cum[k] + gauss_legendre(
+                lambda zs: self.g(r - 1, zs), nodes[k], x, _GL if r == 2 else _GL_SHORT
+            )
+        return out.reshape(xs.shape)
 
     def quad(self, f, a, b, kinks):
         pts = [a] + sorted(k for k in set(kinks) if a < k < b) + [b]
@@ -113,14 +145,24 @@ class Oracle:
             mpmath.quad(lambda z: f(np.array([float(z)]))[0], pts, method="gauss-legendre")
         )
 
+    def gl_quad(self, f, a, b, kinks):
+        """The integral by Gauss-Legendre over the pieces between the kinks,
+        each cut into parts no longer than 0.02 period."""
+        pts = np.array([a] + sorted(k for k in set(kinks) if a < k < b) + [b])
+        parts = np.ceil(np.diff(pts) / (0.02 * self.eq.period)).astype(int)
+        frac = np.concatenate([np.arange(n) / n for n in parts])
+        lo = np.repeat(pts[:-1], parts) + frac * np.repeat(np.diff(pts), parts)
+        hi = np.append(lo[1:], b)
+        return float(gauss_legendre(f, lo, hi).sum())
+
     def coeff_sum(self, zs):
         return sum(c.values(zs) for c in self.eq.coefficients)
 
     def kernel(self, r, t, s):
-        f = self.coeff_sum if r == 1 else self.g1
-        return math.exp(self.quad(f, s, t, self.level_kinks[r - 1]))
+        f = self.coeff_sum if r == 1 else (lambda zs: self.g(r - 1, zs))
+        return math.exp(self.quad(f, s, t, self.kinks(r - 1)))
 
-    def sliding(self, r, terms, a, b):
+    def sliding(self, r, terms, a, b, quad=None):
         env = self.env
 
         def f(zs):
@@ -132,11 +174,11 @@ class Oracle:
             return acc
 
         env_knots = [self.a, *env.knots(self.a, self.b), self.b]
-        kinks = self.lattice + env_knots + self.tau_preimages(self.level_kinks[r - 1])
-        kinks += preimages(env.values, env_knots, self.level_kinks[r - 1])
-        return self.quad(f, a, b, kinks)
+        kinks = self.lattice + env_knots + self.tau_preimages(self.kinks(r - 1))
+        kinks += preimages(env.values, env_knots, self.kinks(r - 1))
+        return (quad or self.quad)(f, a, b, kinks)
 
-    def frozen(self, r, terms, c, a, b):
+    def frozen(self, r, terms, c, a, b, quad=None):
         def f(zs):
             base = self.level(r, np.array([c]))[0]
             acc = 0.0
@@ -145,8 +187,8 @@ class Oracle:
                 acc = acc + p.values(zs) * np.exp(base - self.level(r, zs - d.values(zs)))
             return acc
 
-        kinks = self.lattice + self.tau_preimages(self.level_kinks[r - 1])
-        return self.quad(f, a, b, kinks)
+        kinks = self.lattice + self.tau_preimages(self.kinks(r - 1))
+        return (quad or self.quad)(f, a, b, kinks)
 
 
 def _transient_draw():
@@ -218,6 +260,44 @@ def test_tables_match_quadrature_oracle(name, eq, r):
             oracle.frozen(r, [i], h, s, t),
         ),
         "kernel": (decay_kernel(eq, r, t, s, cache=cache), oracle.kernel(r, t, s)),
+    }
+    bad = {k: (got, want) for k, (got, want) in checks.items() if not _close(got, want)}
+    assert not bad, bad
+
+
+def _refined_draw():
+    """The first random equation whose depth-3 sliding table is cut at its
+    hints: its pieces break past the seeds."""
+    rng = np.random.default_rng(20261019)
+    while True:
+        eq = make_random_equation(rng)
+        cache = KernelCache()
+        inner_criterion_integral(eq, 3, 0.0, cache=cache)
+        if any(key[0] == "hints" for key in cache._tables):
+            return eq
+
+
+@pytest.mark.parametrize(
+    "name,eq",
+    [("demo", make_demo_equation()), ("refined", _refined_draw())],
+    ids=["demo", "refined"],
+)
+def test_depth_three_criteria_match_gauss_legendre_oracle(name, eq):
+    env = combined_envelope(eq)
+    t = env.t_stab + 2.0 * (eq.max_lag + eq.period) + 0.37 * eq.period
+    h = env(t)
+    oracle = Oracle(eq, h - eq.max_lag, t)
+    cache = KernelCache()
+    terms = range(eq.m)
+    checks = {
+        "inner": (
+            inner_criterion_integral(eq, 3, t, cache=cache, env=env),
+            oracle.sliding(3, terms, h, t, quad=oracle.gl_quad),
+        ),
+        "outer": (
+            outer_criterion_integral(eq, 3, t, cache=cache, env=env),
+            oracle.frozen(3, terms, h, h, t, quad=oracle.gl_quad),
+        ),
     }
     bad = {k: (got, want) for k, (got, want) in checks.items() if not _close(got, want)}
     assert not bad, bad
