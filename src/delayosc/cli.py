@@ -21,6 +21,7 @@ runs are byte-identical and values survive a parse round trip exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -288,6 +289,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# built once per process: building takes about a tenth of a small check
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delayosc",
@@ -328,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -2,25 +2,18 @@
 
 All limit inferior / limit superior quantities reduce to extrema of
 periodic profiles once transients have passed, so they are computed by
-scanning one steady-state period on a dense grid seeded with every
-geometric breakpoint, points a rounding apart merged, then refining every
-local extremum by a zoom search, all brackets in lockstep with one
-vectorised call per step.  Grid values within a rounding tie (1e-13 of
-the profile's largest magnitude) count as equal, so each run of such local
-extrema is one bracket, and a profile flat up to rounding gives one
-bracket, not hundreds.  A bracket is centred on its run's best grid
-point; each step cuts each side of that point in 16 equal parts and keeps
-the two neighbours of the best sample, centred on it.  A bracket stops
-once its samples are straight to the tie on each side of the best, as on
-flat runs, at kinks (every knot is a grid point, so a kink extremum is a
-sample from the first step on) and, after a few steps, at smooth
-extrema: a check takes 1 step on a flat profile and 4-6 on the demo.  It
-also stops once no wider than the refinement tolerance (min(tol, 1e-10)),
-or once a step fails to halve it because the float spacing at the window
-is coarser than that, so it never takes more than about 27 steps
-whatever the scale of the period and lags.  A criterion counts as
-satisfied only when its margin clears 10 * tol; anything closer is
-marginal and reported as not satisfied.
+scanning one steady-state period [w0, w0 + P] on a dense grid seeded with
+every geometric breakpoint, then refining every local extremum by a zoom
+search, all brackets in lockstep (``_scan_extrema``).  The window's ends
+are one point of a circle: neighbours are cyclic, a run of extrema may
+wrap across the seam, and every location is reported in [w0, w0 + P).
+Grid values within a rounding tie (1e-13 of the profile's largest
+magnitude) count as equal, so a profile flat up to rounding gives one
+bracket, not hundreds.  A check takes 1 zoom step on a flat profile, 4-5
+on the demo, and never more than about 27 whatever the scale of the
+period and lags.  A criterion counts as satisfied only when its margin
+clears 10 * tol; anything closer is marginal and reported as not
+satisfied.
 """
 
 from __future__ import annotations
@@ -135,9 +128,7 @@ def _zoom_lockstep(g, x3, g3, tie, xtol: float):
     Each step cuts each side of ``c`` in 16 equal parts, the sides' widths
     may differ, evaluates the new samples of every active bracket in one
     call of ``g``, and keeps the two neighbours of the best interior sample
-    (the first among equals) as the next bracket, centred on it; a side of
-    zero width (a run at the window's edge) only repeats ``c``, so its
-    samples take ``c``'s known value and none of them is picked.  A bracket
+    (the first among equals) as the next bracket, centred on it.  A bracket
     stops once the second differences of its 33 samples are within its tie
     at every sample but the best (the profile is straight to rounding on
     each side of it, so refining further moves the value by about the tie;
@@ -155,15 +146,11 @@ def _zoom_lockstep(g, x3, g3, tie, xtol: float):
         side = np.where(_ZOOM_FRACTIONS < 0, (c - lo)[:, None], (hi - c)[:, None])
         x = c[:, None] + side * _ZOOM_FRACTIONS
         x[:, 0], x[:, -1] = lo, hi
-        # a side of zero width only repeats c: its samples take c's value,
-        # and are never picked, as picking one would end the bracket
-        fresh = _ZOOM_NEW & (side != 0.0)
-        gx = np.repeat(g3[act, 1:2], 33, axis=1)
+        gx = np.empty_like(x)
         gx[:, _ZOOM_KNOWN] = g3[act]
-        gx[fresh] = g(x[fresh], np.repeat(act, fresh.sum(axis=1)))
+        gx[:, _ZOOM_NEW] = g(x[:, _ZOOM_NEW].ravel(), np.repeat(act, 30)).reshape(-1, 30)
         gx[np.isnan(gx)] = math.inf
-        pick = np.where(_ZOOM_NEW & ~fresh, math.inf, gx)
-        k = 1 + np.argmin(pick[:, 1:-1], axis=1)
+        k = 1 + np.argmin(gx[:, 1:-1], axis=1)
         keep = k[:, None] + np.array([-1, 0, 1])
         x3[act], g3[act] = x[rows[:, None], keep], gx[rows[:, None], keep]
         with np.errstate(invalid="ignore"):
@@ -176,8 +163,9 @@ def _zoom_lockstep(g, x3, g3, tie, xtol: float):
 
 
 def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
-    """Uniform grid over [w0, w1] joined with the knots that fall inside.
-    Points closer than ``_SAME_POINT_REL * (w1 - w0)`` are one point: a knot
+    """Uniform grid over [w0, w1] joined with the knots inside; its ends are
+    exactly w0 and w1.  Points closer than ``_SAME_POINT_REL * (w1 - w0)`` are
+    one point: a knot that close to an end is that end, and one elsewhere
     drops the grid points beside it and the knots just after it."""
     _check_grid(n_grid)
     same = _SAME_POINT_REL * (w1 - w0)
@@ -185,7 +173,7 @@ def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
     knots = np.asarray(knots, dtype=float)
     # sorted, and a knot within ``same`` of the one before it dropped: this
     # drops repeats too
-    knots = _merge_close(knots[(knots >= w0) & (knots <= w1)], same)
+    knots = _merge_close(knots[(knots > w0 + same) & (knots < w1 - same)], same)
     if knots.size:
         i = np.searchsorted(knots, grid)
         gap = np.minimum(
@@ -198,48 +186,50 @@ def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
 
 
 def _brackets(vals, tie: float):
-    """Indices ``(lo, c, hi)`` of every run of local minima of ``vals``,
-    values within ``tie`` of each other counting as equal: the run's outer
-    neighbours and its best point (the first among equals), degenerate
-    brackets dropped."""
-    pad = np.concatenate([[math.inf], vals, [math.inf]]) + tie
-    is_min = np.concatenate([[False], (vals <= pad[:-2]) & (vals <= pad[2:]), [False]])
-    # adjacent local minima are tied, so each run of them is one flat extremum
-    j0 = np.flatnonzero(is_min[1:-1] & ~is_min[:-2])
-    j1 = np.flatnonzero(is_min[1:-1] & ~is_min[2:])
-    # each run's lowest value, and its first point at that value: the first
-    # such point at or after the run's start
-    members = np.flatnonzero(is_min[1:-1])
-    bounds = np.stack([j0, j1 + 1], axis=1).ravel()
-    lowest = np.minimum.reduceat(np.append(vals, math.inf), bounds)[::2]
-    hits = members[vals[members] == np.repeat(lowest, j1 - j0 + 1)]
+    """Rows ``(lo, c, hi)`` of indices, one per run of local minima of the
+    periodic ``vals``, values within ``tie`` of each other counting as equal:
+    the run's outer neighbours and its best point (the first among equals),
+    in the order of ``c``.  A run may wrap across the seam: ``c`` is in
+    [0, n), and an ``lo`` or ``hi`` past an end stands for point i mod n."""
+    n = len(vals)
+    is_min = (vals <= np.roll(vals, 1) + tie) & (vals <= np.roll(vals, -1) + tie)
+    # read the circle from a point that is no minimum, so no run wraps; when
+    # every point is one, the whole circle is one run
+    s = int(np.argmin(is_min))
+    m, v = np.roll(is_min, -s), np.roll(vals, -s)
+    ends = np.flatnonzero(np.diff(m, prepend=False, append=False))
+    j0, j1 = ends[::2], ends[1::2] - 1
+    # each run's lowest value, and its first point at that value
+    lowest = np.minimum.reduceat(np.where(m, v, math.inf), j0)
+    at_lowest = v == np.repeat(np.append(math.inf, lowest), np.diff(j0, prepend=0, append=n))
+    hits = np.flatnonzero(m & at_lowest)
     c = hits[np.searchsorted(hits, j0)]
-    lo, hi = np.maximum(j0 - 1, 0), np.minimum(j1 + 1, len(vals) - 1)
-    keep = hi > lo
-    return lo[keep], c[keep], hi[keep]
+    # back from the rotated circle, each bracket shifted to centre in [0, n)
+    shift = s - n * (c + s >= n)
+    return (np.stack([j0 - 1, c, j1 + 1], axis=1) + shift[:, None])[np.argsort(c + shift)]
 
 
 def _scan_extrema(jobs, xtol=_REFINE_XTOL):
-    """Extrema of several vectorised profiles, with their locations.
+    """Extrema of several vectorised periodic profiles, with their locations.
 
     ``jobs`` is a list of ``(f, cand, modes)``: a profile, its sorted
-    candidates and the extrema wanted ("min", "max").  The result holds, per
-    job, one ``(value, t)`` per mode.  Each ``f`` is evaluated once on its
-    candidates.  Every run of local extrema, grid values within the job's
-    tie (``_TIE_REL`` of its largest finite one) counting as equal, brackets
-    one refinement between its outer neighbours, centred on the run's best
-    point; the brackets of every job and mode are refined in one
-    ``_zoom_lockstep``, each step calling every profile once, on the points
-    of its own brackets.  A bracket stops once its samples are straight to
-    the tie on each side of the best one, once no wider than ``xtol``, or
-    once a step fails to halve it, so a check takes 1 step on a flat
-    profile, 4-6 on the demo, and never more than about 27, whatever the
-    scale.  A refinement replaces the best grid value only when strictly
-    better, and the first bracket wins a tie.
+    candidates over one period and the extrema wanted ("min", "max").  The
+    result holds, per job, one ``(value, t)`` per mode, ``t`` in
+    ``[cand[0], cand[-1])``.  Each ``f`` is evaluated once on ``cand[:-1]``,
+    the last candidate being the first one's periodic copy.  Every run of
+    local extrema, neighbours cyclic and grid values within the job's tie
+    (``_TIE_REL`` of its largest finite one) counting as equal, brackets one
+    refinement between its outer neighbours, centred on the run's best point;
+    the brackets of every job and mode are refined in one ``_zoom_lockstep``,
+    each step calling every profile once.  Kinks are grid points, so a kink
+    extremum is a sample from the first step on.  A refinement replaces the
+    best grid value only when strictly better, and the first bracket wins a
+    tie.
     """
-    best, xs, gs, ties, job_of, sign_of, slot_of = [], [], [], [], [], [], []
+    best, xs, gs, slots, counts = [], [], [], [], []
     for j, (f, cand, modes) in enumerate(jobs):
-        vals = np.asarray(f(cand), dtype=float)
+        n, period = len(cand) - 1, cand[-1] - cand[0]
+        vals = np.asarray(f(cand[:-1]), dtype=float)
         finite = np.abs(vals[np.isfinite(vals)])
         tie = _TIE_REL * finite.max() if finite.size else 0.0
         best.append([])
@@ -247,20 +237,19 @@ def _scan_extrema(jobs, xtol=_REFINE_XTOL):
             sign = 1.0 if mode == "min" else -1.0
             signed = sign * vals
             k = int(np.argmin(signed))
-            idx = np.stack(_brackets(signed, tie), axis=1)
-            n = len(idx)
-            xs.append(cand[idx])
-            gs.append(signed[idx])
-            ties.append(np.full(n, tie))
-            job_of.append(np.full(n, j))
-            sign_of.append(np.full(n, sign))
-            slot_of.append(np.full(n, len(slot_of)))
+            idx = _brackets(signed, tie)
+            lap = np.where(idx == n, 0, idx // n)  # index n is the window's end
+            xs.append(cand[idx - lap * n] + period * lap)
+            gs.append(signed[idx % n])
+            slots.append((tie, j, sign, cand[0], cand[-1]))
+            counts.append(len(idx))
             best[-1].append([sign, signed[k], cand[k]])
     x3 = np.concatenate(xs)
     if x3.size:
-        sign_of = np.concatenate(sign_of)
+        slot_of = np.repeat(np.arange(len(slots)), counts)
+        tie_of, job_of, sign_of, w0, w1 = np.array(slots)[slot_of].T
         # brackets come in job order: those of job j are [first[j], first[j + 1])
-        first = np.searchsorted(np.concatenate(job_of), np.arange(len(jobs) + 1))
+        first = np.searchsorted(job_of, np.arange(len(jobs) + 1))
 
         def g(x, act):
             at = np.searchsorted(act, first)
@@ -271,8 +260,10 @@ def _scan_extrema(jobs, xtol=_REFINE_XTOL):
             ]
             return sign_of[act] * np.concatenate(out)
 
-        x, gx = _zoom_lockstep(g, x3, np.concatenate(gs), np.concatenate(ties), xtol)
-        slot_of = np.concatenate(slot_of)
+        x, gx = _zoom_lockstep(g, x3, np.concatenate(gs), tie_of, xtol)
+        # a point refined past either end goes a period back, into [w0, w1)
+        x = np.where(x < w0, x + (w1 - w0), np.where(x >= w1, x - (w1 - w0), x))
+        x = np.clip(x, w0, np.nextafter(w1, w0))
         for s, entry in enumerate(e for row in best for e in row):
             ks = np.flatnonzero(slot_of == s)
             if ks.size:
@@ -290,8 +281,10 @@ def _scan_extremum(f, cand, mode, xtol=_REFINE_XTOL):
 
 def _window(eq: DelayEquation, env: EnvelopeFunction | None, depth: int):
     """``(env, w0, w1)``: the envelope, built when not given, and the
-    period-aligned steady-state scan window ``[w0, w1 = w0 + P]``, late enough
-    that ``depth`` nested kernel lookups never reach back before t = 0."""
+    period-aligned steady-state scan window ``[w0, w1 = w0 + P]``.  Its start
+    is (depth + 2)(max_lag + P) past t_stab, over a period more than the
+    (depth + 1) lags ``depth`` nested kernel lookups reach back: a bracket
+    wrapped across the seam reads at most a period before w0."""
     env = env if env is not None else combined_envelope(eq)
     t0 = env.t_stab + (depth + 2) * (eq.max_lag + eq.period)
     w0 = eq.period * math.ceil(t0 / eq.period - 1e-9)

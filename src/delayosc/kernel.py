@@ -113,9 +113,9 @@ class KernelCache:
     tol), plus the kink phases of an equation: one level of them seeds every
     table (the breakpoint lattice alone when its delay preimages would pass
     _MAX_KINKS), and deeper levels give the hints a failing piece is cut at,
-    built only when some piece fails.  The settled sliding table F and the frozen table W of a
-    level are fitted together, so they share F's pieces and one entry, keyed
-    by the envelope.
+    built only when some piece fails, and the ``_tau_chain`` of each lag set.
+    F and W, the settled sliding and frozen tables of a level, are fitted
+    together, so they share F's pieces and one entry, keyed by the envelope.
 
     A table is built on first use and read by every later lookup, so results
     with and without a shared cache are identical.
@@ -349,21 +349,25 @@ def _seed_edges(points, lo: float, hi: float) -> np.ndarray:
     return np.concatenate([[lo], inner, [hi]])
 
 
-def _preimage_phases(lags, period: float, phases):
-    """All z in [0, P) where some z - lag(z) hits a phase of ``phases`` mod P,
-    or None when the candidates number more than _MAX_KINKS; the delay
-    arguments of ``lags`` over one period, chained into one polyline, go
-    through one ``_lattice_preimages`` call, so the cap counts them all."""
+def _tau_chain(lags, period: float):
+    """The delay arguments of ``lags`` over one period, in one polyline."""
     polys = [_tau_polyline(lag, 0.0, period) for lag in lags]
-    chain = tuple(np.concatenate(part) for part in zip(*polys))
+    return tuple(np.concatenate(part) for part in zip(*polys))
+
+
+def _preimage_phases(chain, period: float, phases):
+    """All z in [0, P) where the ``_tau_chain`` polyline ``chain`` hits a
+    phase of ``phases`` mod P, or None when the candidates number more than
+    _MAX_KINKS; one ``_lattice_preimages`` call counts every lag's."""
     z = _lattice_preimages(chain, phases, period, _MAX_KINKS)
     return None if z is None else z[z < period]
 
 
-def _with_preimages(lags, period: float, phases) -> np.ndarray:
+def _with_preimages(lags, period: float, phases, cache: KernelCache) -> np.ndarray:
     """``phases`` and their delay preimages under ``lags``, or ``phases``
     alone when the preimages would pass _MAX_KINKS."""
-    pre = _preimage_phases(lags, period, phases)
+    chain = cache._table(("chain", tuple(lags), period), lambda: _tau_chain(lags, period))
+    pre = _preimage_phases(chain, period, phases)
     return phases if pre is None else np.concatenate([phases, pre])
 
 
@@ -380,7 +384,7 @@ def _kink_phases(eq: DelayEquation, cache: KernelCache, levels: int = 1) -> np.n
     return cache._table(
         ("kinks", eq, levels),
         lambda: _merge_close(
-            _with_preimages(eq.lags, eq.period, _kink_phases(eq, cache, levels - 1))
+            _with_preimages(eq.lags, eq.period, _kink_phases(eq, cache, levels - 1), cache)
         ),
     )
 
@@ -400,7 +404,8 @@ def _hints(eq: DelayEquation, cache: KernelCache, depth: int, tail_lag=None):
         if tail_lag is None:
             return kinks
         below = _kink_phases(eq, cache, depth - 2)
-        return _merge_close(np.concatenate([kinks, _with_preimages([tail_lag], eq.period, below)]))
+        tail = _with_preimages([tail_lag], eq.period, below, cache)
+        return _merge_close(np.concatenate([kinks, tail]))
 
     return lambda: cache._table(("hints", eq, depth, tail_lag), build)
 
@@ -464,7 +469,7 @@ def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> list[_Tabl
             # the settled envelope, continued periodically
             h, lo, hi = EnvelopeFunction(0.0, (), env.tail_lag), 0.0, period
             # h(z) = z - tail_lag(z) hits the lattice at its preimages
-            tail = _with_preimages([env.tail_lag], period, _kink_phases(eq, cache, 0))
+            tail = _with_preimages([env.tail_lag], period, _kink_phases(eq, cache, 0), cache)
             points = np.concatenate([kinks, tail])
 
             def f(zs):

@@ -112,12 +112,7 @@ def _zoom_bracket(g, xs, gs, tie, xtol):
         xs = [a] + [c + (left if j < 0 else right) * j for j in offsets[1:-1]] + [b]
         gs = [ga] + [gc if j == 0 else g(x) for j, x in zip(offsets[1:-1], xs[1:-1])] + [gb]
         gs = [math.inf if math.isnan(v) else v for v in gs]
-        # a side of zero width only repeats c: its samples are never picked
-        pick = [
-            math.inf if j and (c - a if j < 0 else b - c) == 0.0 else v
-            for j, v in zip(offsets[1:-1], gs[1:-1])
-        ]
-        k = 1 + pick.index(min(pick))
+        k = 1 + gs[1:-1].index(min(gs[1:-1]))
         straight = all(math.isfinite(v) for v in gs) and all(
             abs(gs[i - 1] - 2.0 * gs[i] + gs[i + 1]) <= tie for i in range(1, 32) if i != k
         )
@@ -164,54 +159,72 @@ def _golden_bracket(g, a, b, xtol):
 
 
 def _scan_reference(f, cand, mode, xtol=1e-10, search=None, tie_rel=1e-13):
-    """One bracket at a time: each run of local extrema, values within
-    ``tie_rel`` of the largest finite one counting as equal, refined in
-    order, by ``_zoom_bracket`` about the run's first best point or by a
-    scalar ``search(g, a, b, xtol)`` between its outer neighbours; a strictly
-    better one wins."""
+    """One bracket at a time over the period ``[cand[0], cand[-1]]``, whose
+    last candidate is the first one's periodic copy: each run of local
+    extrema, neighbours taken cyclically and values within ``tie_rel`` of the
+    largest finite one counting as equal, refined in the order of its first
+    best point, by ``_zoom_bracket`` about that point or by a scalar
+    ``search(g, a, b, xtol)`` between its outer neighbours, a neighbour past
+    an end read a period away; a strictly better one wins, its location
+    moved a period back into ``[cand[0], cand[-1])``."""
     sign = 1.0 if mode == "min" else -1.0
 
     def g(x):
         return sign * float(f(np.array([x]))[0])
 
-    vals = sign * np.asarray(f(cand), dtype=float)
+    n, period = len(cand) - 1, float(cand[-1] - cand[0])
+    vals = sign * np.asarray(f(cand[:-1]), dtype=float)
     best_val, best_t = float(vals.min()), float(cand[int(np.argmin(vals))])
     finite = [abs(v) for v in vals if math.isfinite(v)]
     tie = tie_rel * max(finite) if finite else 0.0
-    n = len(cand)
-    runs = []
+    is_min = [vals[j] <= vals[j - 1] + tie and vals[j] <= vals[(j + 1) % n] + tie for j in range(n)]
+    # runs as (first, last) counted on past the last point; all of them one run
+    flat = all(is_min)
+    runs = [(0, n - 1)] if flat else []
     for j in range(n):
-        left = vals[j - 1] if j > 0 else math.inf
-        right = vals[j + 1] if j < n - 1 else math.inf
-        if vals[j] <= left + tie and vals[j] <= right + tie:
-            if runs and runs[-1][1] == j - 1:
-                runs[-1] = (runs[-1][0], j)
-            else:
-                runs.append((j, j))
+        if is_min[j] and not is_min[j - 1] and not flat:
+            k = j
+            while is_min[(k + 1) % n]:
+                k += 1
+            runs.append((j, k))
+
+    def at(i):
+        # point i, past either end a period away
+        return float(cand[i]) if 0 <= i <= n else float(cand[i % n]) + period * (i // n)
+
+    brackets = []
     for j0, j1 in runs:
-        i, k = max(j0 - 1, 0), min(j1 + 1, n - 1)
-        a, b = float(cand[i]), float(cand[k])
-        if b <= a:
-            continue
+        jc = min(range(j0, j1 + 1), key=lambda j: vals[j % n])  # first among equals
+        lap = n * (jc // n)  # the best point back into the window
+        brackets.append((jc - lap, j0 - 1 - lap, j1 + 1 - lap))
+    for jc, i, k in sorted(brackets):
+        a, b = at(i), at(k)
         if search is None:
-            jc = min(range(j0, j1 + 1), key=lambda j: vals[j])  # first among equals
             x, gx = _zoom_bracket(
-                g, (a, float(cand[jc]), b), (vals[i], vals[jc], vals[k]), tie, xtol
+                g, (a, at(jc), b), (vals[i % n], vals[jc], vals[k % n]), tie, xtol
             )
         else:
             x, gx = search(g, a, b, xtol)
         if gx < best_val:
             best_val, best_t = gx, x
-    return sign * best_val, best_t
+    if best_t < cand[0]:
+        best_t += period
+    elif best_t >= cand[-1]:
+        best_t -= period
+    return sign * best_val, min(max(best_t, float(cand[0])), math.nextafter(cand[-1], cand[0]))
 
 
 def _reference_profiles(demo_eq, control_eq):
-    # flat runs and ties: a staircase of three levels
-    cand = np.linspace(0.0, 1.0, 201)
-    steps = np.random.default_rng(3).integers(0, 3, cand.size).astype(float)
-    profiles = [(lambda ts: np.interp(ts, cand, steps), cand)]
-    # two equal grid values either side of the peak: one bracket spans both
-    profiles.append((lambda ts: -((ts - 0.5) ** 2), 0.0625 + 0.125 * np.arange(8)))
+    # flat runs and ties: a periodic staircase of three levels, a run of its
+    # lowest level wrapping across the seam
+    knots = np.linspace(0.0, 1.0, 201)
+    steps = np.random.default_rng(3).integers(0, 3, knots.size).astype(float)
+    steps[:3] = steps[-4:] = 0.0
+    profiles = [(lambda ts: np.interp(ts, knots, steps, period=1.0), knots)]
+    # two equal grid values either side of the peak and of the trough, which
+    # sits at the seam: one bracket spans each pair
+    cand = 0.0625 + 0.125 * np.arange(9)
+    profiles.append((lambda ts: np.cos(2.0 * math.pi * (ts - 0.5)), cand))
     # the control profile is flat up to rounding: many noise brackets
     for eq in (demo_eq, control_eq):
         for kind in ("inner", "outer"):
@@ -256,7 +269,8 @@ def test_zoom_agrees_with_golden_section(demo_eq, control_eq):
 
 
 def test_scan_finds_peaks_the_grid_misses():
-    cand = np.linspace(0.013, 0.987, 50)  # no point on a peak or a trough
+    # one period, no point on a peak or a trough
+    cand = 0.013 + np.linspace(0.0, 1.0, 51)
 
     def f(ts):
         return np.cos(6.0 * math.pi * ts)
@@ -292,8 +306,18 @@ def test_brackets_centre_on_the_best_point_of_each_run():
     # runs of tied local minima: {1}, {3, 4} (4 is lower by less than the
     # tie) and {6, 7} (exactly equal: the first)
     vals = np.array([3.0, 1.0, 2.0, 1.0 + 1e-14, 1.0, 5.0, 0.0, 0.0, 4.0])
-    lo, c, hi = criteria._brackets(vals, 1e-13)
+    lo, c, hi = criteria._brackets(vals, 1e-13).T
     assert (lo.tolist(), c.tolist(), hi.tolist()) == ([0, 2, 5], [1, 4, 6], [2, 5, 8])
+    # neighbours are cyclic: a run wraps across the seam, its best point is
+    # the first in run order, and its ends count on past the last point or
+    # before the first; a flat circle is one run
+    for vals, tie, want in [
+        ([0.0, 5.0, 3.0, 4.0, 0.0], 0.0, ([1, 3], [2, 4], [3, 6])),
+        ([0.05, 0.0, 5.0, 3.0, 4.0, 0.02], 0.1, ([-2, 2], [1, 3], [2, 4])),
+        ([1.0, 1.0, 1.0], 0.0, ([-1], [0], [3])),
+    ]:
+        lo, c, hi = criteria._brackets(np.array(vals), tie).T
+        assert (lo.tolist(), c.tolist(), hi.tolist()) == want
 
 
 def test_kink_on_a_grid_knot_ends_after_one_step():
@@ -316,9 +340,8 @@ def test_kink_on_a_grid_knot_ends_after_one_step():
 def test_smooth_peak_just_off_a_grid_point(peak):
     # the peak sits 1/100 of a grid spacing from a scan point, which the
     # first step samples: a stop before the samples turn straight misses it
-    # by about 1e-6.  At an end of the window the run's bracket has a side of
-    # zero width; picking a sample there, a copy of the end, would leave a
-    # bracket of no width and miss the peak by about 8e-7
+    # by about 1e-6.  Next to the seam the bracket reaches a period over, and
+    # the peak found there is reported back inside the window
     cand = np.linspace(0.0, 1.0, 51)
 
     def f(ts):
@@ -328,7 +351,25 @@ def test_smooth_peak_just_off_a_grid_point(peak):
     bottom, t_bottom = criteria._scan_extremum(lambda ts: -f(ts), cand, "min")
     assert abs(top - 4.0) <= 1e-13 * 4.0 and bottom == -top
     assert t_top == t_bottom and abs(t_top - peak) <= 1e-6
+    assert cand[0] <= t_top < cand[-1]
     assert (top, t_top) == _scan_reference(f, cand, "max")
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.013, 0.3, 0.3 - 1e-4, 0.3 + 1e-4, 0.8 + 1e-4, -0.71, 1e3])
+def test_scan_is_the_same_on_a_shifted_window(shift):
+    # a period-1 profile peaking at 0.3 and dipping at 0.8: moving the window,
+    # the seam onto an extremum or beside it, moves neither
+    def f(ts):
+        return 3.0 + np.cos(2.0 * math.pi * (ts - 0.3))
+
+    cand = np.linspace(0.0, 1.0, 51)
+    for mode, want in (("max", 0.3), ("min", 0.8)):
+        value, t = criteria._scan_extremum(f, cand, mode)
+        moved, t_moved = criteria._scan_extremum(f, cand + shift, mode)
+        assert abs(moved - value) <= 1e-13 * 4.0
+        assert cand[0] + shift <= t_moved < cand[-1] + shift
+        assert abs(t - want) <= 1e-6
+        assert abs((t_moved - t + 0.5) % 1.0 - 0.5) <= 1e-6
 
 
 def test_scan_refines_every_bracket_in_lockstep(monkeypatch):
@@ -449,24 +490,29 @@ def test_flat_profile_is_one_bracket_not_hundreds(monkeypatch):
     assert all(sum(n) < 5000 for n in calls), [sum(n) for n in calls]
 
 
-def test_edge_brackets_evaluate_no_copies_of_their_centre(monkeypatch, control_eq):
-    # the control's profiles peak at the window's ends: 3 of its 5 brackets
-    # have a side of zero width, whose 15 samples are copies of the centre
-    # (they were evaluated, 150 points in all); 2 brackets take 30 points
-    # and 3 take 15, each for one step
-    points = []
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_the_seam_is_one_bracket(monkeypatch, demo_eq, control_eq, r):
+    # the window's ends are one point: an extremum there used to be two
+    # brackets, each with a side of zero width, 11 on the demo.  The
+    # control's profiles peak at the seam; its 5 brackets take one step
+    brackets, points = [], []
     lockstep = criteria._zoom_lockstep
 
-    def counting_lockstep(g, *args):
+    def counting_lockstep(g, x3, *args):
         def counted(x, act):
             points.append(x.size)
             return g(x, act)
 
-        return lockstep(counted, *args)
+        brackets.append(len(x3))
+        return lockstep(counted, x3, *args)
 
     monkeypatch.setattr(criteria, "_zoom_lockstep", counting_lockstep)
-    check_all(control_eq, 1)
-    assert points == [105]
+    check_all(demo_eq, r)
+    assert brackets == [7]
+    brackets.clear()
+    points.clear()
+    check_all(control_eq, r)
+    assert brackets == [5] and points == [150]
 
 
 def test_check_does_not_import_numpy_ma():
@@ -498,6 +544,35 @@ def test_scan_grid_keeps_a_knot_not_the_grid_point_beside_it():
     assert np.isin(knots, cand).all()
     assert np.diff(cand).min() > 1e-9
     assert len(cand) == 501
+
+
+def test_scan_grid_ends_are_the_window_ends():
+    # the ends are one point of the period's circle, so a knot a rounding
+    # from an end is that end, and the grid neither starts nor ends on it
+    w0, w1 = 6.0, 7.0
+    knots = [w0 - 1e-12, w0 + 1e-12, 6.5, w1 - 1e-12, w1 + 1e-12]
+    cand = criteria._scan_grid(w0, w1, knots, 4)
+    assert cand.tolist() == [6.0, 6.25, 6.5, 6.75, 7.0]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_profiles_are_settled_a_period_before_the_window(demo_eq, r):
+    # a bracket wrapped across the seam reads up to a period before w0: the
+    # window's margin past t_stab keeps the profiles periodic there.  On the
+    # second draw, a margin of r lags alone moves the r = 2 profile by 1e-11
+    rng = np.random.default_rng(777)
+    for eq in (demo_eq, [make_random_equation(rng) for _ in range(2)][1]):
+        env = combined_envelope(eq)
+        profiles = [
+            criteria._tau_max_profile(eq, 500, env),
+            criteria._hunt_yorke_profile(eq, 500, env),
+        ]
+        for kind in ("inner", "outer"):
+            f, _, ts = criteria.criterion_profile(eq, r, kind, env=env)
+            profiles.append((f, ts))
+        for f, ts in profiles:
+            now, before = f(ts), f(ts - eq.period)
+            assert np.abs(before - now).max() <= 1e-13 * np.abs(now).max()
 
 
 def test_many_knots_bracket_no_more_than_exact_ties(monkeypatch):

@@ -332,17 +332,18 @@ def test_kink_phases_equal_the_loop_versions(case, monkeypatch):
     lattice = _lattice(eq)
     for lags in (eq.lags, [combined_envelope(eq).tail_lag]):
         count, want = _preimage_phases_loop(lags, eq.period, list(lattice))
-        got = kernel._preimage_phases(lags, eq.period, lattice)
+        chain = kernel._tau_chain(lags, eq.period)
+        got = kernel._preimage_phases(chain, eq.period, lattice)
         assert (got is None) == (count > kernel._MAX_KINKS)
         if got is not None:
             assert np.array_equal(np.sort(got), np.sort(want))
         # None exactly when the candidates pass the cap
         for cap in (count, count - 1):
             monkeypatch.setattr(kernel, "_MAX_KINKS", cap)
-            assert (kernel._preimage_phases(lags, eq.period, lattice) is None) == (count > cap)
+            assert (kernel._preimage_phases(chain, eq.period, lattice) is None) == (count > cap)
         monkeypatch.undo()
     # the seeds: the lattice and its preimages, or the lattice alone
-    pre = kernel._preimage_phases(eq.lags, eq.period, lattice)
+    pre = kernel._preimage_phases(kernel._tau_chain(eq.lags, eq.period), eq.period, lattice)
     seeds = kernel._kink_phases(eq, KernelCache())
     want = lattice if pre is None else kernel._merge_close(np.concatenate([lattice, pre]))
     assert np.array_equal(seeds, want)
@@ -355,7 +356,8 @@ def test_preimage_phases_build_about_the_limit_at_most():
     lattice = _lattice(eq)
     tracemalloc.start()
     try:
-        assert kernel._preimage_phases(eq.lags, eq.period, lattice) is None
+        chain = kernel._tau_chain(eq.lags, eq.period)
+        assert kernel._preimage_phases(chain, eq.period, lattice) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
