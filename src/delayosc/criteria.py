@@ -1,19 +1,22 @@
 """Oscillation criteria evaluated as exact extrema over one period.
 
 All limit inferior / limit superior quantities reduce to extrema of
-periodic profiles once transients have passed, so they are computed by
-scanning one steady-state period [w0, w0 + P] on a dense grid seeded with
-every geometric breakpoint, then refining every local extremum by a zoom
-search, all brackets in lockstep (``_scan_extrema``).  The window's ends
-are one point of a circle: neighbours are cyclic, a run of extrema may
-wrap across the seam, and every location is reported in [w0, w0 + P).
-Grid values within a rounding tie (1e-13 of the profile's largest
-magnitude) count as equal, so a profile flat up to rounding gives one
-bracket, not hundreds.  A check takes 1 zoom step on a flat profile, 4-5
-on the demo, and never more than about 27 whatever the scale of the
-period and lags.  A criterion counts as satisfied only when its margin
-clears 10 * tol; anything closer is marginal and reported as not
-satisfied.
+periodic profiles once transients have passed, over one steady-state
+period [w0, w0 + P].  alpha, Kwong and Hunt-Yorke read profiles that are
+quadratic between known knots, so their extrema are exact: the best of
+the profile's values at the knots and at the vertices inside the pieces
+(``_quadratic_extrema``), with no grid.  The two kernel limsups are rows
+of one profile, scanned on a dense grid seeded with every geometric
+breakpoint, every local extremum refined by a zoom search, all brackets
+in lockstep (``_scan_extrema``).  The window's ends are one point of a
+circle: neighbours are cyclic, a run of extrema may wrap across the seam,
+and every location is reported in [w0, w0 + P).  Grid values within a
+rounding tie (1e-13 of the row's largest magnitude) count as equal, so a
+profile flat up to rounding gives one bracket, not hundreds.  A check
+takes 1 zoom step on a flat profile, 4-5 on the demo, and never more than
+about 27 whatever the scale of the period and lags.  A criterion counts
+as satisfied only when its margin clears 10 * tol; anything closer is
+marginal and reported as not satisfied.
 """
 
 from __future__ import annotations
@@ -75,6 +78,9 @@ _SAME_POINT_REL = 1e-9
 _ZOOM_FRACTIONS = np.arange(-16.0, 17.0) / 16
 _ZOOM_KNOWN = np.array([0, 16, 32])
 _ZOOM_NEW = np.arange(33) % 16 != 0
+# pieces per block of ``_quadratic_extrema``: a profile of the tent lag at
+# L/P = 1e6 has a million knots
+_BLOCK = 1 << 16
 
 
 # -- root finding ----------------------------------------------------------
@@ -209,74 +215,100 @@ def _brackets(vals, tie: float):
     return (np.stack([j0 - 1, c, j1 + 1], axis=1) + shift[:, None])[np.argsort(c + shift)]
 
 
-def _scan_extrema(jobs, xtol=_REFINE_XTOL):
-    """Extrema of several vectorised periodic profiles, with their locations.
+def _scan_extrema(f, cand, modes, xtol=_REFINE_XTOL):
+    """Extrema of a vectorised periodic profile with one row per mode, with
+    their locations.
 
-    ``jobs`` is a list of ``(f, cand, modes)``: a profile, its sorted
-    candidates over one period and the extrema wanted ("min", "max").  The
-    result holds, per job, one ``(value, t)`` per mode, ``t`` in
-    ``[cand[0], cand[-1])``.  Each ``f`` is evaluated once on ``cand[:-1]``,
-    the last candidate being the first one's periodic copy.  Every run of
-    local extrema, neighbours cyclic and grid values within the job's tie
+    ``f`` maps times to an array of one row per entry of ``modes`` ("min",
+    "max"), ``cand`` holds the sorted candidates over one period; the result
+    is one ``(value, t)`` per mode, the extremum of its row, ``t`` in
+    ``[cand[0], cand[-1])``.  ``f`` is evaluated once on ``cand[:-1]``, the
+    last candidate being the first one's periodic copy.  Every run of local
+    extrema of a row, neighbours cyclic and grid values within the row's tie
     (``_TIE_REL`` of its largest finite one) counting as equal, brackets one
-    refinement between its outer neighbours, centred on the run's best point;
-    the brackets of every job and mode are refined in one ``_zoom_lockstep``,
-    each step calling every profile once.  Kinks are grid points, so a kink
-    extremum is a sample from the first step on.  A refinement replaces the
-    best grid value only when strictly better, and the first bracket wins a
-    tie.
+    refinement between its outer neighbours, centred on the run's best
+    point; the brackets of every row are refined in one ``_zoom_lockstep``,
+    each step calling ``f`` once.  Kinks are grid points, so a kink extremum
+    is a sample from the first step on.  A refinement replaces the best grid
+    value only when strictly better, and the first bracket wins a tie.
     """
-    best, xs, gs, slots, counts = [], [], [], [], []
-    for j, (f, cand, modes) in enumerate(jobs):
-        n, period = len(cand) - 1, cand[-1] - cand[0]
-        vals = np.asarray(f(cand[:-1]), dtype=float)
-        finite = np.abs(vals[np.isfinite(vals)])
+    n, period = len(cand) - 1, cand[-1] - cand[0]
+    signs = np.array([1.0 if mode == "min" else -1.0 for mode in modes])
+    signed = signs[:, None] * np.asarray(f(cand[:-1]), dtype=float).reshape(len(modes), n)
+    best, xs, gs, ties, counts = [], [], [], [], []
+    for row in signed:
+        finite = np.abs(row[np.isfinite(row)])
         tie = _TIE_REL * finite.max() if finite.size else 0.0
-        best.append([])
-        for mode in modes:
-            sign = 1.0 if mode == "min" else -1.0
-            signed = sign * vals
-            k = int(np.argmin(signed))
-            idx = _brackets(signed, tie)
-            lap = np.where(idx == n, 0, idx // n)  # index n is the window's end
-            xs.append(cand[idx - lap * n] + period * lap)
-            gs.append(signed[idx % n])
-            slots.append((tie, j, sign, cand[0], cand[-1]))
-            counts.append(len(idx))
-            best[-1].append([sign, signed[k], cand[k]])
+        k = int(np.argmin(row))
+        idx = _brackets(row, tie)
+        lap = np.where(idx == n, 0, idx // n)  # index n is the window's end
+        xs.append(cand[idx - lap * n] + period * lap)
+        gs.append(row[idx % n])
+        ties.append(tie)
+        counts.append(len(idx))
+        best.append([row[k], cand[k]])
     x3 = np.concatenate(xs)
     if x3.size:
-        slot_of = np.repeat(np.arange(len(slots)), counts)
-        tie_of, job_of, sign_of, w0, w1 = np.array(slots)[slot_of].T
-        # brackets come in job order: those of job j are [first[j], first[j + 1])
-        first = np.searchsorted(job_of, np.arange(len(jobs) + 1))
+        row_of = np.repeat(np.arange(len(modes)), counts)
 
         def g(x, act):
-            at = np.searchsorted(act, first)
-            out = [
-                np.asarray(f(x[i:k]), dtype=float)
-                for (f, _, _), i, k in zip(jobs, at, at[1:])
-                if k > i
-            ]
-            return sign_of[act] * np.concatenate(out)
+            r = row_of[act]
+            return signs[r] * np.asarray(f(x), dtype=float)[r, np.arange(x.size)]
 
-        x, gx = _zoom_lockstep(g, x3, np.concatenate(gs), tie_of, xtol)
+        x, gx = _zoom_lockstep(g, x3, np.concatenate(gs), np.repeat(ties, counts), xtol)
         # a point refined past either end goes a period back, into [w0, w1)
-        x = np.where(x < w0, x + (w1 - w0), np.where(x >= w1, x - (w1 - w0), x))
+        w0, w1 = cand[0], cand[-1]
+        x = np.where(x < w0, x + period, np.where(x >= w1, x - period, x))
         x = np.clip(x, w0, np.nextafter(w1, w0))
-        for s, entry in enumerate(e for row in best for e in row):
-            ks = np.flatnonzero(slot_of == s)
+        for entry, ks in zip(best, np.split(np.arange(x.size), np.cumsum(counts)[:-1])):
             if ks.size:
                 k = ks[int(np.argmin(gx[ks]))]
-                if gx[k] < entry[1]:
-                    entry[1:] = gx[k], x[k]
-    return [tuple((float(sign * v), float(t)) for sign, v, t in row) for row in best]
+                if gx[k] < entry[0]:
+                    entry[:] = gx[k], x[k]
+    return [(float(sign * v), float(t)) for sign, (v, t) in zip(signs, best)]
 
 
-def _scan_extremum(f, cand, mode, xtol=_REFINE_XTOL):
-    """``(value, t)``: the extremum of the vectorised f over the sorted
-    candidates ``cand``; the one-job case of ``_scan_extrema``."""
-    return _scan_extrema([(f, cand, (mode,))], xtol)[0][0]
+def _quadratic_extrema(f, knots, curvature=None, seam_jump: bool = False):
+    """``(min, max)`` of a periodic profile that is quadratic between its
+    sorted ``knots``, over the period ``[knots[0], knots[-1])``.
+
+    Both are samples of ``f`` itself: at every knot but the last, the first
+    one's periodic copy, and at the vertex of each piece whose second
+    derivative ``curvature(a, b)``, constant on the piece ``(a, b)``, is
+    nonzero and whose vertex, found from the piece's end values, lies
+    inside it.  ``curvature`` None means zero everywhere.  With
+    ``seam_jump`` the profile jumps at the seam ``knots[0]``, a period
+    multiple: each one-sided limit is sampled an ulp away, and stands for
+    the end value of the piece on its side.  Pieces are taken in blocks of
+    ``_BLOCK``, so memory stays bounded whatever the number of knots.
+    """
+    lo, hi = math.inf, -math.inf
+    if seam_jump:
+        left, right = (float(v) for v in f(np.nextafter(knots[0], [-math.inf, math.inf])))
+        lo, hi = min(left, right), max(left, right)
+    n = knots.size - 1
+    for i in range(0, n, _BLOCK):
+        t = knots[i : i + _BLOCK + 1]
+        y = np.asarray(f(t), dtype=float)
+        samples = [y[:-1]]
+        if curvature is not None:
+            ya, yb = y[:-1].copy(), y[1:].copy()
+            if seam_jump and i == 0:
+                ya[0] = right
+            if seam_jump and i + _BLOCK >= n:
+                yb[-1] = left
+            c = curvature(t[:-1], t[1:])
+            k = np.flatnonzero(c)
+            a, b, c = t[k], t[k + 1], c[k]
+            # q(t) = ya + m (t - a) - c (t - a)(b - t) / 2 has q' = 0 at
+            # (a + b) / 2 - m / c, m the piece's chord slope
+            v = 0.5 * (a + b) - (yb[k] - ya[k]) / ((b - a) * c)
+            v = v[(a < v) & (v < b)]
+            if v.size:
+                samples.append(np.asarray(f(v), dtype=float))
+        lo = min(lo, *(float(s.min()) for s in samples))
+        hi = max(hi, *(float(s.max()) for s in samples))
+    return lo, hi
 
 
 def _window(eq: DelayEquation, env: EnvelopeFunction | None, depth: int):
@@ -295,7 +327,7 @@ def _integral_profile_knots(eq, poly, w0, w1):
     """Kinks of t -> integral_{lower(t)}^t coeff-sum, where ``poly`` is the
     polyline of the lower limit over [w0, w1]: coefficient breakpoints hit by
     either integration limit, plus kinks of the lower limit itself.  Unsorted,
-    with repeats; ``_scan_grid`` sorts and merges them."""
+    with repeats, all in [w0, w1]."""
     pre = _lattice_preimages(poly, phase_lattice(eq.coefficients), eq.period)
     return np.concatenate([breakpoint_times(eq.coefficients, w0, w1), poly[0], pre])
 
@@ -315,10 +347,14 @@ def _refine_xtol(tol: float) -> float:
     return min(float(tol), _REFINE_XTOL)
 
 
-def _coeff_integral_profile(eq, lower, polyline, n_grid, env):
-    """``(f, cand)``: t -> integral over [lower(t), t] of the coefficient sum,
-    and its scan grid over one settled period; ``polyline(a, b)`` is the
-    polyline of ``lower``."""
+def _coeff_integral_profile(eq, lower, polyline, env):
+    """``(f, knots, curvature)`` for ``_quadratic_extrema``: t -> integral
+    over [lower(t), t] of the coefficient sum S', over one settled period;
+    ``polyline(a, b)`` is the polyline of ``lower``.  Between the knots S'(t),
+    lower(t) and S'(lower(t)) are linear, so f is quadratic, with second
+    derivative S''(t) - S''(lower(t)) lower'(t)^2, zero when S' is constant.
+    Knots a rounding apart are kept apart: merged, they could hide a kink
+    inside a piece."""
     _, w0, w1 = _window(eq, env, 0)
     anti = eq.coeff_sum_antiderivative
 
@@ -326,26 +362,55 @@ def _coeff_integral_profile(eq, lower, polyline, n_grid, env):
         both = anti(np.concatenate([ts, lower(ts)]))  # one lookup for both limits
         return both[: len(ts)] - both[len(ts) :]
 
-    knots = _integral_profile_knots(eq, polyline(w0, w1), w0, w1)
-    return f, _scan_grid(w0, w1, knots, n_grid)
+    ts, ys = polyline(w0, w1)
+    knots = _merge_close(_integral_profile_knots(eq, (ts, ys), w0, w1), 0.0)
+    if all(c.min_value == c.max_value for c in eq.coefficients):
+        return f, knots, None
+    dt = np.diff(ts)
+    slope = np.diff(ys) / np.where(dt > 0.0, dt, 1.0)
+
+    def s2(x):  # S''
+        return sum(c.slopes(x) for c in eq.coefficients)
+
+    def curvature(a, b):
+        # each piece lies on one segment of the polyline: the one holding its
+        # midpoint, which rounds onto b when a and b are adjacent doubles
+        mid = 0.5 * (a + b)
+        j = np.minimum(np.maximum(np.searchsorted(ts, mid, side="right") - 1, 0), ts.size - 2)
+        s = slope[j]
+        return s2(mid) - s2(ys[j] + s * (mid - ts[j])) * s * s
+
+    return f, knots, curvature
 
 
-def _tau_max_profile(eq, n_grid, env):
-    """The profile of ``alpha`` and ``kwong_limsup``: lower limit tau_max."""
-    lower, poly = partial(tau_max, eq), partial(tau_max_polyline, eq)
-    return _coeff_integral_profile(eq, lower, poly, n_grid, env)
-
-
-def _hunt_yorke_profile(eq, n_grid, env):
-    """``(f, cand)``: t -> sum_i p_i(t) * d_i(t) and its scan grid."""
+def _product_profile(eq, env):
+    """``(f, knots, curvature)`` for ``_quadratic_extrema``: t -> sum_i
+    p_i(t) d_i(t) over one settled period.  Between the knots every factor is
+    linear, so f is quadratic, with second derivative 2 sum_i p_i' d_i'."""
     _, w0, w1 = _window(eq, env, 0)
+    terms = list(zip(eq.coefficients, eq.lags))
 
     def f(ts):
-        terms = zip(eq.coefficients, eq.lags)
         return np.sum([c.values(ts) * d.values(ts) for c, d in terms], axis=0)
 
-    knots = breakpoint_times(eq.coefficients + eq.lags, w0, w1)
-    return f, _scan_grid(w0, w1, knots, n_grid)
+    def curvature(a, b):
+        mid = 0.5 * (a + b)
+        return 2.0 * sum(c.slopes(mid) * d.slopes(mid) for c, d in terms)
+
+    inner = breakpoint_times(eq.coefficients + eq.lags, w0, w1)
+    return f, _merge_close(np.concatenate([[w0], inner, [w1]]), 0.0), curvature
+
+
+def _tau_max_extrema(eq, env):
+    """``(alpha, Kwong)``: the extrema of the integral over [tau_max(t), t]."""
+    lower, poly = partial(tau_max, eq), partial(tau_max_polyline, eq)
+    return _quadratic_extrema(*_coeff_integral_profile(eq, lower, poly, env))
+
+
+def _hunt_yorke_min(eq, env):
+    # a coefficient jumps only at its wrap point, the window's seam
+    jump = any(c.wrap_jump != 0.0 for c in eq.coefficients)
+    return _quadratic_extrema(*_product_profile(eq, env), seam_jump=jump)[0]
 
 
 def _kernel_grid(eq, r, env, n_grid):
@@ -357,6 +422,14 @@ def _kernel_grid(eq, r, env, n_grid):
 
 
 # -- liminf quantities -----------------------------------------------------
+#
+# Each is an extremum of a profile that is quadratic between known knots, so
+# it is taken exactly (``_quadratic_extrema``), with no grid.
+
+
+def _check_liminf_args(tol: float, n_grid: int) -> None:
+    _check_tol(tol)
+    _check_grid(n_grid)
 
 
 def alpha(
@@ -366,9 +439,10 @@ def alpha(
     n_grid: int = 2000,
     env: EnvelopeFunction | None = None,
 ) -> float:
-    """liminf of integral over [tau_max(t), t] of the coefficient sum."""
-    f, cand = _tau_max_profile(eq, n_grid, env)
-    return _scan_extremum(f, cand, "min", _refine_xtol(tol))[0]
+    """liminf of integral over [tau_max(t), t] of the coefficient sum,
+    exact; ``tol`` and ``n_grid`` are validated but change no result."""
+    _check_liminf_args(tol, n_grid)
+    return _tau_max_extrema(eq, env)[0]
 
 
 def alpha_over_envelope(
@@ -379,10 +453,11 @@ def alpha_over_envelope(
     env: EnvelopeFunction | None = None,
 ) -> float:
     """liminf of integral over [h(t), t]; equals ``alpha`` in the limit
-    because the envelope only flattens the delay argument where it dips."""
+    because the envelope only flattens the delay argument where it dips.
+    Exact; ``tol`` and ``n_grid`` are validated but change no result."""
+    _check_liminf_args(tol, n_grid)
     env = env if env is not None else combined_envelope(eq)
-    f, cand = _coeff_integral_profile(eq, env.values, env.polyline, n_grid, env)
-    return _scan_extremum(f, cand, "min", _refine_xtol(tol))[0]
+    return _quadratic_extrema(*_coeff_integral_profile(eq, env.values, env.polyline, env))[0]
 
 
 def kwong_limsup(
@@ -392,9 +467,10 @@ def kwong_limsup(
     n_grid: int = 2000,
     env: EnvelopeFunction | None = None,
 ) -> float:
-    """limsup of integral over [tau_max(t), t] of the coefficient sum."""
-    f, cand = _tau_max_profile(eq, n_grid, env)
-    return _scan_extremum(f, cand, "max", _refine_xtol(tol))[0]
+    """limsup of integral over [tau_max(t), t] of the coefficient sum,
+    exact; ``tol`` and ``n_grid`` are validated but change no result."""
+    _check_liminf_args(tol, n_grid)
+    return _tau_max_extrema(eq, env)[1]
 
 
 def hunt_yorke_liminf(
@@ -404,9 +480,10 @@ def hunt_yorke_liminf(
     n_grid: int = 2000,
     env: EnvelopeFunction | None = None,
 ) -> float:
-    """liminf of sum_i p_i(t) * d_i(t) (coefficients weighted by their lags)."""
-    f, cand = _hunt_yorke_profile(eq, n_grid, env)
-    return _scan_extremum(f, cand, "min", _refine_xtol(tol))[0]
+    """liminf of sum_i p_i(t) * d_i(t) (coefficients weighted by their lags),
+    exact; ``tol`` and ``n_grid`` are validated but change no result."""
+    _check_liminf_args(tol, n_grid)
+    return _hunt_yorke_min(eq, env)
 
 
 # -- limsup of the criterion integrals -------------------------------------
@@ -438,8 +515,8 @@ def criterion_profile(
     """
     _check_tol(tol)
     env = env if env is not None else combined_envelope(eq)
-    f = _criterion(eq, r, kind, env, cache, tol)
-    return (f, *_kernel_grid(eq, r, env, n_grid))
+    rows = _criterion(eq, r, (kind,), env, cache, tol)
+    return (lambda ts: rows(ts)[0], *_kernel_grid(eq, r, env, n_grid))
 
 
 def limsup_envelope_integral(
@@ -457,10 +534,11 @@ def limsup_envelope_integral(
     ``kind`` selects the sliding-envelope ("inner") or frozen-envelope
     ("outer") integrand.
     """
-    f, _, ts = criterion_profile(
-        eq, r, kind, tol=tol, n_grid=n_grid, cache=cache, env=env
-    )
-    value, t_at = _scan_extremum(f, ts, "max", _refine_xtol(tol))
+    xtol = _refine_xtol(tol)
+    env = env if env is not None else combined_envelope(eq)
+    f = _criterion(eq, r, (kind,), env, cache, tol)
+    _, ts = _kernel_grid(eq, r, env, n_grid)
+    ((value, t_at),) = _scan_extrema(f, ts, ("max",), xtol)
     return ScanExtremum(value=value, t=t_at)
 
 
@@ -517,7 +595,9 @@ def check_all(
 
     The witness is the first satisfied criterion in the fixed order
     ``CRITERIA_ORDER``.  Margins within 10 * tol of a threshold are treated
-    as marginal and never count as satisfied.
+    as marginal and never count as satisfied.  alpha, Hunt-Yorke and Kwong
+    are exact; ``n_grid`` is the grid of the two kernel limsups, and
+    ``n_grid_liminf`` is validated but changes no result.
     """
     xtol = _refine_xtol(tol)
     _check_grid(n_grid_liminf, "n_grid_liminf")
@@ -525,22 +605,13 @@ def check_all(
     cache = KernelCache()
     strict = 10.0 * tol
 
-    # every extremum in one lockstep scan; alpha and Kwong share a profile,
-    # the two criterion integrals a grid
-    f_inner = _criterion(eq, r, "inner", env, cache, tol)
-    f_outer = _criterion(eq, r, "outer", env, cache, tol)
+    # the liminf constants exactly; the two criterion integrals, rows of one
+    # profile on one grid, in one lockstep scan
+    a_val, kw = _tau_max_extrema(eq, env)
+    hy = _hunt_yorke_min(eq, env)
+    f = _criterion(eq, r, ("inner", "outer"), env, cache, tol)
     w0, ts = _kernel_grid(eq, r, env, n_grid)
-    (a_min, kw_max), (hy_min,), (inner,), (outer,) = _scan_extrema(
-        [
-            (*_tau_max_profile(eq, n_grid_liminf, env), ("min", "max")),
-            (*_hunt_yorke_profile(eq, n_grid_liminf, env), ("min",)),
-            (f_inner, ts, ("max",)),
-            (f_outer, ts, ("max",)),
-        ],
-        xtol,
-    )
-    a_val, kw, hy = a_min[0], kw_max[0], hy_min[0]
-    inner, outer = ScanExtremum(*inner), ScanExtremum(*outer)
+    inner, outer = (ScanExtremum(*e) for e in _scan_extrema(f, ts, ("max", "max"), xtol))
     lam = lambda0(a_val) if 0.0 < a_val <= INV_E else None
 
     window_liminf = _window(eq, env, 0)[1:]
@@ -548,7 +619,7 @@ def check_all(
     base_params = {"tol": tol, "r": None}
 
     def params_liminf():
-        return dict(base_params, n_grid=n_grid_liminf, window=window_liminf)
+        return dict(base_params, window=window_liminf)
 
     def params_kernel(t):
         return dict(base_params, r=r, n_grid=n_grid, window=window_kernel, t=t)

@@ -5,8 +5,8 @@ order and the values there, linear in between.  Every piecewise-linear
 operation of the package works on this one format: evaluation
 (``_eval``), the running maximum, the pointwise maximum of two
 polylines, and the lattice preimages (the times where a polyline takes a
-value ``phase + n * period``), which seed the kernel tables and the scan
-grids of the criteria alike.
+value ``phase + n * period``), which seed the kernel tables and give the
+alpha and Kwong profile its knots alike.
 
 For delay arguments tau_i(t) = t - d_i(t) that need not be monotone, the
 envelope h(t) = sup_{0 <= s <= t} max_i tau_i(s) is nondecreasing and

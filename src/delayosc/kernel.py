@@ -40,8 +40,9 @@ arguments, breaks at r levels, and the seeds hold one.  A piece that fails
 its tail test is cut at one of these deeper kinks, its hints, rather than
 at its midpoint, so its pieces end on the breaks that halving only
 approaches.  Both kinds of preimage come from the polyline toolkit in
-``envelope``: ``_lattice_preimages``, the routine that also puts the
-preimages of the coefficient lattice into the criteria's scan grids.
+``envelope``: ``_lattice_preimages``, the routine that also gives the
+alpha and Kwong profile its knots where tau_max meets the coefficient
+lattice.
 Kernel exponents past 709 saturate to +inf (reciprocals to 0.0), and so
 does every integral over a table whose integrand overflows; each table
 saturates on its own.
@@ -147,11 +148,12 @@ def _check_depth(r: int) -> None:
 def _chebval_rows(u, c):
     """Row k of the Chebyshev coefficients ``c`` summed at ``u[k]``: numpy's
     ``chebval(u, c.T, tensor=False)``, by the same Clenshaw recurrence, minus
-    its copy of ``c``."""
+    its copy of ``c``.  ``c`` may stack several such sets, shape (m, n, d):
+    one pass sums all of them at the same ``u``."""
     u2 = 2.0 * u
-    c0, c1 = c[:, -2], c[:, -1]
-    for i in range(3, c.shape[1] + 1):
-        c0, c1 = c[:, -i] - c1, c0 + c1 * u2
+    c0, c1 = c[..., -2], c[..., -1]
+    for i in range(3, c.shape[-1] + 1):
+        c0, c1 = c[..., -i] - c1, c0 + c1 * u2
     return c0 + c1 * u
 
 
@@ -166,9 +168,12 @@ def _chebint(c) -> np.ndarray:
     tmp[0] = c[0] * 0
     tmp[1] = c[0]
     tmp[2] = c[1] / 4
-    for j in range(2, n):
-        tmp[j + 1] = c[j] / (2 * (j + 1))
-        tmp[j - 1] -= c[j] / (2 * (j - 1))
+    # for j = 2..n-1, tmp[j + 1] = c[j] / (2 (j + 1)), then tmp[j - 1] -=
+    # c[j] / (2 (j - 1)): every row is set before it is lowered, so two
+    # array operations do what the loop did, in its order
+    j = np.arange(2, n).reshape((-1,) + (1,) * (c.ndim - 1))
+    tmp[3:] = c[2:] / (2 * (j + 1))
+    tmp[1 : n - 1] -= c[2:] / (2 * (j - 1))
     out = np.moveaxis(tmp, 0, -1)
     # minus the series at u = -1
     tmp[0] += 0 - _chebval_rows(-1.0, out.reshape(-1, n + 1)).reshape(tmp.shape[1:])
@@ -195,29 +200,40 @@ class _Table:
         self.total = math.inf if self.saturated else float(cum[-1])
 
     def within(self, xs):
-        shape = np.shape(xs)
-        x = np.asarray(xs, dtype=float).ravel()
-        # np.minimum/np.maximum: np.clip's wrapper costs more than the lookup
-        j = np.minimum(
-            np.maximum(np.searchsorted(self.edges, x, side="right") - 1, 0),
-            len(self.coef) - 1,
-        )
-        lo, hi = self.edges[j], self.edges[j + 1]
-        u = (2.0 * x - lo - hi) / (hi - lo)
-        out = self.cum[j] + _chebval_rows(u, self.coef[j])
-        return out.reshape(shape)
-
-    def split(self, xs):
-        """(k, A(u)) for x = k * P + u with u in [0, P]."""
-        x = np.asarray(xs, dtype=float)
-        period = self.edges[-1]
-        k = np.floor(x / period)
-        return k, self.within(np.minimum(np.maximum(x - k * period, 0.0), period))
+        return _within([self], xs)[0]
 
     def values(self, xs):
         """Periodic continuation: A(x + P) = A(x) + total."""
-        k, frac = self.split(xs)
+        k, (frac,) = _split([self], xs)
         return k * self.total + frac
+
+
+def _within(tables, xs):
+    """Each of ``tables``, fitted on common pieces, at the points ``xs`` of
+    their span, in the shape of ``xs``: one search of the pieces and one
+    Clenshaw pass over every table's coefficients."""
+    edges = tables[0].edges
+    shape = np.shape(xs)
+    x = np.asarray(xs, dtype=float).ravel()
+    # np.minimum/np.maximum: np.clip's wrapper costs more than the lookup
+    j = np.minimum(np.maximum(np.searchsorted(edges, x, side="right") - 1, 0), len(edges) - 2)
+    lo, hi = edges[j], edges[j + 1]
+    u = (2.0 * x - lo - hi) / (hi - lo)
+    # each table's rows gathered straight into one block: no stacked copy
+    coef = np.empty((len(tables), j.size, tables[0].coef.shape[1]))
+    for t, block in zip(tables, coef):
+        np.take(t.coef, j, axis=0, out=block)
+    sums = _chebval_rows(u, coef)
+    return [(t.cum[j] + s).reshape(shape) for t, s in zip(tables, sums)]
+
+
+def _split(tables, xs):
+    """``(k, [A(u), ...])`` for x = k * P + u with u in [0, P], over
+    ``tables`` on common pieces of [0, P]."""
+    x = np.asarray(xs, dtype=float)
+    period = tables[0].edges[-1]
+    k = np.floor(x / period)
+    return k, _within(tables, np.minimum(np.maximum(x - k * period, 0.0), period))
 
 
 class _CoeffSumLevel:
@@ -484,19 +500,43 @@ def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> list[_Tabl
     return cache._table((kind, eq, r, terms, env, tol), build)
 
 
-def _sliding(eq, r, terms, env, cache, tol, a, b):
-    """integral_a^b sum_{i in terms} p_i(z) K_r(h(z), tau_i(z)) dz, elementwise."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    per = _sliding_table(eq, r, terms, env, cache, tol, False)[0]
-    if per.saturated:
-        return np.where(b > a, math.inf, 0.0)
+def _integrals(eq, r, terms, env, cache, tol, kinds, c, a, b):
+    """One row per kind of ``kinds``, elementwise:
+
+        "inner"  integral_a^b sum_{i in terms} p_i(z) K_r(h(z), tau_i(z)) dz
+        "outer"  integral_a^b sum_{i in terms} p_i(z) K_r(c, tau_i(z)) dz
+
+    the sliding envelope h of ``env``, or the reference ``c`` frozen (read
+    by "outer" rows only).  F and W are fitted on the same pieces, so the
+    rows share one search of them and one Clenshaw pass."""
+    a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)))
+    per = _sliding_table(eq, r, terms, env, cache, tol, False)
+    tables = [per[0] if kind == "inner" else per[1] for kind in kinds]
     x = np.stack([a, b])
-    out = per.values(x)
+    live = [t for t in tables if not t.saturated]
+    k, parts = _split(live, x) if live else (None, [])
+    parts = iter(parts)
+    rows = []
+    for kind, table in zip(kinds, tables):
+        if table.saturated:
+            row = None
+        elif kind == "inner":
+            row = _sliding(eq, r, terms, env, cache, tol, table, x, k * table.total + next(parts))
+        else:
+            row = _frozen(eq, r, cache, tol, table, c, k, next(parts))
+        rows.append(np.where(b > a, math.inf, 0.0) if row is None else row)
+    return np.stack(rows)
+
+
+def _sliding(eq, r, terms, env, cache, tol, per, x, out):
+    """integral_{x[0]}^{x[1]} of the sliding integrand, from ``out``, F of
+    the settled table ``per`` at ``x``; points below env.t_stab are read off
+    the transient table instead.  None when that table saturates."""
     pre = x < env.t_stab
     if pre.any():
         (tr,) = _sliding_table(eq, r, terms, env, cache, tol, True)
         if tr.saturated:
-            return np.where(b > a, math.inf, 0.0)
+            return None
         lo = tr.edges[0]
         if (x[pre] < lo).any():
             raise ValueError(
@@ -508,18 +548,12 @@ def _sliding(eq, r, terms, env, cache, tol, a, b):
     return out[1] - out[0]
 
 
-def _frozen(eq, r, terms, env, cache, tol, c, a, b):
-    """integral_a^b sum_{i in terms} p_i(z) K_r(c, tau_i(z)) dz, elementwise;
-    W is the one fitted with the sliding table of ``env``."""
-    a, b, c = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(c, dtype=float)
-    )
-    w = _sliding_table(eq, r, terms, env, cache, tol, False)[1]
-    if w.saturated:
-        return np.where(b > a, math.inf, 0.0)
+def _frozen(eq, r, cache, tol, w, c, k, ws):
+    """integral_a^b of the frozen integrand at ``c``, from W's split
+    ``(k, ws)`` at ``(a, b)``."""
     g = _level(eq, r - 1, cache, tol)
     big_t = g.total
-    (ka, kb), (wa, wb) = w.split(np.stack([a, b]))
+    (ka, kb), (wa, wb) = k, ws
     n = kb - ka
     # sum_{j=0}^{n-1} e^{-jT}: the periods between a and b
     geo = n if big_t == 0.0 else np.expm1(-n * big_t) / np.expm1(-big_t)
@@ -575,13 +609,14 @@ def _as_output(values, *args):
     return float(values[0]) if all(np.ndim(a) == 0 for a in args) else values
 
 
-def _criterion(eq, r, kind, env, cache, tol):
-    """The vectorised criterion integral ``ts -> integral_{h(t)}^t``, times
-    past 0, over the tables of ``env`` (built when None): the sliding
-    envelope h(z) for ``kind`` "inner", the envelope frozen at h(t) for
-    "outer"."""
-    if kind not in ("inner", "outer"):
-        raise ValueError(f"kind must be 'inner' or 'outer', got {kind!r}")
+def _criterion(eq, r, kinds, env, cache, tol):
+    """The vectorised criterion integrals ``ts -> integral_{h(t)}^t``, times
+    past 0, one row per kind of ``kinds``, over the tables of ``env`` (built
+    when None): the sliding envelope h(z) for "inner", the envelope frozen
+    at h(t) for "outer".  The rows share one envelope lookup."""
+    for kind in kinds:
+        if kind not in ("inner", "outer"):
+            raise ValueError(f"kind must be 'inner' or 'outer', got {kind!r}")
     _check_depth(r)
     env = env if env is not None else combined_envelope(eq)
     cache = cache if cache is not None else KernelCache()
@@ -589,9 +624,7 @@ def _criterion(eq, r, kind, env, cache, tol):
 
     def f(ts):
         h = env.values(ts)
-        if kind == "inner":
-            return _sliding(eq, r, terms, env, cache, tol, h, ts)
-        return _frozen(eq, r, terms, env, cache, tol, h, h, ts)
+        return _integrals(eq, r, terms, env, cache, tol, kinds, h, h, ts)
 
     return f
 
@@ -609,7 +642,7 @@ def inner_criterion_integral(
 
     ``t`` may be an array of times; the result then has its shape.
     """
-    return _as_output(_criterion(eq, r, "inner", env, cache, tol)(_times(t)), t)
+    return _as_output(_criterion(eq, r, ("inner",), env, cache, tol)(_times(t))[0], t)
 
 
 def outer_criterion_integral(
@@ -625,7 +658,7 @@ def outer_criterion_integral(
 
     ``t`` may be an array of times; the result then has its shape.
     """
-    return _as_output(_criterion(eq, r, "outer", env, cache, tol)(_times(t)), t)
+    return _as_output(_criterion(eq, r, ("outer",), env, cache, tol)(_times(t))[0], t)
 
 
 def term_integral(
@@ -653,6 +686,5 @@ def term_integral(
         raise ValueError(f"integration bounds out of order: {a} > {b}")
     cache = cache if cache is not None else KernelCache()
     env = env if env is not None else combined_envelope(eq)
-    if envelope_at is None:
-        return float(_sliding(eq, r, (i,), env, cache, tol, a, b))
-    return float(_frozen(eq, r, (i,), env, cache, tol, envelope_at, a, b))
+    kind, c = ("inner", a) if envelope_at is None else ("outer", envelope_at)
+    return float(_integrals(eq, r, (i,), env, cache, tol, (kind,), c, a, b)[0])

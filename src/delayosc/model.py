@@ -132,11 +132,20 @@ class PiecewisePeriodic:
 
     def values(self, ts) -> np.ndarray:
         """Vectorised evaluation."""
-        x = np.asarray(ts, dtype=float)
-        u = np.mod(x, self.period)
-        u = np.where(u >= self.period, u - self.period, u)
+        u = self._phase(ts)
         j = self._segment(u)
         return self._vs[j] + self._slopes[j] * (u - self._ts[j]) + self.offset
+
+    def slopes(self, ts) -> np.ndarray:
+        """Vectorised slope of the segment holding each time; at a
+        breakpoint, the segment to its right."""
+        u = self._phase(ts)
+        return np.zeros_like(u) + self._slopes[self._segment(u)]
+
+    def _phase(self, ts):
+        """Each time mod the period, in [0, period)."""
+        u = np.mod(np.asarray(ts, dtype=float), self.period)
+        return np.where(u >= self.period, u - self.period, u)
 
     def _segment(self, u):
         """Segment index of each phase ``u`` in [0, period); the scalar 0,

@@ -126,6 +126,16 @@ def make_bench_piecewise_equation() -> DelayEquation:
     )
 
 
+def make_many_breakpoint_equation(n: int = 1000, seed: int = 17) -> DelayEquation:
+    """One term, period 1: a coefficient with ``n`` breakpoints at random
+    times and values in [0.05, 0.3], and a three-piece lag near 1."""
+    rng = np.random.default_rng(seed)
+    ts = [0.0, *np.sort(rng.uniform(0.0, 1.0, n - 1)).tolist()]
+    coef = PiecewisePeriodic(period=1.0, breakpoints=tuple(zip(ts, rng.uniform(0.05, 0.3, n).tolist())))
+    lag = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 1.37), (0.3, 0.83), (0.7, 1.61)))
+    return DelayEquation(coefficients=(coef,), lags=(lag,))
+
+
 def kink_cases() -> list[DelayEquation]:
     """The demo, a benchmark-style piecewise lag (non-monotone, up to 20
     periods), random draws and the tent lag at L/P = 1000 and at 1e4, past

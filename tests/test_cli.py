@@ -203,12 +203,12 @@ def test_negative_grid_is_an_error_naming_the_argument(capsys, command):
 @pytest.mark.parametrize(
     "config,r,sha",
     [
-        (CONTROL_CONFIG, 1, "088343eb38ed6f22c04a3310fa4a573a5331e64e2539ff96c7b068f5efd06707"),
-        (CONTROL_CONFIG, 2, "cc628168435e99aa45bff4c2f09cabb17859d7c99a365ec2965bfdafb87154b6"),
-        (CONTROL_CONFIG, 3, "cf2a31fe8531c3ba01be93fcd1979a9956b028c4094883784fda471bdac7f7fb"),
-        (DEMO_CONFIG, 1, "b1dc3e0f95a739866a93ead1d242ec95bc264467776979707c5b07640e879bf4"),
-        (DEMO_CONFIG, 2, "2f72b2a1053efbfac1128f89ed265a7f27b09a5941f712471db8f008efdb97fe"),
-        (DEMO_CONFIG, 3, "49ed46695cf48d2464a51700b0d1acbf30845d1d3f3d4b3abe784aea9223e444"),
+        (CONTROL_CONFIG, 1, "bd905c4cb02a3ada95ca093d18195010aa9fccb1d399fdad5b1f78705b62d55f"),
+        (CONTROL_CONFIG, 2, "6f7a64faedcd9796444d9a3fe5d9c4e38c989250264ec757d8e9fef4aafabef0"),
+        (CONTROL_CONFIG, 3, "486e831e16a0ecfdb9bff819b1e5ccc949e3915ea4a38d863361c03fd543f63f"),
+        (DEMO_CONFIG, 1, "6b784ad8333304322fb079cdc4885ae5b647e34655565e5fa2a6cf614a5d7935"),
+        (DEMO_CONFIG, 2, "e1b496238cd0e3e762cd65b2678312044e6f91eddb589d5e19b7f70e702e83a0"),
+        (DEMO_CONFIG, 3, "f457ff10c196ae2349a76e690836d5d1d9f0468297eac9cb85809247b0923023"),
     ],
     ids=["control-r1", "control-r2", "control-r3", "demo-r1", "demo-r2", "demo-r3"],
 )

@@ -2,6 +2,7 @@
 
 import math
 import os
+from functools import partial
 import subprocess
 import sys
 
@@ -24,7 +25,7 @@ from delayosc import (
     limsup_envelope_integral,
 )
 from delayosc import criteria
-from delayosc.envelope import tau_max_polyline
+from delayosc.envelope import tau_max, tau_max_polyline
 
 from conftest import (
     breakpoint_times_reference,
@@ -32,6 +33,7 @@ from conftest import (
     kink_cases,
     make_bench_piecewise_equation,
     make_constant_equation,
+    make_many_breakpoint_equation,
     make_random_equation,
     make_tent_lag_equation,
 )
@@ -96,6 +98,11 @@ def test_grid_doubling_stability(demo_eq):
 
 
 # -- extremum scan ----------------------------------------------------------
+
+
+def _scan_extremum(f, cand, mode, xtol=1e-10):
+    """``(value, t)``: the extremum of the one-row profile ``f``."""
+    return criteria._scan_extrema(lambda ts: [f(ts)], cand, (mode,), xtol)[0]
 
 
 def _zoom_bracket(g, xs, gs, tie, xtol):
@@ -237,15 +244,18 @@ def test_scan_matches_the_one_bracket_reference(demo_eq, control_eq):
     profiles = _reference_profiles(demo_eq, control_eq)
     for f, ts in profiles:
         for mode in ("min", "max"):
-            assert criteria._scan_extremum(f, ts, mode) == _scan_reference(f, ts, mode)
-        # one two-mode job equals two one-mode scans
-        both = criteria._scan_extrema([(f, ts, ("min", "max"))])
-        assert both == [tuple(_scan_reference(f, ts, mode) for mode in ("min", "max"))]
-    # every profile and mode in one lockstep equals them one at a time
-    jobs = [(f, ts, ("max", "min")) for f, ts in profiles]
-    assert criteria._scan_extrema(jobs) == [
-        (_scan_reference(f, ts, "max"), _scan_reference(f, ts, "min")) for f, ts in profiles
-    ]
+            assert _scan_extremum(f, ts, mode) == _scan_reference(f, ts, mode)
+        # a row per mode in one lockstep equals two one-row scans
+        both = criteria._scan_extrema(lambda x: [f(x), f(x)], ts, ("min", "max"))
+        assert both == [_scan_reference(f, ts, mode) for mode in ("min", "max")]
+    # the two criterion integrals, rows of one profile, each as if alone
+    for eq in (demo_eq, control_eq):
+        _, _, ts = criteria.criterion_profile(eq, 1, n_grid=100)
+        rows = criteria._criterion(eq, 1, ("inner", "outer"), None, None, 1e-8)
+        got = criteria._scan_extrema(rows, ts, ("max", "min"))
+        assert got == [
+            _scan_reference(lambda x: rows(x)[k], ts, mode) for k, mode in enumerate(("max", "min"))
+        ]
 
 
 def _assert_agrees_with_exact_ties(demo_eq, control_eq, search):
@@ -255,7 +265,7 @@ def _assert_agrees_with_exact_ties(demo_eq, control_eq, search):
     for f, ts in _reference_profiles(demo_eq, control_eq):
         scale = float(np.abs(f(ts)).max())
         for mode in ("min", "max"):
-            new = criteria._scan_extremum(f, ts, mode)[0]
+            new = _scan_extremum(f, ts, mode)[0]
             old = _scan_reference(f, ts, mode, search=search, tie_rel=0.0)[0]
             assert abs(new - old) <= 1e-13 * scale
 
@@ -275,8 +285,8 @@ def test_scan_finds_peaks_the_grid_misses():
     def f(ts):
         return np.cos(6.0 * math.pi * ts)
 
-    top, t_top = criteria._scan_extremum(f, cand, "max")
-    bottom, t_bottom = criteria._scan_extremum(f, cand, "min")
+    top, t_top = _scan_extremum(f, cand, "max")
+    bottom, t_bottom = _scan_extremum(f, cand, "min")
     assert abs(top - 1.0) <= 1e-15 and abs(bottom + 1.0) <= 1e-15
     # equal extrema resolve to the first one
     assert t_top == pytest.approx(1.0 / 3.0, abs=1e-6)
@@ -286,7 +296,7 @@ def test_scan_finds_peaks_the_grid_misses():
 def test_scan_of_a_constant_profile_returns_the_first_candidate():
     cand = np.linspace(2.0, 3.0, 11)
     for mode in ("min", "max"):
-        assert criteria._scan_extremum(np.zeros_like, cand, mode) == (0.0, 2.0)
+        assert _scan_extremum(np.zeros_like, cand, mode) == (0.0, 2.0)
 
 
 def test_scan_of_two_equal_peaks_returns_the_first():
@@ -297,7 +307,7 @@ def test_scan_of_two_equal_peaks_returns_the_first():
 
     cand = 0.025 + 0.05 * np.arange(20)
     assert f(cand).max() < 1.0
-    value, t = criteria._scan_extremum(f, cand, "max")
+    value, t = _scan_extremum(f, cand, "max")
     assert value == 1.0
     assert abs(t - 0.3) <= 0.02
 
@@ -331,7 +341,7 @@ def test_kink_on_a_grid_knot_ends_after_one_step():
 
     for mode, sign in (("min", 1.0), ("max", -1.0)):
         calls = []
-        value, t = criteria._scan_extremum(_counted(lambda ts: sign * f(ts), calls), cand, mode)
+        value, t = _scan_extremum(_counted(lambda ts: sign * f(ts), calls), cand, mode)
         assert (value, t) == (sign * 0.5, 0.37)
         assert len(calls) == 2  # the grid, then one zoom step
 
@@ -347,8 +357,8 @@ def test_smooth_peak_just_off_a_grid_point(peak):
     def f(ts):
         return 3.0 + np.cos(2.0 * math.pi * (ts - peak))
 
-    top, t_top = criteria._scan_extremum(f, cand, "max")
-    bottom, t_bottom = criteria._scan_extremum(lambda ts: -f(ts), cand, "min")
+    top, t_top = _scan_extremum(f, cand, "max")
+    bottom, t_bottom = _scan_extremum(lambda ts: -f(ts), cand, "min")
     assert abs(top - 4.0) <= 1e-13 * 4.0 and bottom == -top
     assert t_top == t_bottom and abs(t_top - peak) <= 1e-6
     assert cand[0] <= t_top < cand[-1]
@@ -364,8 +374,8 @@ def test_scan_is_the_same_on_a_shifted_window(shift):
 
     cand = np.linspace(0.0, 1.0, 51)
     for mode, want in (("max", 0.3), ("min", 0.8)):
-        value, t = criteria._scan_extremum(f, cand, mode)
-        moved, t_moved = criteria._scan_extremum(f, cand + shift, mode)
+        value, t = _scan_extremum(f, cand, mode)
+        moved, t_moved = _scan_extremum(f, cand + shift, mode)
         assert abs(moved - value) <= 1e-13 * 4.0
         assert cand[0] + shift <= t_moved < cand[-1] + shift
         assert abs(t - want) <= 1e-6
@@ -374,23 +384,15 @@ def test_scan_is_the_same_on_a_shifted_window(shift):
 
 def test_scan_refines_every_bracket_in_lockstep(monkeypatch):
     # const family of the benchmark: lag / period 100, p * lag 0.21.  Its
-    # profile is flat up to rounding, so without the tie the grid holds
-    # hundreds of noise brackets; refined one at a time they would cost tens
-    # of thousands of calls
+    # kernel profiles are flat up to rounding, so without the tie the grid
+    # holds hundreds of noise brackets; refined one at a time they would
+    # cost tens of thousands of calls
     eq = make_constant_equation(0.0021, 100.0)
-    calls = []
-    scan = criteria._scan_extremum
-
-    def counting_scan(f, cand, mode, *args, **kwargs):
-        def counted(ts):
-            calls.append(len(ts))
-            return f(ts)
-
-        return scan(counted, cand, mode, *args, **kwargs)
-
-    monkeypatch.setattr(criteria, "_scan_extremum", counting_scan)
+    calls = _count_profile_calls(monkeypatch)
     assert alpha(eq) == pytest.approx(0.21, abs=1e-12)
-    assert len(calls) <= 20
+    for kind in ("inner", "outer"):
+        limsup_envelope_integral(eq, 1, kind)
+    assert len(calls) == 2 and all(len(n) <= 20 for n in calls), calls
 
 
 def _counted(f, calls, limit=200):
@@ -408,15 +410,13 @@ def _counted(f, calls, limit=200):
 
 def _count_profile_calls(monkeypatch):
     """Count the calls of every profile ``_scan_extrema`` refines, one list
-    per job, each raising past 200 calls."""
+    per scan, each raising past 200 calls."""
     calls = []
     scan = criteria._scan_extrema
 
-    def counting_scan(jobs, *args):
-        counts = [[] for _ in jobs]
-        calls.extend(counts)
-        jobs = [(_counted(f, n), cand, modes) for (f, cand, modes), n in zip(jobs, counts)]
-        return scan(jobs, *args)
+    def counting_scan(f, cand, modes, *args):
+        calls.append([])
+        return scan(_counted(f, calls[-1]), cand, modes, *args)
 
     monkeypatch.setattr(criteria, "_scan_extrema", counting_scan)
     return calls
@@ -430,7 +430,7 @@ def test_scan_ends_where_float_spacing_exceeds_xtol():
     for f in (lambda ts: np.cos(5.0 * (ts - t0)), lambda ts: (ts - t0 - 0.33) ** 2):
         for mode in ("min", "max"):
             calls = []
-            value, t = criteria._scan_extremum(_counted(f, calls), cand, mode, 1e-10)
+            value, t = _scan_extremum(_counted(f, calls), cand, mode, 1e-10)
             assert len(calls) <= 60
             assert cand[0] <= t <= cand[-1]
             assert value == pytest.approx(getattr(np, mode)(f(fine)), abs=1e-6)
@@ -443,25 +443,27 @@ def test_constant_equation_at_any_scale(monkeypatch, period):
     eq = make_constant_equation(0.4 / period, period, period=period)
     assert alpha(eq) == pytest.approx(0.4, abs=1e-12)
     assert check_all(eq, 2).overall == "oscillatory"
-    assert max(len(n) for n in calls) <= 60
+    # the kernel scan is the only one
+    assert len(calls) == 1 and len(calls[0]) <= 60
 
 
 def test_check_all_profile_calls_per_job(monkeypatch, demo_eq):
     # grid evaluation included; golden-section refinement took 42-51 per job,
     # the 7-point zoom 15-18, the 31-point zoom about the bracket's middle
-    # 8-10; centred on the best grid point and stopped once straight, 2-6
+    # 8-10; centred on the best grid point and stopped once straight, 2-6.
+    # The liminf constants are exact, so the kernel profile is the one scan
     calls = _count_profile_calls(monkeypatch)
     check_all(demo_eq, 2)
-    assert len(calls) == 4
-    assert all(len(n) <= 7 for n in calls), [len(n) for n in calls]
+    assert len(calls) == 1
+    assert len(calls[0]) <= 7, len(calls[0])
 
 
 def test_flat_profile_stops_after_one_step(monkeypatch):
-    # the const family: every profile is flat up to rounding, so each
+    # the const family: the kernel profile is flat up to rounding, so each
     # bracket's samples are straight after the first step
     calls = _count_profile_calls(monkeypatch)
     check_all(make_constant_equation(0.0021, 100.0), 1)
-    assert all(len(n) <= 2 for n in calls), [len(n) for n in calls]
+    assert len(calls) == 1 and len(calls[0]) <= 2, calls
 
 
 def test_saturated_demo_reports_inf(demo_eq):
@@ -486,15 +488,18 @@ def test_flat_profile_is_one_bracket_not_hundreds(monkeypatch):
     monkeypatch.setattr(criteria, "_zoom_lockstep", counting_lockstep)
     calls = _count_profile_calls(monkeypatch)
     check_all(make_constant_equation(0.0021, 100.0), 1)
-    assert brackets and max(brackets) <= 10, brackets
-    assert all(sum(n) < 5000 for n in calls), [sum(n) for n in calls]
+    # the two kernel rows, one bracket each, 30 new samples a bracket
+    assert brackets == [2], brackets
+    assert len(calls) == 1 and sum(calls[0][1:]) == 60, calls
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_the_seam_is_one_bracket(monkeypatch, demo_eq, control_eq, r):
     # the window's ends are one point: an extremum there used to be two
-    # brackets, each with a side of zero width, 11 on the demo.  The
-    # control's profiles peak at the seam; its 5 brackets take one step
+    # brackets, each with a side of zero width, 11 on the demo, 7 once they
+    # were one.  Only the kernel rows are scanned now: 3 brackets on the
+    # demo.  The control's kernel profiles peak at the seam; their 2
+    # brackets take one step
     brackets, points = [], []
     lockstep = criteria._zoom_lockstep
 
@@ -508,11 +513,11 @@ def test_the_seam_is_one_bracket(monkeypatch, demo_eq, control_eq, r):
 
     monkeypatch.setattr(criteria, "_zoom_lockstep", counting_lockstep)
     check_all(demo_eq, r)
-    assert brackets == [7]
+    assert brackets == [3]
     brackets.clear()
     points.clear()
     check_all(control_eq, r)
-    assert brackets == [5] and points == [150]
+    assert brackets == [2] and points == [60]
 
 
 def test_check_does_not_import_numpy_ma():
@@ -563,9 +568,11 @@ def test_profiles_are_settled_a_period_before_the_window(demo_eq, r):
     rng = np.random.default_rng(777)
     for eq in (demo_eq, [make_random_equation(rng) for _ in range(2)][1]):
         env = combined_envelope(eq)
+        lower, poly = partial(tau_max, eq), partial(tau_max_polyline, eq)
         profiles = [
-            criteria._tau_max_profile(eq, 500, env),
-            criteria._hunt_yorke_profile(eq, 500, env),
+            criteria._coeff_integral_profile(eq, lower, poly, env)[:2],
+            criteria._coeff_integral_profile(eq, env.values, env.polyline, env)[:2],
+            criteria._product_profile(eq, env)[:2],
         ]
         for kind in ("inner", "outer"):
             f, _, ts = criteria.criterion_profile(eq, r, kind, env=env)
@@ -600,6 +607,24 @@ def test_many_knots_bracket_no_more_than_exact_ties(monkeypatch):
     exact = check_all(eq, 1)
     assert tied.overall == exact.overall
     assert brackets[0] <= brackets[1], brackets
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_many_breakpoints_refine_few_brackets(monkeypatch, r):
+    # a coefficient of 1000 breakpoints: its alpha, Kwong and Hunt-Yorke
+    # profiles kink at every one, and scanned they brought 554 brackets
+    # (86 520 refinement points); exact, they bring none, and the kernel
+    # rows bring 25
+    brackets = []
+    lockstep = criteria._zoom_lockstep
+
+    def counting_lockstep(g, x3, *args):
+        brackets.append(len(x3))
+        return lockstep(g, x3, *args)
+
+    monkeypatch.setattr(criteria, "_zoom_lockstep", counting_lockstep)
+    check_all(make_many_breakpoint_equation(), r)
+    assert len(brackets) == 1 and brackets[0] <= 100, brackets
 
 
 # -- scan-grid knots: the vectorised preimages against a loop ------------------
@@ -659,6 +684,204 @@ def test_liminf_scans_at_long_lags_are_closed_form(ratio):
     assert alpha(eq) == pytest.approx(0.15, rel=1e-9)
     assert hunt_yorke_liminf(eq) == pytest.approx(0.15, rel=1e-9)
     assert kwong_limsup(eq) == pytest.approx(0.3, rel=1e-9)
+
+
+# -- the exact constants against a 50-digit oracle -------------------------
+
+
+class _Linear:
+    """A periodic piecewise-linear function in mpmath numbers."""
+
+    def __init__(self, fn, mp):
+        self.mp, self.period = mp, mp.mpf(fn.period)
+        ts = [mp.mpf(t) for t, _ in fn.breakpoints]
+        vs = [mp.mpf(v) + mp.mpf(fn.offset) for _, v in fn.breakpoints]
+        if ts[-1] != self.period:
+            ts, vs = ts + [self.period], vs + [vs[0]]
+        self.ts, self.vs = ts, vs
+        self.slopes = [(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:])]
+        # the integral up to each knot, by trapezoids, which are exact here
+        self.cum = [mp.mpf(0)]
+        for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:]):
+            self.cum.append(self.cum[-1] + (v0 + v1) * (t1 - t0) / 2)
+        self.phases = ts[:-1]
+
+    def segment(self, x):
+        """``(k, j, u)``: x = k P + u, u on segment j, [ts[j], ts[j+1])."""
+        k = self.mp.floor(x / self.period)
+        u = x - k * self.period
+        j = max(i for i, t in enumerate(self.ts[:-1]) if t <= u)
+        return k, j, u
+
+    def form(self, mid):
+        """``(value, slope)`` at 0 of the linear piece holding ``mid``."""
+        k, j, _ = self.segment(mid)
+        s = self.slopes[j]
+        return self.vs[j] - s * (self.ts[j] + k * self.period), s
+
+    def integral(self, x):
+        k, j, u = self.segment(x)
+        du = u - self.ts[j]
+        return k * self.cum[-1] + self.cum[j] + (self.vs[j] + self.slopes[j] * du / 2) * du
+
+
+def _oracle_constants(eq):
+    """``(alpha, Kwong, Hunt-Yorke)`` in 50-digit arithmetic, from the
+    breakpoint data alone: over one period, cut where any function breaks,
+    two lags cross, or tau_max meets a coefficient breakpoint, each profile
+    is quadratic; its extrema are at the cuts, as one-sided limits, or at
+    the exact vertex of a piece."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        return _oracle_extrema(eq, mp)
+
+
+def _oracle_extrema(eq, mp):
+    coeffs = [_Linear(c, mp) for c in eq.coefficients]
+    lags = [_Linear(d, mp) for d in eq.lags]
+    period = coeffs[0].period
+
+    def forms(funcs, mid):
+        return [f.form(mid) for f in funcs]
+
+    def sorted_cuts(points, lo, hi):
+        return sorted({p for p in points if lo <= p <= hi} | {lo, hi})
+
+    cuts = sorted_cuts([t for f in coeffs + lags for t in f.phases], mp.mpf(0), period)
+    crossings = []
+    for a, b in zip(cuts, cuts[1:]):
+        fs = forms(lags, (a + b) / 2)
+        for (v0, s0), (v1, s1) in ((f0, f1) for i, f0 in enumerate(fs) for f1 in fs[i + 1 :]):
+            if s0 != s1 and a < (v1 - v0) / (s0 - s1) < b:
+                crossings.append((v1 - v0) / (s0 - s1))
+    cuts = sorted_cuts(cuts + crossings, mp.mpf(0), period)
+
+    def tau(mid):
+        # tau_max = t - min_i d_i(t): the linear form (value at 0, slope)
+        v, s = min(forms(lags, mid), key=lambda f: f[0] + f[1] * mid)
+        return -v, 1 - s
+
+    hits = []
+    for a, b in zip(cuts, cuts[1:]):
+        v, s = tau((a + b) / 2)
+        lo, hi = sorted((v + s * a, v + s * b))
+        if s == 0:
+            continue
+        for c in coeffs:
+            for phase in c.phases:
+                n = mp.ceil((lo - phase) / period)
+                while phase + n * period <= hi:
+                    hits.append((phase + n * period - v) / s)
+                    n += 1
+    cuts = sorted_cuts(cuts + hits, mp.mpf(0), period)
+
+    def integral_profile(t):
+        v, s = tau(t)
+        return sum(c.integral(t) - c.integral(v + s * t) for c in coeffs)
+
+    alpha_samples = [integral_profile(t) for t in cuts]
+    hy_samples = []
+    for a, b in zip(cuts, cuts[1:]):
+        mid = (a + b) / 2
+        # S'(t) - S'(tau(t)) tau'(t), linear on the piece
+        v, s = tau(mid)
+        terms = [(c.form(mid), c.form(v + s * mid)) for c in coeffs]
+        d0 = sum(cv - (dv + ds * v) * s for (cv, _), (dv, ds) in terms)
+        d1 = sum(cs - ds * s * s for (_, cs), (_, ds) in terms)
+        if d1 != 0 and a < -d0 / d1 < b:
+            alpha_samples.append(integral_profile(-d0 / d1))
+        # sum_i p_i d_i: a quadratic from the linear forms, limits at the ends
+        pairs = list(zip(forms(coeffs, mid), forms(lags, mid)))
+
+        def product(t):
+            return sum((pv + ps * t) * (dv + ds * t) for (pv, ps), (dv, ds) in pairs)
+
+        hy_samples += [product(a), product(b)]
+        curv = sum(2 * ps * ds for (_, ps), (_, ds) in pairs)
+        slope0 = sum(pv * ds + ps * dv for (pv, ps), (dv, ds) in pairs)
+        if curv != 0 and a < -slope0 / curv < b:
+            hy_samples.append(product(-slope0 / curv))
+    return min(alpha_samples), max(alpha_samples), min(hy_samples)
+
+
+def _wrap_jump_equations():
+    """A coefficient that falls to the wrap point and jumps up there, so the
+    Hunt-Yorke liminf is a left limit never attained, and one that jumps
+    down, so it is the right limit; at periods whose multiples round either
+    way."""
+    out = []
+    for period in (1.0, 0.7, 0.3):
+        lag = PiecewisePeriodic(period, ((0.0, 1.0), (0.5 * period, 1.4)))
+        for values in ((0.1, 0.3, 0.05), (0.05, 0.3, 0.2)):
+            coef = PiecewisePeriodic(
+                period, ((0.0, values[0]), (0.4 * period, values[1]), (period, values[2]))
+            )
+            out.append(DelayEquation(coefficients=(coef,), lags=(lag,)))
+    return out
+
+
+def _oracle_cases():
+    from delayosc.cli import load_equation
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    configs = [
+        load_equation(os.path.join(root, "configs", name))
+        for name in ("two_delay_sawtooth.json", "single_lag_control.json")
+    ]
+    rng = np.random.default_rng(20261019)
+    draws = [make_random_equation(rng) for _ in range(10)]
+    return [*configs, make_bench_piecewise_equation(), *kink_cases(), *draws, *_wrap_jump_equations()]
+
+
+def test_quadratic_extrema_sample_the_vertex_inside_a_piece():
+    # (t - 0.25)^2 on one piece of the period [0, 1]: the minimum is the
+    # vertex, the maximum the knot at 0 (the end at 1 is its copy)
+    def f(ts):
+        return (np.asarray(ts) - 0.25) ** 2
+
+    knots = np.array([0.0, 1.0])
+    got = criteria._quadratic_extrema(f, knots, lambda a, b: np.full(a.shape, 2.0))
+    assert got == (0.0, 0.0625)
+    # no curvature, no vertex; a zero curvature is no division
+    assert criteria._quadratic_extrema(f, knots) == (0.0625, 0.0625)
+    assert criteria._quadratic_extrema(f, knots, lambda a, b: 0.0 * a) == (0.0625, 0.0625)
+
+
+def test_quadratic_extrema_in_blocks_equal_one_block(monkeypatch):
+    # pieces taken a few at a time, the seam's one-sided limits at the
+    # first and last block
+    eq = _wrap_jump_equations()[1]
+    env = combined_envelope(eq)
+    lower, poly = partial(tau_max, eq), partial(tau_max_polyline, eq)
+    profiles = [
+        (criteria._coeff_integral_profile(eq, lower, poly, env), False),
+        (criteria._product_profile(eq, env), True),
+    ]
+    whole = [criteria._quadratic_extrema(*p, seam_jump=jump) for p, jump in profiles]
+    monkeypatch.setattr(criteria, "_BLOCK", 2)
+    assert [criteria._quadratic_extrema(*p, seam_jump=jump) for p, jump in profiles] == whole
+
+
+def test_curvature_of_a_piece_of_adjacent_doubles():
+    # the midpoint of a piece [a, b] of adjacent doubles rounds onto b; at
+    # the window's end that used to read a polyline slope past its last knot
+    eq = make_random_equation(np.random.default_rng(4))
+    env = combined_envelope(eq)
+    f, knots, curvature = criteria._coeff_integral_profile(
+        eq, partial(tau_max, eq), partial(tau_max_polyline, eq), env
+    )
+    assert curvature is not None
+    b = knots[-1:]
+    assert np.isfinite(curvature(np.nextafter(b, 0.0), b)).all()
+
+
+@pytest.mark.parametrize("case", range(29))
+def test_exact_constants_against_a_50_digit_oracle(case):
+    eq = _oracle_cases()[case]
+    want = [float(v) for v in _oracle_constants(eq)]
+    got = [alpha(eq), kwong_limsup(eq), hunt_yorke_liminf(eq)]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * abs(w), (got, want)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -721,16 +944,28 @@ def test_check_all_equals_the_separate_scans(request, name, r, n_grid):
 
 
 def test_check_all_refines_in_one_lockstep(monkeypatch, demo_eq):
-    passes = []
-    lockstep = criteria._zoom_lockstep
+    # one scan, of one profile whose rows are the two kernel integrals, on
+    # the one grid check_all builds: the kernel grid
+    passes, rows, grids = [], [], []
+    lockstep, scan, grid = criteria._zoom_lockstep, criteria._scan_extrema, criteria._scan_grid
 
     def counting_lockstep(*args, **kwargs):
         passes.append(1)
         return lockstep(*args, **kwargs)
 
+    def counting_scan(f, cand, modes, *args):
+        rows.append(np.shape(f(cand[:4])))
+        return scan(f, cand, modes, *args)
+
+    def counting_grid(w0, w1, knots, n_grid):
+        grids.append(n_grid)
+        return grid(w0, w1, knots, n_grid)
+
     monkeypatch.setattr(criteria, "_zoom_lockstep", counting_lockstep)
+    monkeypatch.setattr(criteria, "_scan_extrema", counting_scan)
+    monkeypatch.setattr(criteria, "_scan_grid", counting_grid)
     check_all(demo_eq, 2, n_grid=100, n_grid_liminf=300)
-    assert len(passes) <= 1
+    assert len(passes) == 1 and rows == [(2, 4)] and grids == [100]
 
 
 # -- fixed point ------------------------------------------------------------

@@ -116,6 +116,23 @@ def test_outer_integral_constant_equation(control_eq):
         assert got == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("r", [1, 2, 5])
+def test_rows_of_one_profile_equal_the_public_integrals(demo_eq, r):
+    # inner and outer on one envelope lookup, one search and one Clenshaw
+    # pass: bitwise the one-kind lookups, below t_stab and saturated too
+    rng = np.random.default_rng(3)
+    draws = (make_random_equation(rng) for _ in range(50))
+    draw = next(eq for eq in draws if combined_envelope(eq).t_stab > 0)
+    for eq in (demo_eq, draw):
+        ts = np.concatenate([[0.0], np.linspace(0.3, 6.0 * eq.period + eq.max_lag, 97)])
+        cache, env = KernelCache(), combined_envelope(eq)
+        rows = kernel._criterion(eq, r, ("outer", "inner"), env, cache, kernel.DEFAULT_TOL)(ts)
+        inner = inner_criterion_integral(eq, r, ts, cache=cache, env=env)
+        outer = outer_criterion_integral(eq, r, ts, cache=cache, env=env)
+        assert rows.shape == (2, ts.size)
+        assert np.array_equal(rows[0], outer) and np.array_equal(rows[1], inner)
+
+
 # -- properties -------------------------------------------------------------
 
 
@@ -227,6 +244,39 @@ def test_fit_matrices_equal_numpys():
         got, want = kernel._chebint(c), cheb.chebint(c, lbnd=-1.0, axis=2)
         assert np.array_equal(got, want)
         assert got.strides == want.strides
+
+
+def _chebint_loop(c):
+    """``kernel._chebint`` as a loop over the coefficients, numpy's order."""
+    c = np.moveaxis(c, -1, 0)
+    n = len(c)
+    tmp = np.empty((n + 1,) + c.shape[1:])
+    tmp[0] = c[0] * 0
+    tmp[1] = c[0]
+    tmp[2] = c[1] / 4
+    for j in range(2, n):
+        tmp[j + 1] = c[j] / (2 * (j + 1))
+        tmp[j - 1] -= c[j] / (2 * (j - 1))
+    out = np.moveaxis(tmp, 0, -1)
+    tmp[0] += 0 - kernel._chebval_rows(-1.0, out.reshape(-1, n + 1)).reshape(tmp.shape[1:])
+    return out
+
+
+def test_chebint_equals_the_loop():
+    rng = np.random.default_rng(13)
+    for shape in ((17,), (300, 17), (2, 300, 17), (3, 5)):
+        c = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 7)
+        got, want = kernel._chebint(c), _chebint_loop(c)
+        assert np.array_equal(got, want) and got.strides == want.strides
+
+
+def test_stacked_lookup_sums_each_set_as_alone():
+    # F and W share pieces: one Clenshaw pass over both coefficient sets
+    rng = np.random.default_rng(6)
+    sets = rng.standard_normal((2, 1000, 18))
+    u = rng.uniform(-1.0, 1.0, 1000)
+    both = kernel._chebval_rows(u, sets)
+    assert all(np.array_equal(both[k], kernel._chebval_rows(u, sets[k])) for k in range(2))
 
 
 def test_table_lookup_sums_like_chebval():
