@@ -218,6 +218,23 @@ def test_check_stdout_pinned(capsys, config, r, sha):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
 
+@pytest.mark.parametrize(
+    "args,sha",
+    [
+        (["--r", "2", "--grid", "100"], "01837b26e88ccc8b2b61d078a00e38a2c38dd6df4dce44c65a27fceec08d021c"),
+        (["--r", "3", "--grid", "100"], "408485750dbc3628682e233073c8cb3eded860f7987fffe613e0973f613ce3d8"),
+        (["--r", "4"], "df5bb5182bac6fcb24512e03bc33348b973a17056d965924197c9134bd6dd872"),
+    ],
+    ids=["demo-r2-grid100", "demo-r3-grid100", "demo-r4"],
+)
+def test_deep_check_stdout_pinned(capsys, args, sha):
+    # the benchmark's deep_kernel checks, and the deepest table cut at its
+    # hints, byte for byte
+    assert main(["check", DEMO_CONFIG, *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
 def test_check_envelope_that_never_settles_is_an_error(monkeypatch, capsys):
     monkeypatch.setattr(envelope, "_windows_match", lambda wa, wb: False)
     assert main(["check", CONTROL_CONFIG]) == 1

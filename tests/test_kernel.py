@@ -257,9 +257,8 @@ def _chebint_loop(c):
     for j in range(2, n):
         tmp[j + 1] = c[j] / (2 * (j + 1))
         tmp[j - 1] -= c[j] / (2 * (j - 1))
-    out = np.moveaxis(tmp, 0, -1)
-    tmp[0] += 0 - kernel._chebval_rows(-1.0, out.reshape(-1, n + 1)).reshape(tmp.shape[1:])
-    return out
+    tmp[0] += 0 - kernel._clenshaw(-1.0, tmp)
+    return np.moveaxis(tmp, 0, -1)
 
 
 def test_chebint_equals_the_loop():
@@ -271,21 +270,117 @@ def test_chebint_equals_the_loop():
 
 
 def test_stacked_lookup_sums_each_set_as_alone():
-    # F and W share pieces: one Clenshaw pass over both coefficient sets
+    # F and W share pieces: one Clenshaw pass over both coefficient sets,
+    # each gathered coefficient-major into a slab of its own
     rng = np.random.default_rng(6)
-    sets = rng.standard_normal((2, 1000, 18))
+    slabs = rng.standard_normal((2, 18, 1000))
     u = rng.uniform(-1.0, 1.0, 1000)
-    both = kernel._chebval_rows(u, sets)
-    assert all(np.array_equal(both[k], kernel._chebval_rows(u, sets[k])) for k in range(2))
+    both = kernel._clenshaw(u, slabs.transpose(1, 0, 2))
+    for k in range(2):
+        alone = kernel._clenshaw(u, slabs[k])
+        assert np.array_equal(both[k], alone)
+        assert np.array_equal(alone, cheb.chebval(u, slabs[k], tensor=False))
 
 
 def test_table_lookup_sums_like_chebval():
-    # a gathered (n, 18) block of antiderivative coefficients, as in a lookup
+    # a gathered (18, n) block of antiderivative coefficients, as in a lookup
     rng = np.random.default_rng(5)
-    block = rng.standard_normal((300, 18))[rng.integers(0, 300, 1000)]
+    block = np.asfortranarray(rng.standard_normal((300, 18))).T[:, rng.integers(0, 300, 1000)]
     u = rng.uniform(-1.0, 1.0, 1000)
-    want = cheb.chebval(u, block.T, tensor=False)
-    assert np.array_equal(kernel._chebval_rows(u, block), want)
+    want = cheb.chebval(u, block, tensor=False)
+    assert np.array_equal(kernel._clenshaw(u, block), want)
+
+
+def _chebval_last_axis(u, c):
+    """Row k of the coefficients ``c`` summed at ``u[k]``, Clenshaw along the
+    last axis, over a stack of such sets too: the lookup's sum before it
+    gathered coefficient-major."""
+    u2 = 2.0 * u
+    c0, c1 = c[..., -2], c[..., -1]
+    for i in range(3, c.shape[-1] + 1):
+        c0, c1 = c[..., -i] - c1, c0 + c1 * u2
+    return c0 + c1 * u
+
+
+def _within_reference(tables, xs):
+    """The lookup of tables on common pieces as it was: each table's rows
+    gathered row-major by a buffered ``np.take``, summed along the last axis."""
+    edges = tables[0].edges
+    shape = np.shape(xs)
+    x = np.asarray(xs, dtype=float).ravel()
+    j = np.minimum(np.maximum(np.searchsorted(edges, x, side="right") - 1, 0), len(edges) - 2)
+    lo, hi = edges[j], edges[j + 1]
+    u = (2.0 * x - lo - hi) / (hi - lo)
+    coef = np.empty((len(tables), j.size, tables[0].coef.shape[1]))
+    for t, block in zip(tables, coef):
+        np.take(t.coef, j, axis=0, out=block)
+    sums = _chebval_last_axis(u, coef)
+    return [(t.cum[j] + s).reshape(shape) for t, s in zip(tables, sums)]
+
+
+def _random_tables(rng, nseg, count, period=1.0):
+    """``count`` tables of random coefficients on common random pieces of
+    [0, period], stored as ``_fit_table`` stores them."""
+    inner = np.sort(rng.uniform(0.0, period, nseg - 1))
+    edges = np.concatenate([[0.0], inner, [period]])
+    tables = []
+    for _ in range(count):
+        coef = np.asfortranarray(rng.standard_normal((nseg, 18)) * 10.0 ** rng.integers(-6, 4))
+        tables.append(kernel._Table(edges, coef, np.concatenate([[0.0], np.cumsum(coef.sum(axis=1))])))
+    return tables
+
+
+def _lookup_points(rng, edges, n):
+    """Random points of [0, P] and every edge, 0 and P among them."""
+    return rng.permutation(np.concatenate([rng.uniform(0.0, edges[-1], n), edges]))
+
+
+@pytest.mark.parametrize("nseg", [1, 2, 17, 105, 2000])
+def test_joint_lookup_equals_the_row_major_reference(nseg):
+    # a stacked F/W pair and a second group on other pieces, in one pass:
+    # bitwise the lookups as they were, and the groups looked up apart
+    rng = np.random.default_rng(nseg)
+    pair = _random_tables(rng, nseg, 2)
+    (g,) = _random_tables(rng, max(1, nseg // 3 + 1), 1)
+    for n in (0, 1, 90, 1000):
+        x = _lookup_points(rng, pair[0].edges, n).reshape(-1, 1)
+        c = _lookup_points(rng, g.edges, n)
+        joint = kernel._within([(pair, x), ([g], c)])
+        want = [_within_reference(pair, x), _within_reference([g], c)]
+        apart = kernel._within([(pair, x)]) + kernel._within([([g], c)])
+        for got in (joint, apart):
+            assert [v.shape for v in got[0]] == [x.shape] * 2 and got[1][0].shape == c.shape
+            assert all(np.array_equal(a, b) for gw, ww in zip(got, want) for a, b in zip(gw, ww))
+    # 0-d and empty points keep their shapes
+    for xs in (0.0, pair[0].edges[-1], 0.37, np.empty(0), np.empty((2, 0))):
+        joint = kernel._within([(pair, xs), ([g], xs)])
+        want = [_within_reference(pair, xs), _within_reference([g], xs)]
+        for gw, ww in zip(joint, want):
+            assert all(a.shape == np.shape(xs) and np.array_equal(a, b) for a, b in zip(gw, ww))
+
+
+def test_decay_kernel_reads_both_ends_in_one_lookup(demo_eq):
+    # one lookup on both ends stacked: bitwise the two lookups, with
+    # t == s, reversed pairs, G_0 exact at r = 1, a kernel that saturates
+    # (r = 5) and a saturated level table (r = 6)
+    rng = np.random.default_rng(11)
+    ts = np.concatenate([rng.uniform(0.0, 40.0, 200), [0.0, 3.0, 7.5, 40.0]])
+    ss = np.concatenate([rng.uniform(0.0, 40.0, 200), [0.0, 3.0, 2.5, 37.0]])
+    ss[:50] = ts[:50]
+    cache = KernelCache()
+    for r in (1, 2, 3, 5, 6):
+        g = kernel._level(demo_eq, r - 1, cache, kernel.DEFAULT_TOL)
+        assert g.saturated == (r == 6)
+        for t, s in ((ts, ss), (ss, ts), (ts.reshape(4, -1), ss.reshape(4, -1))):
+            # G_4 reaches 3e68, where its rounding can make G(hi) - G(lo)
+            # fall below -745: exp gives 0 and its reciprocal divides by 0
+            with np.errstate(over="ignore", divide="ignore"):
+                lo, hi = np.minimum(t, s), np.maximum(t, s)
+                expo = np.full(lo.shape, math.inf) if g.saturated else g.values(hi) - g.values(lo)
+                value = np.where(expo > kernel._EXP_MAX, math.inf, np.exp(expo))
+                want = np.where(t == s, 1.0, np.where(t >= s, value, 1.0 / value))
+                got = decay_kernel(demo_eq, r, t, s, cache=cache)
+            assert got.shape == t.shape and np.array_equal(got, want)
 
 
 # a tent lag rising from L/2 to L over half a period and falling back: its
