@@ -43,10 +43,9 @@ approaches.  Both kinds of preimage come from the polyline toolkit in
 ``envelope``: ``_lattice_preimages``, the routine that also gives the
 alpha and Kwong profile its knots where tau_max meets the coefficient
 lattice.
-``_within`` is the one lookup: every table it reads in a call, in groups
-on their own pieces, is gathered coefficient-major into one block and
-summed in one Clenshaw pass.  A profile evaluation is one call: F and W
-at both limits, and for a frozen row at r >= 2, G_{r-1} at the reference.
+``_within`` is the one lookup: the tables it reads in a call, on common
+pieces, are gathered coefficient-major into one block and summed in one
+Clenshaw pass.
 Kernel exponents past 709 saturate to +inf (reciprocals to 0.0), and so
 does every integral over a table whose integrand overflows; each table
 saturates on its own.
@@ -204,60 +203,44 @@ class _Table:
         self.total = math.inf if self.saturated else float(cum[-1])
 
     def within(self, xs):
-        return _within([([self], xs)])[0][0]
+        return _within([self], xs)[0]
 
     def values(self, xs):
         """Periodic continuation: A(x + P) = A(x) + total."""
-        ((k, (frac,)),) = _split([([self], xs)])
+        k, (frac,) = _split([self], xs)
         return k * self.total + frac
 
 
-def _within(groups):
-    """For each group ``(tables, xs)``, its tables, fitted on common pieces,
-    at the points ``xs`` of their span, each in the shape of ``xs``.
+def _within(tables, xs):
+    """Each of ``tables``, fitted on common pieces, at the points ``xs`` of
+    their span, in the shape of ``xs``: one search of the pieces and one
+    Clenshaw pass over every table's coefficients.
 
-    A group makes one search of its pieces.  Every table's series is
-    gathered coefficient-major, a column per point, and one Clenshaw pass
-    sums them all, each column at its group's u: the tables of one group
-    fill contiguous slabs of one block, several groups are joined side by
-    side.  ``mode="clip"``: numpy buffers a gather into ``out`` in its
-    default mode, and the indices are in range already."""
-    us, cols = [], []
-    for tables, xs in groups:
-        edges = tables[0].edges
-        x = np.asarray(xs, dtype=float).ravel()
-        # np.minimum/np.maximum: np.clip's wrapper costs more than the lookup
-        j = np.minimum(np.maximum(np.searchsorted(edges, x, side="right") - 1, 0), len(edges) - 2)
-        lo, hi = edges[j], edges[j + 1]
-        us += [(2.0 * x - lo - hi) / (hi - lo)] * len(tables)
-        cols += [(t, j, np.shape(xs)) for t in tables]
-    if len(groups) == 1:
-        # one u: each table gathers into a contiguous slab of its own
-        block = np.empty((len(tables), tables[0].coef.shape[1], j.size))
-        for (t, j, _), slab in zip(cols, block):
-            np.take(t.coef.T, j, axis=1, out=slab, mode="clip")
-        sums = _clenshaw(us[0], block.transpose(1, 0, 2)).ravel()
-    else:
-        block = np.concatenate([np.take(t.coef.T, j, axis=1, mode="clip") for t, j, _ in cols], axis=1)
-        sums = _clenshaw(np.concatenate(us), block)
-    vals, at = [], 0
-    for t, j, shape in cols:
-        vals.append((t.cum[j] + sums[at : at + j.size]).reshape(shape))
-        at += j.size
-    vals = iter(vals)
-    return [[next(vals) for _ in tables] for tables, _ in groups]
+    Each table gathers its series coefficient-major, a column per point,
+    into a contiguous slab of one block.  ``mode="clip"``: numpy buffers a
+    gather into ``out`` in its default mode, and the indices are in range
+    already."""
+    edges = tables[0].edges
+    shape = np.shape(xs)
+    x = np.asarray(xs, dtype=float).ravel()
+    # np.minimum/np.maximum: np.clip's wrapper costs more than the lookup
+    j = np.minimum(np.maximum(np.searchsorted(edges, x, side="right") - 1, 0), len(edges) - 2)
+    lo, hi = edges[j], edges[j + 1]
+    u = (2.0 * x - lo - hi) / (hi - lo)
+    block = np.empty((len(tables), tables[0].coef.shape[1], j.size))
+    for t, slab in zip(tables, block):
+        np.take(t.coef.T, j, axis=1, out=slab, mode="clip")
+    sums = _clenshaw(u, block.transpose(1, 0, 2))
+    return [(t.cum[j] + s).reshape(shape) for t, s in zip(tables, sums)]
 
 
-def _split(groups):
-    """For each group ``(tables, xs)`` of tables on common pieces of [0, P],
-    ``(k, [A(u), ...])`` for x = k * P + u with u in [0, P]; one lookup."""
-    ks, wrapped = [], []
-    for tables, xs in groups:
-        x = np.asarray(xs, dtype=float)
-        period = tables[0].edges[-1]
-        ks.append(np.floor(x / period))
-        wrapped.append((tables, np.minimum(np.maximum(x - ks[-1] * period, 0.0), period)))
-    return list(zip(ks, _within(wrapped)))
+def _split(tables, xs):
+    """``(k, [A(u), ...])`` for x = k * P + u with u in [0, P], over
+    ``tables`` on common pieces of [0, P]."""
+    x = np.asarray(xs, dtype=float)
+    period = tables[0].edges[-1]
+    k = np.floor(x / period)
+    return k, _within(tables, np.minimum(np.maximum(x - k * period, 0.0), period))
 
 
 class _CoeffSumLevel:
@@ -532,25 +515,13 @@ def _integrals(eq, r, terms, env, cache, tol, kinds, c, a, b):
 
     the sliding envelope h of ``env``, or the reference ``c`` frozen (read
     by "outer" rows only).  F and W are fitted on the same pieces, so the
-    rows share one search of them; an "outer" row at r >= 2 also reads the
-    table of G_{r-1} at ``c``, on its own pieces.  All of it is one
-    lookup: one Clenshaw pass."""
+    rows share one search of them and one Clenshaw pass."""
     a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)))
     per = _sliding_table(eq, r, terms, env, cache, tol, False)
     tables = [per[0] if kind == "inner" else per[1] for kind in kinds]
-    live = [t for t in tables if not t.saturated]
-    if not live:
-        return np.stack([np.where(b > a, math.inf, 0.0)] * len(kinds))
     x = np.stack([a, b])
-    # a live W has a live G_{r-1}: exact at r = 1, else a table on its own
-    # pieces, read in the same lookup as F and W
-    g = _level(eq, r - 1, cache, tol) if per[1] in live else None
-    if isinstance(g, _Table):
-        (k, parts), (kc, (gc,)) = _split([(live, x), ([g], c)])
-        gc = kc * g.total + gc
-    else:
-        ((k, parts),) = _split([(live, x)])
-        gc = None if g is None else g.values(c)
+    live = [t for t in tables if not t.saturated]
+    k, parts = _split(live, x) if live else (None, [])
     parts = iter(parts)
     rows = []
     for kind, table in zip(kinds, tables):
@@ -559,7 +530,7 @@ def _integrals(eq, r, terms, env, cache, tol, kinds, c, a, b):
         elif kind == "inner":
             row = _sliding(eq, r, terms, env, cache, tol, table, x, k * table.total + next(parts))
         else:
-            row = _frozen(g, table, gc, k, next(parts))
+            row = _frozen(eq, r, cache, tol, table, c, k, next(parts))
         rows.append(np.where(b > a, math.inf, 0.0) if row is None else row)
     return np.stack(rows)
 
@@ -584,9 +555,10 @@ def _sliding(eq, r, terms, env, cache, tol, per, x, out):
     return out[1] - out[0]
 
 
-def _frozen(g, w, gc, k, ws):
-    """integral_a^b of the frozen integrand at ``c``, from ``gc``, G_{r-1} =
-    ``g`` at ``c``, and W's split ``(k, ws)`` at ``(a, b)``."""
+def _frozen(eq, r, cache, tol, w, c, k, ws):
+    """integral_a^b of the frozen integrand at ``c``, from W's split
+    ``(k, ws)`` at ``(a, b)``."""
+    g = _level(eq, r - 1, cache, tol)
     big_t = g.total
     (ka, kb), (wa, wb) = k, ws
     n = kb - ka
@@ -596,7 +568,7 @@ def _frozen(g, w, gc, k, ws):
     # integral of a nonnegative function, so rounding below 0 is clipped
     inside = np.maximum(w.total * geo - wa + np.exp(-n * big_t) * wb, 0.0)
     # times e^{G(c) - k_a T}, saturating past float range
-    expo = gc - ka * big_t
+    expo = g.values(c) - ka * big_t
     with np.errstate(over="ignore", invalid="ignore"):
         out = inside * np.where(expo > _EXP_MAX, math.inf, np.exp(expo))
     return np.where(inside == 0.0, 0.0, out)
@@ -627,9 +599,9 @@ def decay_kernel(
     if g.saturated:
         expo = np.full(lo.shape, math.inf)
     else:
-        # both ends in one lookup, which reads each point on its own
-        at = g.values(np.stack([hi, lo]))
-        expo = at[0] - at[1]
+        # both ends in one lookup; G_{r-1} is nondecreasing, so K_r >= 1,
+        # though far up its rounding alone can make G(hi) - G(lo) negative
+        expo = np.maximum(np.subtract(*g.values(np.stack([hi, lo]))), 0.0)
     # deep kernels grow doubly exponentially in r; saturate past float range
     with np.errstate(over="ignore"):
         value = np.where(expo > _EXP_MAX, math.inf, np.exp(expo))

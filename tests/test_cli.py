@@ -201,36 +201,26 @@ def test_negative_grid_is_an_error_naming_the_argument(capsys, command):
 
 
 @pytest.mark.parametrize(
-    "config,r,sha",
+    "config,args,code,sha",
     [
-        (CONTROL_CONFIG, 1, "bd905c4cb02a3ada95ca093d18195010aa9fccb1d399fdad5b1f78705b62d55f"),
-        (CONTROL_CONFIG, 2, "6f7a64faedcd9796444d9a3fe5d9c4e38c989250264ec757d8e9fef4aafabef0"),
-        (CONTROL_CONFIG, 3, "486e831e16a0ecfdb9bff819b1e5ccc949e3915ea4a38d863361c03fd543f63f"),
-        (DEMO_CONFIG, 1, "6b784ad8333304322fb079cdc4885ae5b647e34655565e5fa2a6cf614a5d7935"),
-        (DEMO_CONFIG, 2, "e1b496238cd0e3e762cd65b2678312044e6f91eddb589d5e19b7f70e702e83a0"),
-        (DEMO_CONFIG, 3, "f457ff10c196ae2349a76e690836d5d1d9f0468297eac9cb85809247b0923023"),
+        (CONTROL_CONFIG, ["--r", "1"], 3, "bd905c4cb02a3ada95ca093d18195010aa9fccb1d399fdad5b1f78705b62d55f"),
+        (CONTROL_CONFIG, ["--r", "2"], 3, "6f7a64faedcd9796444d9a3fe5d9c4e38c989250264ec757d8e9fef4aafabef0"),
+        (CONTROL_CONFIG, ["--r", "3"], 3, "486e831e16a0ecfdb9bff819b1e5ccc949e3915ea4a38d863361c03fd543f63f"),
+        (DEMO_CONFIG, ["--r", "1"], 0, "6b784ad8333304322fb079cdc4885ae5b647e34655565e5fa2a6cf614a5d7935"),
+        (DEMO_CONFIG, ["--r", "2"], 0, "e1b496238cd0e3e762cd65b2678312044e6f91eddb589d5e19b7f70e702e83a0"),
+        (DEMO_CONFIG, ["--r", "3"], 0, "f457ff10c196ae2349a76e690836d5d1d9f0468297eac9cb85809247b0923023"),
+        # the benchmark's deep_kernel checks, and the deepest table cut at its hints
+        (DEMO_CONFIG, ["--r", "2", "--grid", "100"], 0, "01837b26e88ccc8b2b61d078a00e38a2c38dd6df4dce44c65a27fceec08d021c"),
+        (DEMO_CONFIG, ["--r", "3", "--grid", "100"], 0, "408485750dbc3628682e233073c8cb3eded860f7987fffe613e0973f613ce3d8"),
+        (DEMO_CONFIG, ["--r", "4"], 0, "df5bb5182bac6fcb24512e03bc33348b973a17056d965924197c9134bd6dd872"),
     ],
-    ids=["control-r1", "control-r2", "control-r3", "demo-r1", "demo-r2", "demo-r3"],
-)
-def test_check_stdout_pinned(capsys, config, r, sha):
-    main(["check", config, "--r", str(r)])
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
-
-
-@pytest.mark.parametrize(
-    "args,sha",
-    [
-        (["--r", "2", "--grid", "100"], "01837b26e88ccc8b2b61d078a00e38a2c38dd6df4dce44c65a27fceec08d021c"),
-        (["--r", "3", "--grid", "100"], "408485750dbc3628682e233073c8cb3eded860f7987fffe613e0973f613ce3d8"),
-        (["--r", "4"], "df5bb5182bac6fcb24512e03bc33348b973a17056d965924197c9134bd6dd872"),
+    ids=[
+        "control-r1", "control-r2", "control-r3", "demo-r1", "demo-r2", "demo-r3",
+        "demo-r2-grid100", "demo-r3-grid100", "demo-r4",
     ],
-    ids=["demo-r2-grid100", "demo-r3-grid100", "demo-r4"],
 )
-def test_deep_check_stdout_pinned(capsys, args, sha):
-    # the benchmark's deep_kernel checks, and the deepest table cut at its
-    # hints, byte for byte
-    assert main(["check", DEMO_CONFIG, *args]) == 0
+def test_check_stdout_pinned(capsys, config, args, code, sha):
+    assert main(["check", config, *args]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 

@@ -336,51 +336,59 @@ def _lookup_points(rng, edges, n):
 
 
 @pytest.mark.parametrize("nseg", [1, 2, 17, 105, 2000])
-def test_joint_lookup_equals_the_row_major_reference(nseg):
-    # a stacked F/W pair and a second group on other pieces, in one pass:
-    # bitwise the lookups as they were, and the groups looked up apart
+def test_lookup_equals_the_row_major_reference(nseg):
+    # a stacked F/W pair, and one table on other pieces: bitwise the lookups
+    # as they were, in the shape of the points
     rng = np.random.default_rng(nseg)
     pair = _random_tables(rng, nseg, 2)
-    (g,) = _random_tables(rng, max(1, nseg // 3 + 1), 1)
-    for n in (0, 1, 90, 1000):
-        x = _lookup_points(rng, pair[0].edges, n).reshape(-1, 1)
-        c = _lookup_points(rng, g.edges, n)
-        joint = kernel._within([(pair, x), ([g], c)])
-        want = [_within_reference(pair, x), _within_reference([g], c)]
-        apart = kernel._within([(pair, x)]) + kernel._within([([g], c)])
-        for got in (joint, apart):
-            assert [v.shape for v in got[0]] == [x.shape] * 2 and got[1][0].shape == c.shape
-            assert all(np.array_equal(a, b) for gw, ww in zip(got, want) for a, b in zip(gw, ww))
-    # 0-d and empty points keep their shapes
-    for xs in (0.0, pair[0].edges[-1], 0.37, np.empty(0), np.empty((2, 0))):
-        joint = kernel._within([(pair, xs), ([g], xs)])
-        want = [_within_reference(pair, xs), _within_reference([g], xs)]
-        for gw, ww in zip(joint, want):
-            assert all(a.shape == np.shape(xs) and np.array_equal(a, b) for a, b in zip(gw, ww))
+    single = _random_tables(rng, max(1, nseg // 3 + 1), 1)
+    for tables in (pair, single):
+        edges = tables[0].edges
+        for n in (0, 1, 90, 1000):
+            xs = _lookup_points(rng, edges, n)
+            for x in (xs, xs.reshape(-1, 1)):
+                got, want = kernel._within(tables, x), _within_reference(tables, x)
+                assert all(a.shape == x.shape and np.array_equal(a, b) for a, b in zip(got, want))
+        # 0-d and empty points keep their shapes
+        for x in (0.0, edges[-1], 0.37, np.empty(0), np.empty((2, 0))):
+            got, want = kernel._within(tables, x), _within_reference(tables, x)
+            assert all(a.shape == np.shape(x) and np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_decay_kernel_reads_both_ends_in_one_lookup(demo_eq):
     # one lookup on both ends stacked: bitwise the two lookups, with
-    # t == s, reversed pairs, G_0 exact at r = 1, a kernel that saturates
-    # (r = 5) and a saturated level table (r = 6)
+    # t == s, reversed pairs, G_0 exact at r = 1 and a saturated level
+    # table (r = 6)
     rng = np.random.default_rng(11)
     ts = np.concatenate([rng.uniform(0.0, 40.0, 200), [0.0, 3.0, 7.5, 40.0]])
     ss = np.concatenate([rng.uniform(0.0, 40.0, 200), [0.0, 3.0, 2.5, 37.0]])
     ss[:50] = ts[:50]
     cache = KernelCache()
-    for r in (1, 2, 3, 5, 6):
+    for r in (1, 2, 3, 6):
         g = kernel._level(demo_eq, r - 1, cache, kernel.DEFAULT_TOL)
         assert g.saturated == (r == 6)
         for t, s in ((ts, ss), (ss, ts), (ts.reshape(4, -1), ss.reshape(4, -1))):
-            # G_4 reaches 3e68, where its rounding can make G(hi) - G(lo)
-            # fall below -745: exp gives 0 and its reciprocal divides by 0
-            with np.errstate(over="ignore", divide="ignore"):
-                lo, hi = np.minimum(t, s), np.maximum(t, s)
-                expo = np.full(lo.shape, math.inf) if g.saturated else g.values(hi) - g.values(lo)
+            lo, hi = np.minimum(t, s), np.maximum(t, s)
+            expo = np.full(lo.shape, math.inf) if g.saturated else g.values(hi) - g.values(lo)
+            with np.errstate(over="ignore"):
                 value = np.where(expo > kernel._EXP_MAX, math.inf, np.exp(expo))
-                want = np.where(t == s, 1.0, np.where(t >= s, value, 1.0 / value))
-                got = decay_kernel(demo_eq, r, t, s, cache=cache)
+            want = np.where(t == s, 1.0, np.where(t >= s, value, 1.0 / value))
+            got = decay_kernel(demo_eq, r, t, s, cache=cache)
             assert got.shape == t.shape and np.array_equal(got, want)
+
+
+def test_decay_kernel_is_at_least_one_where_the_level_table_rounds(demo_eq):
+    # G_4 reaches about 3e68, where one ulp is about 5e52: rounding alone
+    # made G_4(hi) - G_4(lo) fall below -745 on some pairs, so K_5 read 0.0
+    # and its reciprocal divided by zero
+    rng = np.random.default_rng(11)
+    ts, ss = rng.uniform(0.0, 40.0, 200), rng.uniform(0.0, 40.0, 200)
+    cache = KernelCache()
+    g = kernel._level(demo_eq, 4, cache, kernel.DEFAULT_TOL)
+    assert (g.values(np.maximum(ts, ss)) - g.values(np.minimum(ts, ss)) < -745.0).any()
+    for t, s in ((ts, ss), (ss, ts)):
+        k = decay_kernel(demo_eq, 5, t, s, cache=cache)
+        assert np.all(k[t >= s] >= 1.0) and np.all(k[t < s] <= 1.0)
 
 
 # a tent lag rising from L/2 to L over half a period and falling back: its
