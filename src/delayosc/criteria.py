@@ -6,13 +6,14 @@ period [w0, w0 + P].  alpha, Kwong and Hunt-Yorke read profiles that are
 quadratic between known knots, so their extrema are exact: the best of
 the profile's values at the knots and at the vertices inside the pieces
 (``_quadratic_extrema``), with no grid.  The two kernel limsups are rows
-of one profile, scanned on a dense grid seeded with every geometric
-breakpoint, every local extremum refined by a zoom search, all brackets
-in lockstep (``_scan_extrema``).  The window's ends are one point of a
-circle: neighbours are cyclic, a run of extrema may wrap across the seam,
-and every location is reported in [w0, w0 + P).  Grid values within a
-rounding tie (1e-13 of the row's largest magnitude) count as equal, so a
-profile flat up to rounding gives one bracket, not hundreds.  A check
+of one profile (``_kernel_profile``), scanned for their maxima on a dense
+grid seeded with every geometric breakpoint, every local maximum refined
+by a zoom search, all brackets in lockstep (``_scan_maxima``).  The
+window's ends are one point of a circle: neighbours are cyclic, a run of
+maxima may wrap across the seam, and every location is reported in
+[w0, w0 + P).  Grid values within a rounding tie (1e-13 of the row's
+largest magnitude) count as equal, so a profile flat up to rounding gives
+one bracket, not hundreds.  A check
 takes 1 zoom step on a flat profile, 4-5 on the demo, and never more than
 about 27 whatever the scale of the period and lags.  A criterion counts
 as satisfied only when its margin clears 10 * tol; anything closer is
@@ -124,6 +125,12 @@ def lambda0(alpha_value: float, *, xtol: float = 1e-13) -> float:
 # -- extremum scanning -----------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ScanExtremum:
+    value: float
+    t: float
+
+
 def _zoom_lockstep(g, x3, g3, tie, xtol: float):
     """Zoom search for the minimum of ``g`` on every bracket at once.  Row
     ``k`` of ``x3`` holds a bracket's ends and its best point, ``lo, c, hi``,
@@ -215,28 +222,28 @@ def _brackets(vals, tie: float):
     return (np.stack([j0 - 1, c, j1 + 1], axis=1) + shift[:, None])[np.argsort(c + shift)]
 
 
-def _scan_extrema(f, cand, modes, xtol=_REFINE_XTOL):
-    """Extrema of a vectorised periodic profile with one row per mode, with
-    their locations.
+def _scan_maxima(f, cand, xtol=_REFINE_XTOL):
+    """The maximum of each row of a vectorised periodic profile, with its
+    location, as a list of ``ScanExtremum``.
 
-    ``f`` maps times to an array of one row per entry of ``modes`` ("min",
-    "max"), ``cand`` holds the sorted candidates over one period; the result
-    is one ``(value, t)`` per mode, the extremum of its row, ``t`` in
+    ``f`` maps times to an array of one row per profile, ``cand`` holds the
+    sorted candidates over one period; each ``t`` is in
     ``[cand[0], cand[-1])``.  ``f`` is evaluated once on ``cand[:-1]``, the
-    last candidate being the first one's periodic copy.  Every run of local
-    extrema of a row, neighbours cyclic and grid values within the row's tie
-    (``_TIE_REL`` of its largest finite one) counting as equal, brackets one
-    refinement between its outer neighbours, centred on the run's best
-    point; the brackets of every row are refined in one ``_zoom_lockstep``,
-    each step calling ``f`` once.  Kinks are grid points, so a kink extremum
-    is a sample from the first step on.  A refinement replaces the best grid
-    value only when strictly better, and the first bracket wins a tie.
+    last candidate being the first one's periodic copy.  The zoom looks for
+    minima, so it reads the rows negated, which is exact.  Every run of
+    local minima of a negated row, neighbours cyclic and grid values within
+    the row's tie (``_TIE_REL`` of its largest finite one) counting as
+    equal, brackets one refinement between its outer neighbours, centred on
+    the run's best point; the brackets of every row are refined in one
+    ``_zoom_lockstep``, each step calling ``f`` once.  Kinks are grid
+    points, so a kink extremum is a sample from the first step on.  A
+    refinement replaces the best grid value only when strictly better, and
+    the first bracket wins a tie.
     """
     n, period = len(cand) - 1, cand[-1] - cand[0]
-    signs = np.array([1.0 if mode == "min" else -1.0 for mode in modes])
-    signed = signs[:, None] * np.asarray(f(cand[:-1]), dtype=float).reshape(len(modes), n)
+    rows = -np.asarray(f(cand[:-1]), dtype=float).reshape(-1, n)
     best, xs, gs, ties, counts = [], [], [], [], []
-    for row in signed:
+    for row in rows:
         finite = np.abs(row[np.isfinite(row)])
         tie = _TIE_REL * finite.max() if finite.size else 0.0
         k = int(np.argmin(row))
@@ -249,11 +256,10 @@ def _scan_extrema(f, cand, modes, xtol=_REFINE_XTOL):
         best.append([row[k], cand[k]])
     x3 = np.concatenate(xs)
     if x3.size:
-        row_of = np.repeat(np.arange(len(modes)), counts)
+        row_of = np.repeat(np.arange(len(rows)), counts)
 
         def g(x, act):
-            r = row_of[act]
-            return signs[r] * np.asarray(f(x), dtype=float)[r, np.arange(x.size)]
+            return -np.asarray(f(x), dtype=float)[row_of[act], np.arange(x.size)]
 
         x, gx = _zoom_lockstep(g, x3, np.concatenate(gs), np.repeat(ties, counts), xtol)
         # a point refined past either end goes a period back, into [w0, w1)
@@ -265,7 +271,7 @@ def _scan_extrema(f, cand, modes, xtol=_REFINE_XTOL):
                 k = ks[int(np.argmin(gx[ks]))]
                 if gx[k] < entry[0]:
                     entry[:] = gx[k], x[k]
-    return [(float(sign * v), float(t)) for sign, (v, t) in zip(signs, best)]
+    return [ScanExtremum(value=float(-v), t=float(t)) for v, t in best]
 
 
 def _quadratic_extrema(f, knots, curvature=None, seam_jump: bool = False):
@@ -413,14 +419,6 @@ def _hunt_yorke_min(eq, env):
     return _quadratic_extrema(*_product_profile(eq, env), seam_jump=jump)[0]
 
 
-def _kernel_grid(eq, r, env, n_grid):
-    """``(w0, ts)``: the scan window ``[w0, w0 + P]`` of the depth-``r``
-    criterion integrals and its grid, knots of every function and ``env``."""
-    _, w0, w1 = _window(eq, env, r)
-    knots = breakpoint_times(eq.coefficients + eq.lags, w0, w1)
-    return w0, _scan_grid(w0, w1, np.concatenate([knots, env.knots(w0, w1)]), n_grid)
-
-
 # -- liminf quantities -----------------------------------------------------
 #
 # Each is an extremum of a profile that is quadratic between known knots, so
@@ -489,10 +487,16 @@ def hunt_yorke_liminf(
 # -- limsup of the criterion integrals -------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanExtremum:
-    value: float
-    t: float
+def _kernel_profile(eq, r, kinds, env, cache, tol, n_grid):
+    """``(f, w0, ts)``: the depth-``r`` criterion integrals of ``kinds``, one
+    row each, over the envelope ``env`` (built when None), the start of
+    their scan window ``[w0, w0 + P]``, and its grid, a uniform grid joined
+    with every coefficient, lag and envelope knot."""
+    env = env if env is not None else combined_envelope(eq)
+    f = _criterion(eq, r, kinds, env, cache, tol)
+    _, w0, w1 = _window(eq, env, r)
+    knots = breakpoint_times(eq.coefficients + eq.lags, w0, w1)
+    return f, w0, _scan_grid(w0, w1, np.concatenate([knots, env.knots(w0, w1)]), n_grid)
 
 
 def criterion_profile(
@@ -514,9 +518,8 @@ def criterion_profile(
     ("outer") integrand.
     """
     _check_tol(tol)
-    env = env if env is not None else combined_envelope(eq)
-    rows = _criterion(eq, r, (kind,), env, cache, tol)
-    return (lambda ts: rows(ts)[0], *_kernel_grid(eq, r, env, n_grid))
+    rows, w0, ts = _kernel_profile(eq, r, (kind,), env, cache, tol, n_grid)
+    return lambda t: rows(t)[0], w0, ts
 
 
 def limsup_envelope_integral(
@@ -535,11 +538,8 @@ def limsup_envelope_integral(
     ("outer") integrand.
     """
     xtol = _refine_xtol(tol)
-    env = env if env is not None else combined_envelope(eq)
-    f = _criterion(eq, r, (kind,), env, cache, tol)
-    _, ts = _kernel_grid(eq, r, env, n_grid)
-    ((value, t_at),) = _scan_extrema(f, ts, ("max",), xtol)
-    return ScanExtremum(value=value, t=t_at)
+    f, _, ts = _kernel_profile(eq, r, (kind,), env, cache, tol, n_grid)
+    return _scan_maxima(f, ts, xtol)[0]
 
 
 # -- verdicts --------------------------------------------------------------
@@ -609,9 +609,8 @@ def check_all(
     # profile on one grid, in one lockstep scan
     a_val, kw = _tau_max_extrema(eq, env)
     hy = _hunt_yorke_min(eq, env)
-    f = _criterion(eq, r, ("inner", "outer"), env, cache, tol)
-    w0, ts = _kernel_grid(eq, r, env, n_grid)
-    inner, outer = (ScanExtremum(*e) for e in _scan_extrema(f, ts, ("max", "max"), xtol))
+    f, w0, ts = _kernel_profile(eq, r, ("inner", "outer"), env, cache, tol, n_grid)
+    inner, outer = _scan_maxima(f, ts, xtol)
     lam = lambda0(a_val) if 0.0 < a_val <= INV_E else None
 
     window_liminf = _window(eq, env, 0)[1:]

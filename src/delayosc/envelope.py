@@ -35,8 +35,10 @@ __all__ = [
 ]
 
 # Two period windows of the lag form are considered identical when node times
-# and values agree to this tolerance, relative to the windows' largest time or
-# value (at least 1): they are differences of absolute times up to 3 periods.
+# agree to this tolerance, relative to the windows' largest time or value (at
+# least 1): they are differences of absolute times up to 3 periods.  Values
+# may differ by as much again, plus the delay argument's steepest slope times
+# it: a knot time rounded by an ulp moves its value by that multiple.
 _PERIODIC_TOL = 1e-12
 
 
@@ -154,11 +156,14 @@ def _window_form(poly, w0: float, w1: float):
     return _canonical((np.append(t, w1 - w0), np.append(y, y1)))
 
 
-def _windows_match(wa, wb) -> bool:
+def _windows_match(wa, wb, slope: float) -> bool:
+    """Whether two windows agree, ``slope`` the steepest of the polyline
+    they were swept from."""
     if wa[0].size != wb[0].size:
         return False
     tol = _PERIODIC_TOL * max(1.0, *(np.abs(v).max() for v in (*wa, *wb)))
-    return all((np.abs(u - v) <= tol).all() for u, v in zip(wa, wb))
+    (ta, ya), (tb, yb) = wa, wb
+    return (np.abs(ta - tb) <= tol).all() and (np.abs(ya - yb) <= tol * (1.0 + slope)).all()
 
 
 @dataclass(frozen=True)
@@ -215,16 +220,20 @@ def _pairs(ts, ys) -> tuple[tuple[float, float], ...]:
     return tuple(zip(ts.tolist(), ys.tolist()))
 
 
-def _envelope_from_polyline(period: float, h_poly) -> EnvelopeFunction:
-    """Build the transient + periodic-tail form from a 3-period sweep of h."""
+def _envelope_from_polyline(period: float, tau_poly) -> EnvelopeFunction:
+    """Build the transient + periodic-tail form from a 3-period sweep of a
+    delay argument, the polyline ``tau_poly``."""
+    h_poly = _running_max(tau_poly)
     ts, ys = h_poly
     e_poly = _canonical((ts, ts - ys))
     w0, w1, w2 = (_window_form(e_poly, k * period, (k + 1) * period) for k in range(3))
-    if not _windows_match(w1, w2):
+    dt, dy = np.diff(tau_poly[0]), np.diff(tau_poly[1])
+    slope = float(np.abs(dy[dt > 0.0] / dt[dt > 0.0]).max(initial=0.0))
+    if not _windows_match(w1, w2, slope):
         raise ValueError(
             "lag form of the running supremum failed to settle after one period"
         )
-    t_stab, (tail_ts, tail_ys) = (0.0, w0) if _windows_match(w0, w1) else (period, w1)
+    t_stab, (tail_ts, tail_ys) = (0.0, w0) if _windows_match(w0, w1, slope) else (period, w1)
 
     # final knot sits at t = period; it only restates continuity, so it is
     # dropped (the lag form of a running supremum is continuous)
@@ -242,7 +251,7 @@ def _envelope_from_polyline(period: float, h_poly) -> EnvelopeFunction:
 def running_sup(lag: PiecewisePeriodic) -> EnvelopeFunction:
     """Envelope of the delay argument t - lag(t)."""
     period = lag.period
-    return _envelope_from_polyline(period, _running_max(_tau_polyline(lag, 0.0, 3.0 * period)))
+    return _envelope_from_polyline(period, _tau_polyline(lag, 0.0, 3.0 * period))
 
 
 def combined_envelope(eq: DelayEquation) -> EnvelopeFunction:
@@ -250,9 +259,7 @@ def combined_envelope(eq: DelayEquation) -> EnvelopeFunction:
     envelopes: the running supremum of a maximum is the maximum of the
     running suprema."""
     period = eq.period
-    return _envelope_from_polyline(
-        period, _running_max(tau_max_polyline(eq, 0.0, 3.0 * period))
-    )
+    return _envelope_from_polyline(period, tau_max_polyline(eq, 0.0, 3.0 * period))
 
 
 def tau_max(eq: DelayEquation, t):

@@ -20,29 +20,28 @@ with h the combined envelope of the equation.
 
 Every value is a lookup in an antiderivative table built by ``_fit_table``
 (degree-16 Chebyshev pieces, kept once their trailing coefficients fall
-below ``tol / 100``, cut otherwise).  Every table of an equation is seeded
-from one set of kink phases, the breakpoint lattice and its delay
-preimages, one level deep:
+below ``tol / 100``, cut otherwise):
 
     G_L  of g_L(z) = sum_i p_i(z) K_L(z, tau_i(z)), one period;
          K_r(t, s) = exp(G_{r-1}(t) - G_{r-1}(s)), G_0 exact
-    F    of the sliding integrand, one period past env.t_stab plus one
-         non-periodic piece below it; sliding = F(b) - F(a)
+    F    of the sliding integrand, one period past env.t_stab, and a
+         transient table over [min(h(0), 0), t_stab); sliding = F(b) - F(a)
     W    of w(z) = sum_i p_i(z) exp(-G_{r-1}(tau_i(z))), one period, as
          w(z + P) = e^{-T} w(z); frozen = e^{G_{r-1}(c)} (W(b) - W(a))
 
 The settled F and W differ only in the base of the exponent, G_{r-1}(h(z))
-or 0, so they are fitted together on F's seeds: one set of samples, one
-set of pieces, W keyed by the envelope like F; their seeds add the phases
-where h(z) hits the lattice.  Deeper preimage levels break higher
-derivatives: a depth-r table, whose integrand reads G_{r-1} at the delayed
-arguments, breaks at r levels, and the seeds hold one.  A piece that fails
-its tail test is cut at one of these deeper kinks, its hints, rather than
-at its midpoint, so its pieces end on the breaks that halving only
-approaches.  Both kinds of preimage come from the polyline toolkit in
-``envelope``: ``_lattice_preimages``, the routine that also gives the
-alpha and Kwong profile its knots where tau_max meets the coefficient
-lattice.
+or 0, so they are fitted together: one set of samples, one set of pieces,
+W keyed by the envelope like F.  Every table is seeded and cut at the
+rungs of one ladder of kink phases per equation (``_phases``): level 0 is
+the breakpoint lattice, level k its delay preimages k deep.  Level 1 seeds
+every table; the settled F and W add the phases where h(z) hits the
+lattice.  A depth-r table, whose integrand reads G_{r-1} at the delayed
+arguments, also breaks at level r - 1, and a piece that fails its tail
+test is cut there, at its hints, rather than at its midpoint, so its
+pieces end on the breaks that halving only approaches.  The preimages come
+from the polyline toolkit in ``envelope``: ``_lattice_preimages``, the
+routine that also gives the alpha and Kwong profile its knots where
+tau_max meets the coefficient lattice.
 ``_within`` is the one lookup: the tables it reads in a call, on common
 pieces, are gathered coefficient-major into one block and summed in one
 Clenshaw pass.
@@ -97,7 +96,8 @@ _CHEB_FIT = np.linalg.inv(_chebvander(_CHEB_U, _CHEB_DEG))
 # error of about eps * |x|, so the floor grows with the log of the scale.
 _TAIL_FLOOR = 1e-14
 # rounds of cuts per seed piece, and pieces per table, past which the
-# remaining pieces are kept as they are
+# remaining pieces are kept as they are; a table whose seeds alone would
+# pass _MAX_PIECES is refused
 _MAX_BISECT = 40
 _MAX_PIECES = 1 << 16
 # A piece is kept once its trailing coefficients fall below tol / _TAIL_DIV:
@@ -105,21 +105,22 @@ _MAX_PIECES = 1 << 16
 # tail understates a piece's error (at the default tol the sloped-lag oracle
 # case is off by 8e-11 with tol / 10, by 1e-12 with tol / 100)
 _TAIL_DIV = 100.0
-# delay preimages per level past which the level is not built: the seeds are
-# then the breakpoint lattice alone, and the hints stop at the last level
-# under the cap, the tail rule halving down to the kinks they miss
+# delay preimages per level past which the level is not built but repeats the
+# one below: the seeds are then the breakpoint lattice alone, and the hints
+# stop at the last level under the cap, the tail rule halving down to the
+# kinks they miss
 _MAX_KINKS = 20000
 _EXP_MAX = 709.0
 
 
 class KernelCache:
     """Antiderivative tables keyed by (kind, equation, level, terms, envelope,
-    tol), plus the kink phases of an equation: one level of them seeds every
-    table (the breakpoint lattice alone when its delay preimages would pass
-    _MAX_KINKS), and deeper levels give the hints a failing piece is cut at,
-    built only when some piece fails, and the ``_tau_chain`` of each lag set.
-    F and W, the settled sliding and frozen tables of a level, are fitted
-    together, so they share F's pieces and one entry, keyed by the envelope.
+    tol), plus the rungs of each equation's kink phase ladder (``_phases``)
+    and the delay-argument polyline of each lag set they are built from.
+    Level 1 seeds every table, and level r - 1 gives the hints a failing
+    piece of a depth-r table is cut at, built with the table.  F and W, the
+    settled sliding and frozen tables of a level, are fitted together, so
+    they share F's pieces and one entry, keyed by the envelope.
 
     A table is built on first use and read by every later lookup, so results
     with and without a shared cache are identical.
@@ -264,9 +265,9 @@ def _fit_table(f, edges, tol: float, hints=None) -> list[_Table]:
     is cut, at most _MAX_BISECT times and while the tables stay within
     _MAX_PIECES pieces.  This is chebfun's splitting rule (Pachon, Platte &
     Trefethen, IMA J. Numer. Anal. 30 (2010); Trefethen, ATAP ch. 3 and 8),
-    which puts a break at a detected edge: ``hints``, when given, is called
-    on the first failure for the sorted points where the integrands may
-    break (see ``_cut_points``); without it a piece is cut at its midpoint.
+    which puts a break at a detected edge: a failing piece is cut at the
+    sorted ``hints``, the points where the integrands may break, when given
+    (see ``_cut_points``), else at its midpoint.
     A row with a non-finite value saturates its own table and takes no
     further part in the splitting.
     """
@@ -275,7 +276,6 @@ def _fit_table(f, edges, tol: float, hints=None) -> list[_Table]:
     kept_lo, kept_hi, kept_c = [], [], []
     dead = False
     pieces = 0
-    cut_at = None
     for depth in range(_MAX_BISECT + 1):
         mids = 0.5 * (los + his)
         halves = 0.5 * (his - los)
@@ -296,10 +296,8 @@ def _fit_table(f, edges, tol: float, hints=None) -> list[_Table]:
         pieces += int(keep.sum())
         fail = ~keep
         lo, hi, mid = los[fail], his[fail], mids[fail]
-        if lo.size and hints is not None and cut_at is None:
-            cut_at = hints()
-        if cut_at is not None and cut_at.size:
-            new_lo, new_hi = _cut_points(lo, hi, cut_at, multi=depth > 0)
+        if hints is not None and hints.size:
+            new_lo, new_hi = _cut_points(lo, hi, hints, multi=depth > 0)
         else:
             new_lo, new_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         if depth == _MAX_BISECT or pieces + new_lo.size > _MAX_PIECES:
@@ -372,65 +370,35 @@ def _seed_edges(points, lo: float, hi: float) -> np.ndarray:
     return np.concatenate([[lo], inner, [hi]])
 
 
-def _tau_chain(lags, period: float):
-    """The delay arguments of ``lags`` over one period, in one polyline."""
-    polys = [_tau_polyline(lag, 0.0, period) for lag in lags]
-    return tuple(np.concatenate(part) for part in zip(*polys))
+def _phases(eq: DelayEquation, cache: KernelCache, levels: int, lag=None) -> np.ndarray:
+    """Rung ``levels`` of the kink phase ladder of ``eq``, cached.  Level 0 is
+    the breakpoint lattice, and level k adds the delay preimages of level
+    k - 1, where some tau_i(z) hits it; a level whose preimages would pass
+    _MAX_KINKS, counted before any is built, repeats level k - 1.  With
+    ``lag``, the rung also holds the preimages of level ``levels - 1`` under
+    it, where z - lag(z) hits that level.
 
-
-def _preimage_phases(chain, period: float, phases):
-    """All z in [0, P) where the ``_tau_chain`` polyline ``chain`` hits a
-    phase of ``phases`` mod P, or None when the candidates number more than
-    _MAX_KINKS; one ``_lattice_preimages`` call counts every lag's."""
-    z = _lattice_preimages(chain, phases, period, _MAX_KINKS)
-    return None if z is None else z[z < period]
-
-
-def _with_preimages(lags, period: float, phases, cache: KernelCache) -> np.ndarray:
-    """``phases`` and their delay preimages under ``lags``, or ``phases``
-    alone when the preimages would pass _MAX_KINKS."""
-    chain = cache._table(("chain", tuple(lags), period), lambda: _tau_chain(lags, period))
-    pre = _preimage_phases(chain, period, phases)
-    return phases if pre is None else np.concatenate([phases, pre])
-
-
-def _kink_phases(eq: DelayEquation, cache: KernelCache, levels: int = 1) -> np.ndarray:
-    """The breakpoint lattice and ``levels`` levels of its delay preimages,
-    level k + 1 where some tau_i(z) hits level k; a level whose preimages
-    would pass _MAX_KINKS repeats the one before.  One level seeds every
-    table of ``eq``: a level integrand g_L jumps only where a coefficient
-    jumps, at a lattice point, so the first derivative of G_L(tau_i(z))
-    breaks only where tau_i(z) hits the lattice.  Level k breaks the k-th
-    derivative, which the tail rule finds, cutting at ``_hints``."""
-    if levels == 0:
-        return cache._table(("kinks", eq, 0), lambda: phase_lattice(eq.coefficients + eq.lags))
-    return cache._table(
-        ("kinks", eq, levels),
-        lambda: _merge_close(
-            _with_preimages(eq.lags, eq.period, _kink_phases(eq, cache, levels - 1), cache)
-        ),
-    )
-
-
-def _hints(eq: DelayEquation, cache: KernelCache, depth: int, tail_lag=None):
-    """The points a depth-``depth`` table, whose integrand reads G_{depth-1}
-    at the delayed arguments, is cut at: the lattice and depth - 1 levels of
-    its delay preimages; for a settled sliding table also the phases where
-    h(z) = z - tail_lag(z) hits level depth - 2.  A thunk for
-    ``_fit_table``, built on its first call, once per cache; None below
-    depth 3, where the seeds hold every hint."""
-    if depth < 3:
-        return None
+    A level integrand g_L jumps only where a coefficient jumps, at a lattice
+    point, so the first derivative of G_L(tau_i(z)) breaks only where
+    tau_i(z) hits the lattice: level 1 seeds every table.  Level k breaks
+    the k-th derivative, so a depth-r table is cut at level r - 1."""
 
     def build():
-        kinks = _kink_phases(eq, cache, depth - 1)
-        if tail_lag is None:
-            return kinks
-        below = _kink_phases(eq, cache, depth - 2)
-        tail = _with_preimages([tail_lag], eq.period, below, cache)
-        return _merge_close(np.concatenate([kinks, tail]))
+        if levels == 0:
+            return phase_lattice(eq.coefficients + eq.lags)
+        below = _phases(eq, cache, levels - 1)
+        base, lags = (below, eq.lags) if lag is None else (_phases(eq, cache, levels), (lag,))
+        chain = cache._table(
+            ("chain", lags),
+            lambda: tuple(
+                np.concatenate(part)
+                for part in zip(*(_tau_polyline(d, 0.0, eq.period) for d in lags))
+            ),
+        )
+        z = _lattice_preimages(chain, below, eq.period, _MAX_KINKS)
+        return base if z is None else _merge_close(np.concatenate([base, z[z < eq.period]]))
 
-    return lambda: cache._table(("hints", eq, depth, tail_lag), build)
+    return cache._table(("phases", eq, levels, lag), build)
 
 
 # -- the tables ---------------------------------------------------------------
@@ -460,9 +428,9 @@ def _level(eq: DelayEquation, level: int, cache: KernelCache, tol: float):
             return _Table()
         return _fit_table(
             lambda zs: _weighted_sums(eq, range(eq.m), prev, zs, zs),
-            _seed_edges(_kink_phases(eq, cache), 0.0, eq.period),
+            _seed_edges(_phases(eq, cache, 1), 0.0, eq.period),
             tol,
-            _hints(eq, cache, level),
+            _phases(eq, cache, level - 1) if level >= 3 else None,
         )[0]
 
     return cache._table(("G", eq, level, None, None, tol), build)
@@ -478,28 +446,30 @@ def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> list[_Tabl
         g = _level(eq, r - 1, cache, tol)
         if g.saturated:
             return [_Table()] if transient else [_Table(), _Table()]
-        kinks = _kink_phases(eq, cache)
         if transient:
             h, lo, hi = env, min(env(0.0), 0.0), env.t_stab
-            k0, k1 = math.floor(lo / period), math.ceil(hi / period)
-            points = (kinks[None, :] + np.arange(k0, k1)[:, None] * period).ravel()
-
-            def f(zs):
-                return _weighted_sums(eq, terms, g, zs, h.values(zs))
-
-            hints = None
+            # level 1 tiled over every period of the span, counted first
+            kinks = _phases(eq, cache, 1)
+            periods = np.arange(math.floor(lo / period), math.ceil(hi / period))
+            if kinks.size * periods.size > _MAX_PIECES:
+                raise ValueError(
+                    f"the transient sliding table over [{lo}, {hi}) would start from "
+                    f"{kinks.size * periods.size} seed pieces, past the limit of "
+                    f"{_MAX_PIECES} pieces a table may hold"
+                )
+            points = (kinks[None, :] + periods[:, None] * period).ravel()
+            rows, hints = 1, None
         else:
-            # the settled envelope, continued periodically
+            # the settled envelope, continued periodically: h(z) = z -
+            # tail_lag(z) hits a level at its preimages under the tail lag
             h, lo, hi = EnvelopeFunction(0.0, (), env.tail_lag), 0.0, period
-            # h(z) = z - tail_lag(z) hits the lattice at its preimages
-            tail = _with_preimages([env.tail_lag], period, _kink_phases(eq, cache, 0), cache)
-            points = np.concatenate([kinks, tail])
+            points = _phases(eq, cache, 1, env.tail_lag)
+            rows, hints = 2, _phases(eq, cache, r - 1, env.tail_lag) if r >= 3 else None
 
-            def f(zs):
-                # F's integrand and W's, exp(0.0 - G(tau_i)), on one lookup
-                return _weighted_sums(eq, terms, g, zs, h.values(zs), rows=2)
+        def f(zs):
+            # settled: F's integrand and W's, exp(0.0 - G(tau_i)), on one lookup
+            return _weighted_sums(eq, terms, g, zs, h.values(zs), rows)
 
-            hints = _hints(eq, cache, r, env.tail_lag)
         edges = _seed_edges(np.concatenate([points, h.knots(lo, hi)]), lo, hi)
         return _fit_table(f, edges, tol, hints)
 
@@ -625,7 +595,9 @@ def _criterion(eq, r, kinds, env, cache, tol):
     """The vectorised criterion integrals ``ts -> integral_{h(t)}^t``, times
     past 0, one row per kind of ``kinds``, over the tables of ``env`` (built
     when None): the sliding envelope h(z) for "inner", the envelope frozen
-    at h(t) for "outer".  The rows share one envelope lookup."""
+    at h(t) for "outer".  The rows share one envelope lookup.  h is
+    nondecreasing, so the lower limit h(t) is clamped at h(0), where the
+    transient table starts: rounding can put it an ulp or two below."""
     for kind in kinds:
         if kind not in ("inner", "outer"):
             raise ValueError(f"kind must be 'inner' or 'outer', got {kind!r}")
@@ -633,10 +605,11 @@ def _criterion(eq, r, kinds, env, cache, tol):
     env = env if env is not None else combined_envelope(eq)
     cache = cache if cache is not None else KernelCache()
     terms = tuple(range(eq.m))
+    h0 = env.values(0.0)
 
     def f(ts):
         h = env.values(ts)
-        return _integrals(eq, r, terms, env, cache, tol, kinds, h, h, ts)
+        return _integrals(eq, r, terms, env, cache, tol, kinds, h, np.maximum(h, h0), ts)
 
     return f
 

@@ -226,9 +226,29 @@ def test_check_stdout_pinned(capsys, config, args, code, sha):
 
 
 def test_check_envelope_that_never_settles_is_an_error(monkeypatch, capsys):
-    monkeypatch.setattr(envelope, "_windows_match", lambda wa, wb: False)
+    monkeypatch.setattr(envelope, "_windows_match", lambda wa, wb, slope: False)
     assert main(["check", CONTROL_CONFIG]) == 1
     assert "failed to settle" in capsys.readouterr().err
+
+
+def test_check_on_a_steep_lag_ends_in_a_verdict(tmp_path, capsys):
+    # a lag piece of slope about 1.4e4 was refused as "failed to settle"
+    body = {
+        "period": 2.9804741486000266,
+        "coefficients": [{"kind": "constant", "value": 0.1}],
+        "delays": [
+            {
+                "kind": "lag",
+                "breakpoints": [
+                    [0.0, 2.8539954245261505],
+                    [2.2741552739231317, 2.063625038784237],
+                    [2.980318567379336, 0.6869745183789657],
+                ],
+            }
+        ],
+    }
+    assert main(["check", write_config(tmp_path, body)]) in (0, 3)
+    assert capsys.readouterr().err == ""
 
 
 def test_check_internal_error_is_one_error_line(monkeypatch, capsys):

@@ -101,8 +101,12 @@ def test_grid_doubling_stability(demo_eq):
 
 
 def _scan_extremum(f, cand, mode, xtol=1e-10):
-    """``(value, t)``: the extremum of the one-row profile ``f``."""
-    return criteria._scan_extrema(lambda ts: [f(ts)], cand, (mode,), xtol)[0]
+    """``(value, t)``: the extremum of the one-row profile ``f``.  The scan
+    finds maxima; a minimum is the maximum of ``-f`` negated, which is
+    exact."""
+    sign = 1.0 if mode == "max" else -1.0
+    (best,) = criteria._scan_maxima(lambda ts: [sign * f(ts)], cand, xtol)
+    return sign * best.value, best.t
 
 
 def _zoom_bracket(g, xs, gs, tie, xtol):
@@ -245,15 +249,16 @@ def test_scan_matches_the_one_bracket_reference(demo_eq, control_eq):
     for f, ts in profiles:
         for mode in ("min", "max"):
             assert _scan_extremum(f, ts, mode) == _scan_reference(f, ts, mode)
-        # a row per mode in one lockstep equals two one-row scans
-        both = criteria._scan_extrema(lambda x: [f(x), f(x)], ts, ("min", "max"))
-        assert both == [_scan_reference(f, ts, mode) for mode in ("min", "max")]
+        # two rows in one lockstep, the first negated, equal two one-row scans
+        low, high = criteria._scan_maxima(lambda x: [-f(x), f(x)], ts)
+        got = [(-low.value, low.t), (high.value, high.t)]
+        assert got == [_scan_reference(f, ts, mode) for mode in ("min", "max")]
     # the two criterion integrals, rows of one profile, each as if alone
     for eq in (demo_eq, control_eq):
         _, _, ts = criteria.criterion_profile(eq, 1, n_grid=100)
         rows = criteria._criterion(eq, 1, ("inner", "outer"), None, None, 1e-8)
-        got = criteria._scan_extrema(rows, ts, ("max", "min"))
-        assert got == [
+        high, low = criteria._scan_maxima(lambda x: rows(x) * [[1.0], [-1.0]], ts)
+        assert [(high.value, high.t), (-low.value, low.t)] == [
             _scan_reference(lambda x: rows(x)[k], ts, mode) for k, mode in enumerate(("max", "min"))
         ]
 
@@ -409,16 +414,16 @@ def _counted(f, calls, limit=200):
 
 
 def _count_profile_calls(monkeypatch):
-    """Count the calls of every profile ``_scan_extrema`` refines, one list
+    """Count the calls of every profile ``_scan_maxima`` refines, one list
     per scan, each raising past 200 calls."""
     calls = []
-    scan = criteria._scan_extrema
+    scan = criteria._scan_maxima
 
-    def counting_scan(f, cand, modes, *args):
+    def counting_scan(f, cand, *args):
         calls.append([])
-        return scan(_counted(f, calls[-1]), cand, modes, *args)
+        return scan(_counted(f, calls[-1]), cand, *args)
 
-    monkeypatch.setattr(criteria, "_scan_extrema", counting_scan)
+    monkeypatch.setattr(criteria, "_scan_maxima", counting_scan)
     return calls
 
 
@@ -947,22 +952,22 @@ def test_check_all_refines_in_one_lockstep(monkeypatch, demo_eq):
     # one scan, of one profile whose rows are the two kernel integrals, on
     # the one grid check_all builds: the kernel grid
     passes, rows, grids = [], [], []
-    lockstep, scan, grid = criteria._zoom_lockstep, criteria._scan_extrema, criteria._scan_grid
+    lockstep, scan, grid = criteria._zoom_lockstep, criteria._scan_maxima, criteria._scan_grid
 
     def counting_lockstep(*args, **kwargs):
         passes.append(1)
         return lockstep(*args, **kwargs)
 
-    def counting_scan(f, cand, modes, *args):
+    def counting_scan(f, cand, *args):
         rows.append(np.shape(f(cand[:4])))
-        return scan(f, cand, modes, *args)
+        return scan(f, cand, *args)
 
     def counting_grid(w0, w1, knots, n_grid):
         grids.append(n_grid)
         return grid(w0, w1, knots, n_grid)
 
     monkeypatch.setattr(criteria, "_zoom_lockstep", counting_lockstep)
-    monkeypatch.setattr(criteria, "_scan_extrema", counting_scan)
+    monkeypatch.setattr(criteria, "_scan_maxima", counting_scan)
     monkeypatch.setattr(criteria, "_scan_grid", counting_grid)
     check_all(demo_eq, 2, n_grid=100, n_grid_liminf=300)
     assert len(passes) == 1 and rows == [(2, 4)] and grids == [100]

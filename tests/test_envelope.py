@@ -301,3 +301,44 @@ def test_values_of_a_scalar_on_the_transient():
         got = env.values(t)
         assert np.ndim(got) == 0
         assert got == env(t)
+
+
+# -- steep lags ---------------------------------------------------------------
+
+# one constant coefficient and a lag whose last piece falls at a slope of
+# about 1.4e4: the knot times of the second and third period windows agree
+# to 8.9e-16, which that slope turns into a value gap of 1.24e-11, past the
+# 3.0e-12 that the settle check allowed before it took the slope into account
+STEEP_PERIOD = 2.9804741486000266
+STEEP_LAG = (
+    (0.0, 2.8539954245261505),
+    (2.2741552739231317, 2.063625038784237),
+    (2.980318567379336, 0.6869745183789657),
+)
+
+
+def make_steep_lag_equation() -> DelayEquation:
+    return DelayEquation(
+        coefficients=(PiecewisePeriodic(period=STEEP_PERIOD, breakpoints=((0.0, 0.1),)),),
+        lags=(PiecewisePeriodic(period=STEEP_PERIOD, breakpoints=STEEP_LAG),),
+    )
+
+
+def _draw(seed, k):
+    rng = np.random.default_rng(seed)
+    for _ in range(k):
+        make_random_equation(rng)
+    return make_random_equation(rng)
+
+
+@pytest.mark.parametrize("case", ["config", "draw-429", "draw-1086"])
+def test_steep_lags_settle(case):
+    # the draws' lags fall at slopes of 1.4e4 and 1.2e5
+    eq = {
+        "config": make_steep_lag_equation,
+        "draw-429": lambda: _draw(20261019, 429),
+        "draw-1086": lambda: _draw(777, 1086),
+    }[case]()
+    env = combined_envelope(eq)
+    ts = env.t_stab + np.linspace(0.0, 3.0 * eq.period, 3001)
+    assert np.abs(env.values(ts + eq.period) - env.values(ts) - eq.period).max() <= 1e-9

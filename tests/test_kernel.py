@@ -404,22 +404,22 @@ eq = DelayEquation(coefficients=(p,), lags=(lag,))
 start = time.perf_counter()
 overall = check_all(eq, 2).overall
 seconds = time.perf_counter() - start
-kinks = len(kernel._kink_phases(eq, KernelCache()))
+kinks = len(kernel._phases(eq, KernelCache(), 1))
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(dict(overall=overall, kinks=kinks, seconds=seconds, rss_mb=rss_mb)))
 """
 
 
-def _run_long_sloped_lag(ratio):
-    """``check_all`` at r=2 on the tent lag at L/P = ``ratio``, in a child
-    capped at 1 GiB of address space, so a regression fails here instead of
-    exhausting the machine."""
+def _run_capped(code, *args):
+    """The JSON that ``code`` prints, run in a child capped at 1 GiB of
+    address space, so a regression fails here instead of exhausting the
+    machine."""
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     proc = subprocess.run(
-        [sys.executable, "-c", _LONG_SLOPED_LAG_RUN, str(ratio)],
+        [sys.executable, "-c", code, *map(str, args)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -427,7 +427,12 @@ def _run_long_sloped_lag(ratio):
         env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def _run_long_sloped_lag(ratio):
+    """``check_all`` at r=2 on the tent lag at L/P = ``ratio``, capped."""
+    out = _run_capped(_LONG_SLOPED_LAG_RUN, ratio)
     assert out["overall"] == "inconclusive"
     assert out["seconds"] <= 10.0 and out["rss_mb"] <= 300.0, out
     return out
@@ -451,7 +456,55 @@ def test_kink_phases_fall_back_to_the_lattice_past_the_cap():
     assert out["kinks"] == len(_lattice(make_tent_lag_equation(1e4))), out
 
 
-# -- kink phases: the vectorised builder against its loop version --------------
+# The transient sliding table spans [h(0), t_stab), about L/P periods, each
+# tiled with the level-1 phases, about 2 L/P of them on the tent lag: 1e6
+# seeds at L/P = 1e3, which took 2.2 GB at r = 1
+_TRANSIENT_TABLE_RUN = """
+import json, sys, time
+from delayosc import DelayEquation, PiecewisePeriodic, inner_criterion_integral
+
+lag = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 500.0), (0.5, 1000.0)))
+p = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 3e-4),))
+eq = DelayEquation(coefficients=(p,), lags=(lag,))
+start = time.perf_counter()
+try:
+    inner_criterion_integral(eq, int(sys.argv[1]), 0.0)
+    error = None
+except ValueError as exc:
+    error = str(exc)
+print(json.dumps(dict(error=error, seconds=time.perf_counter() - start)))
+"""
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_an_oversized_transient_table_is_refused_before_it_is_built(r):
+    out = _run_capped(_TRANSIENT_TABLE_RUN, r)
+    assert out["error"] is not None and "transient sliding table" in out["error"], out
+    assert f"limit of {kernel._MAX_PIECES}" in out["error"], out
+    assert out["seconds"] <= 10.0, out
+
+
+def test_small_times_read_where_the_envelope_rounds_below_its_start():
+    # draw 7 of seed 777 settles at once and is flat near 0: h(5/9) rounds
+    # two ulps below h(0), where the transient table starts, and the inner
+    # lookup raised
+    rng = np.random.default_rng(777)
+    for _ in range(7):
+        make_random_equation(rng)
+    eq = make_random_equation(rng)
+    env = combined_envelope(eq)
+    assert env.t_stab == 0.0 and env.values(0.5555555555555556) < env.values(0.0)
+    ts = np.linspace(0.0, 20.0, 37)
+    cache = KernelCache()
+    for r in (1, 2, 3):
+        for lookup in (inner_criterion_integral, outer_criterion_integral):
+            assert np.isfinite(lookup(eq, r, ts, cache=cache, env=env)).all()
+    # a lower limit that really lies below the table still raises
+    with pytest.raises(ValueError, match="^the sliding envelope integral starts at"):
+        term_integral(eq, 1, 0, float(env.values(0.0)) - 0.1, 1.0, cache=cache, env=env)
+
+
+# -- the kink phase ladder against its loop version ---------------------------
 
 
 def _preimage_phases_loop(lags, period, phases):
@@ -479,27 +532,41 @@ def _preimage_phases_loop(lags, period, phases):
     return count, found
 
 
+def _chain(lags, period):
+    """The delay arguments of ``lags`` over one period, in one polyline."""
+    polys = [kernel._tau_polyline(lag, 0.0, period) for lag in lags]
+    return tuple(np.concatenate(part) for part in zip(*polys))
+
+
 @pytest.mark.parametrize("case", range(10))
 def test_kink_phases_equal_the_loop_versions(case, monkeypatch):
     eq = kink_cases()[case]
     lattice = _lattice(eq)
-    for lags in (eq.lags, [combined_envelope(eq).tail_lag]):
-        count, want = _preimage_phases_loop(lags, eq.period, list(lattice))
-        chain = kernel._tau_chain(lags, eq.period)
-        got = kernel._preimage_phases(chain, eq.period, lattice)
-        assert (got is None) == (count > kernel._MAX_KINKS)
-        if got is not None:
-            assert np.array_equal(np.sort(got), np.sort(want))
-        # None exactly when the candidates pass the cap
-        for cap in (count, count - 1):
-            monkeypatch.setattr(kernel, "_MAX_KINKS", cap)
-            assert (kernel._preimage_phases(chain, eq.period, lattice) is None) == (count > cap)
-        monkeypatch.undo()
-    # the seeds: the lattice and its preimages, or the lattice alone
-    pre = kernel._preimage_phases(kernel._tau_chain(eq.lags, eq.period), eq.period, lattice)
-    seeds = kernel._kink_phases(eq, KernelCache())
-    want = lattice if pre is None else kernel._merge_close(np.concatenate([lattice, pre]))
-    assert np.array_equal(seeds, want)
+    tail = combined_envelope(eq).tail_lag
+    counts, found = {}, {}
+    for key, lags in (("lags", eq.lags), ("tail", [tail])):
+        counts[key], found[key] = _preimage_phases_loop(lags, eq.period, list(lattice))
+        # the preimages, or None exactly when the candidates pass the cap
+        chain = _chain(lags, eq.period)
+        for cap in (kernel._MAX_KINKS, counts[key], counts[key] - 1):
+            got = kernel._lattice_preimages(chain, lattice, eq.period, cap)
+            assert (got is None) == (counts[key] > cap)
+            if got is not None:
+                assert np.array_equal(np.sort(got[got < eq.period]), np.sort(found[key]))
+    # rung 1, and rung 1 with the tail lag's preimages of the lattice: each
+    # rung adds its preimages, or stays as it is past the cap
+    for cap in (kernel._MAX_KINKS, counts["lags"], counts["lags"] - 1, counts["tail"], counts["tail"] - 1):
+        monkeypatch.setattr(kernel, "_MAX_KINKS", cap)
+        level1 = lattice
+        if counts["lags"] <= cap:
+            level1 = kernel._merge_close(np.concatenate([lattice, found["lags"]]))
+        with_tail = level1
+        if counts["tail"] <= cap:
+            with_tail = kernel._merge_close(np.concatenate([level1, found["tail"]]))
+        cache = KernelCache()
+        assert np.array_equal(kernel._phases(eq, cache, 0), lattice)
+        assert np.array_equal(kernel._phases(eq, cache, 1), level1)
+        assert np.array_equal(kernel._phases(eq, cache, 1, tail), with_tail)
 
 
 def test_preimage_phases_build_about_the_limit_at_most():
@@ -509,8 +576,7 @@ def test_preimage_phases_build_about_the_limit_at_most():
     lattice = _lattice(eq)
     tracemalloc.start()
     try:
-        chain = kernel._tau_chain(eq.lags, eq.period)
-        assert kernel._preimage_phases(chain, eq.period, lattice) is None
+        assert np.array_equal(kernel._phases(eq, KernelCache(), 1), lattice)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -689,7 +755,7 @@ def test_hints_past_the_kink_cap_leave_plain_halving(monkeypatch):
     # hints are the lattice, which the seeds already hold
     eq = make_tent_lag_equation(1e4)
     cache = KernelCache()
-    assert np.array_equal(kernel._hints(eq, cache, 3)(), kernel._kink_phases(eq, cache, 0))
+    assert np.array_equal(kernel._phases(eq, cache, 2), kernel._phases(eq, cache, 0))
     cut, tables = _fitted(monkeypatch, [eq], [3])
     halved, plain = _fitted(monkeypatch, [eq], [3], hints=False)
     assert cut == halved
@@ -702,14 +768,38 @@ def test_hint_levels_stop_at_the_last_one_under_the_cap(monkeypatch, demo_eq):
     # the demo's levels hold 3, 18, 105, 471, 2196 and 10 188 phases; the
     # next would pass _MAX_KINKS
     cache = KernelCache()
-    sizes = [len(kernel._kink_phases(demo_eq, cache, k)) for k in range(8)]
+    sizes = [len(kernel._phases(demo_eq, cache, k)) for k in range(8)]
     assert sizes == [3, 18, 105, 471, 2196, 10188, 10188, 10188]
-    # one level, the default, seeds the tables
-    seeds = kernel._kink_phases(demo_eq, cache)
-    assert np.array_equal(kernel._kink_phases(demo_eq, cache, 1), seeds)
     monkeypatch.setattr(kernel, "_MAX_KINKS", 200)
     cache = KernelCache()
-    assert [len(kernel._kink_phases(demo_eq, cache, k)) for k in range(5)] == [3, 18, 105, 105, 105]
+    assert [len(kernel._phases(demo_eq, cache, k)) for k in range(5)] == [3, 18, 105, 105, 105]
+
+
+def test_tables_are_seeded_at_level_one_and_cut_at_level_depth_minus_one(monkeypatch, demo_eq):
+    # G_L reads G_{L-1} at the delayed arguments, so it breaks at level L - 1;
+    # the settled F/W table adds the tail lag's preimages to both
+    fits = []
+    fit = kernel._fit_table
+
+    def recording_fit(f, edges, tol, hints=None):
+        fits.append((edges, hints))
+        return fit(f, edges, tol, hints)
+
+    monkeypatch.setattr(kernel, "_fit_table", recording_fit)
+    env = combined_envelope(demo_eq)
+    cache = KernelCache()
+    inner_criterion_integral(demo_eq, 4, 40.0, cache=cache, env=env)
+    tail = env.tail_lag
+    settled = EnvelopeFunction(0.0, (), tail).knots(0.0, demo_eq.period)
+    seeds = kernel._seed_edges(kernel._phases(demo_eq, cache, 1), 0.0, demo_eq.period)
+    want = [(seeds, None), (seeds, None), (seeds, kernel._phases(demo_eq, cache, 2))]
+    points = np.concatenate([kernel._phases(demo_eq, cache, 1, tail), settled])
+    want.append((kernel._seed_edges(points, 0.0, demo_eq.period), kernel._phases(demo_eq, cache, 3, tail)))
+    assert len(fits) == len(want)
+    for (edges, hints), (want_edges, want_hints) in zip(fits, want):
+        assert np.array_equal(edges, want_edges)
+        assert (hints is None) == (want_hints is None)
+        assert hints is None or np.array_equal(hints, want_hints)
 
 
 def test_caps_hold_with_multi_way_cuts(monkeypatch, demo_eq):

@@ -10,6 +10,7 @@ from the library's Chebyshev tables.  At depth 3, mpmath's per-point
 integrals are the same Gauss-Legendre rule over pieces between their kinks.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,17 +18,21 @@ import pytest
 
 from delayosc import (
     DelayEquation,
+    EnvelopeFunction,
     KernelCache,
     PiecewisePeriodic,
+    check_all,
     combined_envelope,
     decay_kernel,
     inner_criterion_integral,
     outer_criterion_integral,
     term_integral,
 )
+from delayosc import kernel
 
 from conftest import (
     breakpoint_times_reference,
+    make_bench_piecewise_equation,
     make_constant_equation,
     make_demo_equation,
     make_random_equation,
@@ -265,16 +270,41 @@ def test_tables_match_quadrature_oracle(name, eq, r):
     assert not bad, bad
 
 
+def _cut_at_a_hint(eq):
+    """Whether the depth-3 settled sliding table of ``eq`` is cut at one of
+    its hints: a fitted edge that is a hint and not a seed."""
+    env = combined_envelope(eq)
+    cache = KernelCache()
+    terms = tuple(range(eq.m))
+    table = kernel._sliding_table(eq, 3, terms, env, cache, kernel.DEFAULT_TOL, False)[0]
+    knots = EnvelopeFunction(0.0, (), env.tail_lag).knots(0.0, eq.period)
+    seeds = np.concatenate([kernel._phases(eq, cache, 1, env.tail_lag), knots])
+    hints = kernel._phases(eq, cache, 2, env.tail_lag)
+    return bool((np.isin(table.edges, hints) & ~np.isin(table.edges, seeds)).any())
+
+
 def _refined_draw():
     """The first random equation whose depth-3 sliding table is cut at its
     hints: its pieces break past the seeds."""
     rng = np.random.default_rng(20261019)
     while True:
         eq = make_random_equation(rng)
-        cache = KernelCache()
-        inner_criterion_integral(eq, 3, 0.0, cache=cache)
-        if any(key[0] == "hints" for key in cache._tables):
+        if _cut_at_a_hint(eq):
             return eq
+
+
+@pytest.mark.parametrize(
+    "eq, sha",
+    [
+        (make_bench_piecewise_equation(), "5b3b3cc53459856cb5c34004b665a05a92d6062ada162a4955a40e98617fc187"),
+        (_refined_draw(), "5576331fd5c909e69a3b125a460cce1281d4c9d7c53e8834309bb149acaaabe0"),
+    ],
+    ids=["bench-piecewise", "refined"],
+)
+def test_check_reports_on_the_hint_cut_path_are_pinned(eq, sha):
+    # r = 3 cuts the sliding table at its hints; the whole report, values,
+    # witnesses and maximisers, pinned to the byte
+    assert hashlib.sha256(repr(check_all(eq, 3)).encode()).hexdigest() == sha
 
 
 @pytest.mark.parametrize(
