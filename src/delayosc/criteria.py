@@ -36,7 +36,7 @@ from .envelope import (
     tau_max_polyline,
 )
 from .kernel import DEFAULT_TOL, KernelCache, _criterion
-from .model import DelayEquation, _merge_close, breakpoint_times, phase_lattice
+from .model import DelayEquation, _merge_close, _piece, breakpoint_times, phase_lattice
 
 __all__ = [
     "CRITERIA_ORDER",
@@ -382,7 +382,7 @@ def _coeff_integral_profile(eq, lower, polyline, env):
         # each piece lies on one segment of the polyline: the one holding its
         # midpoint, which rounds onto b when a and b are adjacent doubles
         mid = 0.5 * (a + b)
-        j = np.minimum(np.maximum(np.searchsorted(ts, mid, side="right") - 1, 0), ts.size - 2)
+        j = _piece(ts, mid)
         s = slope[j]
         return s2(mid) - s2(ys[j] + s * (mid - ts[j])) * s * s
 

@@ -15,6 +15,7 @@ period from the second period onward (the running supremum only ever
 looks one period back once a full period has been swept).  It is built
 by one running maximum over the first three periods and stored as an
 optional transient polyline on [0, t_stab) plus a periodic tail lag.
+Below 0 the envelope takes its settled form, z - tail_lag(z), too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DelayEquation, PiecewisePeriodic, _merge_close, breakpoint_times
+from .model import DelayEquation, PiecewisePeriodic, _merge_close, _piece, breakpoint_times
 
 __all__ = [
     "EnvelopeFunction",
@@ -46,7 +47,7 @@ def _eval(poly, x):
     """The polyline at ``x``, elementwise; its end segments extend past its
     span."""
     ts, ys = poly
-    j = np.minimum(np.maximum(np.searchsorted(ts, x, side="right") - 1, 0), ts.size - 2)
+    j = _piece(ts, x)
     t0, t1, y0, y1 = ts[j], ts[j + 1], ys[j], ys[j + 1]
     flat = t1 == t0
     return np.where(flat, y0, y0 + (y1 - y0) * (x - t0) / np.where(flat, 1.0, t1 - t0))
@@ -62,15 +63,16 @@ def _closed(ts, a: float, b: float) -> np.ndarray:
 
 
 def _canonical(poly):
-    """Drop interior knots that are collinear with their neighbours."""
+    """Drop interior knots collinear with their neighbours, to 1e-13 of the
+    three values: free of scale, with no product of time differences."""
     ts, ys = poly
     if ts.size <= 2:
         return poly
     t0, t1, t2 = ts[:-2], ts[1:-1], ts[2:]
     y0, y1, y2 = ys[:-2], ys[1:-1], ys[2:]
-    interp = y0 + (y2 - y0) * (t1 - t0) / (t2 - t0)
+    interp = y0 + (y2 - y0) * ((t1 - t0) / (t2 - t0))
     keep = np.ones(ts.size, dtype=bool)
-    keep[1:-1] = np.abs(interp - y1) > 1e-13 * np.maximum(1.0, np.abs(y1))
+    keep[1:-1] = np.abs(interp - y1) > 1e-13 * np.abs([y0, y1, y2]).max(axis=0)
     return ts[keep], ys[keep]
 
 
@@ -170,10 +172,12 @@ def _windows_match(wa, wb, slope: float) -> bool:
 class EnvelopeFunction:
     """Nondecreasing envelope of a delay argument.
 
-    ``h(t) = t - tail_lag(t)`` for ``t >= t_stab``; on ``[0, t_stab)`` the
-    transient polyline applies, given as ``(t, y)`` pairs so the envelope
-    stays hashable (it keys the kernel tables).  ``t_stab`` is 0 or one
-    period.
+    ``h(t) = t - tail_lag(t)`` for ``t >= t_stab`` and for ``t < 0``; on
+    ``[0, t_stab)`` the transient polyline applies, given as ``(t, y)``
+    pairs so the envelope stays hashable (it keys the kernel tables).
+    ``t_stab`` is 0 or one period.  Below 0 the lag form is periodic, so h
+    never falls below max_i tau_i; h may drop at 0 when ``t_stab`` > 0, and
+    is nondecreasing on each side of 0.
     """
 
     t_stab: float
@@ -193,24 +197,28 @@ class EnvelopeFunction:
         x = np.asarray(ts, dtype=float)
         out = x - self.tail_lag.values(x)
         if self.t_stab > 0.0:
-            pre = x < self.t_stab
+            pre = (0.0 <= x) & (x < self.t_stab)
             if pre.any():
                 out = np.array(out)
                 out[pre] = _eval(self._transient, x[pre])
         return out[()]
 
     def knots(self, a: float, b: float) -> np.ndarray:
-        """Kink locations of the envelope inside [a, b], sorted."""
+        """Kink locations of the envelope inside [a, b], sorted: the tail
+        lag's breakpoints where h takes its settled form, below 0 and from
+        t_stab on, and the transient's knots between."""
+        tail = breakpoint_times([self.tail_lag], a, b)
         tt = self._transient[0]
         parts = [
-            tt[(a <= tt) & (tt <= min(b, self.t_stab))],
-            breakpoint_times([self.tail_lag], max(a, self.t_stab), b),
+            tail[(tail < 0.0) | (tail >= self.t_stab)],
+            tt[(a <= tt) & (tt <= b)],
             [self.t_stab] if a <= self.t_stab <= b else [],
         ]
         return _merge_close(np.concatenate(parts), 0.0)
 
     def polyline(self, a: float, b: float):
-        """The envelope on [a, b] as a polyline ``(ts, ys)``."""
+        """The envelope on [a, b] as a polyline ``(ts, ys)``; [a, b] may not
+        hold a drop at 0."""
         ts = _closed(self.knots(a, b), a, b)
         return ts, self.values(ts)
 

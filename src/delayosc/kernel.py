@@ -25,13 +25,15 @@ below ``tol / 100``, cut otherwise):
     G_L  of g_L(z) = sum_i p_i(z) K_L(z, tau_i(z)), one period;
          K_r(t, s) = exp(G_{r-1}(t) - G_{r-1}(s)), G_0 exact
     F    of the sliding integrand, one period past env.t_stab, and a
-         transient table over [min(h(0), 0), t_stab); sliding = F(b) - F(a)
+         transient table over [0, t_stab); sliding = F(b) - F(a)
     W    of w(z) = sum_i p_i(z) exp(-G_{r-1}(tau_i(z))), one period, as
          w(z + P) = e^{-T} w(z); frozen = e^{G_{r-1}(c)} (W(b) - W(a))
 
 The settled F and W differ only in the base of the exponent, G_{r-1}(h(z))
 or 0, so they are fitted together: one set of samples, one set of pieces,
-W keyed by the envelope like F.  Every table is seeded and cut at the
+W keyed by the envelope like F.  Every table spans one period: below 0
+the envelope takes its settled form, so F there is read off the settled
+table, and t_stab is 0 or a period.  Every table is seeded and cut at the
 rungs of one ladder of kink phases per equation (``_phases``): level 0 is
 the breakpoint lattice, level k its delay preimages k deep.  Level 1 seeds
 every table; the settled F and W add the phases where h(z) hits the
@@ -57,7 +59,7 @@ import math
 import numpy as np
 
 from .envelope import EnvelopeFunction, _lattice_preimages, _tau_polyline, combined_envelope
-from .model import DelayEquation, _merge_close, phase_lattice
+from .model import DelayEquation, _merge_close, _piece, phase_lattice
 
 __all__ = [
     "KernelCache",
@@ -96,8 +98,7 @@ _CHEB_FIT = np.linalg.inv(_chebvander(_CHEB_U, _CHEB_DEG))
 # error of about eps * |x|, so the floor grows with the log of the scale.
 _TAIL_FLOOR = 1e-14
 # rounds of cuts per seed piece, and pieces per table, past which the
-# remaining pieces are kept as they are; a table whose seeds alone would
-# pass _MAX_PIECES is refused
+# remaining pieces are kept as they are
 _MAX_BISECT = 40
 _MAX_PIECES = 1 << 16
 # A piece is kept once its trailing coefficients fall below tol / _TAIL_DIV:
@@ -120,7 +121,8 @@ class KernelCache:
     Level 1 seeds every table, and level r - 1 gives the hints a failing
     piece of a depth-r table is cut at, built with the table.  F and W, the
     settled sliding and frozen tables of a level, are fitted together, so
-    they share F's pieces and one entry, keyed by the envelope.
+    they share F's pieces and one entry, keyed by the envelope.  Every table
+    spans one period; a transient F covers [0, t_stab) when t_stab > 0.
 
     A table is built on first use and read by every later lookup, so results
     with and without a shared cache are identical.
@@ -189,9 +191,10 @@ class _Table:
     ``coef`` holds one row of antiderivative coefficients per piece, shape
     (nseg, deg + 2), in the piece's local variable u in [-1, 1], stored
     column-major: lookups read it as ``coef.T``, one contiguous row per
-    coefficient.  ``cum`` holds the integral up to each piece's left end.  A
-    table on [0, P] is also read periodically.  A ``saturated`` table stands
-    for an integrand that overflowed; it carries no coefficients.
+    coefficient.  ``cum`` holds the integral up to each piece's left end.
+    Every table spans [0, P] and is read periodically.  A ``saturated``
+    table stands for an integrand that overflowed; it carries no
+    coefficients.
     """
 
     __slots__ = ("edges", "coef", "cum", "total", "saturated")
@@ -202,9 +205,6 @@ class _Table:
         self.cum = cum
         self.saturated = cum is None
         self.total = math.inf if self.saturated else float(cum[-1])
-
-    def within(self, xs):
-        return _within([self], xs)[0]
 
     def values(self, xs):
         """Periodic continuation: A(x + P) = A(x) + total."""
@@ -224,8 +224,7 @@ def _within(tables, xs):
     edges = tables[0].edges
     shape = np.shape(xs)
     x = np.asarray(xs, dtype=float).ravel()
-    # np.minimum/np.maximum: np.clip's wrapper costs more than the lookup
-    j = np.minimum(np.maximum(np.searchsorted(edges, x, side="right") - 1, 0), len(edges) - 2)
+    j = _piece(edges, x)
     lo, hi = edges[j], edges[j + 1]
     u = (2.0 * x - lo - hi) / (hi - lo)
     block = np.empty((len(tables), tables[0].coef.shape[1], j.size))
@@ -438,31 +437,19 @@ def _level(eq: DelayEquation, level: int, cache: KernelCache, tol: float):
 
 def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> list[_Table]:
     """``[F, W]``, fitted together over one period of the settled envelope,
-    or (``transient``) ``[F]`` over [min(h(0), 0), t_stab) where the
+    or (``transient``) ``[F]`` over [0, t_stab), the one period where the
     envelope has not settled yet."""
-    period = eq.period
 
     def build():
         g = _level(eq, r - 1, cache, tol)
         if g.saturated:
             return [_Table()] if transient else [_Table(), _Table()]
         if transient:
-            h, lo, hi = env, min(env(0.0), 0.0), env.t_stab
-            # level 1 tiled over every period of the span, counted first
-            kinks = _phases(eq, cache, 1)
-            periods = np.arange(math.floor(lo / period), math.ceil(hi / period))
-            if kinks.size * periods.size > _MAX_PIECES:
-                raise ValueError(
-                    f"the transient sliding table over [{lo}, {hi}) would start from "
-                    f"{kinks.size * periods.size} seed pieces, past the limit of "
-                    f"{_MAX_PIECES} pieces a table may hold"
-                )
-            points = (kinks[None, :] + periods[:, None] * period).ravel()
-            rows, hints = 1, None
+            h, points, rows, hints = env, _phases(eq, cache, 1), 1, None
         else:
             # the settled envelope, continued periodically: h(z) = z -
             # tail_lag(z) hits a level at its preimages under the tail lag
-            h, lo, hi = EnvelopeFunction(0.0, (), env.tail_lag), 0.0, period
+            h = EnvelopeFunction(0.0, (), env.tail_lag)
             points = _phases(eq, cache, 1, env.tail_lag)
             rows, hints = 2, _phases(eq, cache, r - 1, env.tail_lag) if r >= 3 else None
 
@@ -470,7 +457,7 @@ def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> list[_Tabl
             # settled: F's integrand and W's, exp(0.0 - G(tau_i)), on one lookup
             return _weighted_sums(eq, terms, g, zs, h.values(zs), rows)
 
-        edges = _seed_edges(np.concatenate([points, h.knots(lo, hi)]), lo, hi)
+        edges = _seed_edges(np.concatenate([points, h.knots(0.0, eq.period)]), 0.0, eq.period)
         return _fit_table(f, edges, tol, hints)
 
     kind = "F-" if transient else "F"
@@ -507,21 +494,19 @@ def _integrals(eq, r, terms, env, cache, tol, kinds, c, a, b):
 
 def _sliding(eq, r, terms, env, cache, tol, per, x, out):
     """integral_{x[0]}^{x[1]} of the sliding integrand, from ``out``, F of
-    the settled table ``per`` at ``x``; points below env.t_stab are read off
-    the transient table instead.  None when that table saturates."""
+    the settled table ``per`` at ``x``.  When t_stab > 0, points below it
+    read the transient table on [0, t_stab), and below 0 ``per`` down to 0.
+    None when the transient table saturates."""
     pre = x < env.t_stab
-    if pre.any():
+    if env.t_stab > 0.0 and pre.any():
         (tr,) = _sliding_table(eq, r, terms, env, cache, tol, True)
         if tr.saturated:
             return None
-        lo = tr.edges[0]
-        if (x[pre] < lo).any():
-            raise ValueError(
-                f"the sliding envelope integral starts at {lo}; got a lower limit "
-                f"of {x[pre].min()}"
-            )
-        # F(x) = F(t_stab) - integral_x^{t_stab}
-        out[pre] = per.values(env.t_stab) - (tr.total - tr.within(x[pre]))
+        xs = x[pre]
+        # F(x) = F(t_stab) - integral_x^{t_stab}: the part of it on [0, x),
+        # or minus the settled integral over [x, 0)
+        part = np.where(xs < 0.0, out[pre] - per.values(0.0), tr.values(xs))
+        out[pre] = per.values(env.t_stab) - (tr.total - part)
     return out[1] - out[0]
 
 
@@ -595,9 +580,8 @@ def _criterion(eq, r, kinds, env, cache, tol):
     """The vectorised criterion integrals ``ts -> integral_{h(t)}^t``, times
     past 0, one row per kind of ``kinds``, over the tables of ``env`` (built
     when None): the sliding envelope h(z) for "inner", the envelope frozen
-    at h(t) for "outer".  The rows share one envelope lookup.  h is
-    nondecreasing, so the lower limit h(t) is clamped at h(0), where the
-    transient table starts: rounding can put it an ulp or two below."""
+    at h(t) for "outer".  The rows share one envelope lookup; h(t) may lie
+    below 0, where h takes its settled form."""
     for kind in kinds:
         if kind not in ("inner", "outer"):
             raise ValueError(f"kind must be 'inner' or 'outer', got {kind!r}")
@@ -605,11 +589,10 @@ def _criterion(eq, r, kinds, env, cache, tol):
     env = env if env is not None else combined_envelope(eq)
     cache = cache if cache is not None else KernelCache()
     terms = tuple(range(eq.m))
-    h0 = env.values(0.0)
 
     def f(ts):
         h = env.values(ts)
-        return _integrals(eq, r, terms, env, cache, tol, kinds, h, np.maximum(h, h0), ts)
+        return _integrals(eq, r, terms, env, cache, tol, kinds, h, h, ts)
 
     return f
 
@@ -662,7 +645,8 @@ def term_integral(
 
     ``ref`` is the sliding envelope h(z) by default, or the fixed value
     ``envelope_at`` when given; either way the tables are keyed by ``env``,
-    built when not given.
+    built when not given.  ``a`` and ``b`` may lie below 0, where h takes
+    its settled form: every bound reads a one-period table.
     """
     _check_depth(r)
     if not 0 <= i < eq.m:

@@ -150,11 +150,7 @@ class PiecewisePeriodic:
     def _segment(self, u):
         """Segment index of each phase ``u`` in [0, period); the scalar 0,
         without a search, when there is only one segment."""
-        if self._nseg == 1:
-            return 0
-        return np.minimum(
-            np.maximum(np.searchsorted(self._ts, u, side="right") - 1, 0), self._nseg - 1
-        )
+        return 0 if self._nseg == 1 else _piece(self._ts, u)
 
     # -- exact integration -------------------------------------------------
 
@@ -250,6 +246,13 @@ class DelayEquation:
         for c in self.coefficients[1:]:
             out = out + c.antiderivative(ts)
         return out
+
+
+def _piece(edges, x):
+    """The piece of the sorted ``edges`` that holds each ``x``: the last edge
+    at or below it, so the end pieces extend past the span."""
+    # np.minimum/np.maximum: np.clip's wrapper costs more than the search
+    return np.minimum(np.maximum(np.searchsorted(edges, x, side="right") - 1, 0), len(edges) - 2)
 
 
 def _merge_close(values, tol: float = 1e-9) -> np.ndarray:

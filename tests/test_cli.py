@@ -225,6 +225,20 @@ def test_check_stdout_pinned(capsys, config, args, code, sha):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
 
+@pytest.mark.parametrize(
+    "args,sha",
+    [
+        (["--r", "2", "--kind", "outer"], "8331329a9f81ab86cb49fa2670b41e32a85888878a093148e46d076ff83ba54a"),
+        (["--r", "3", "--grid", "100", "--kind", "inner"], "8e2fc95ed6e90506aeda79442f7907fa7186ddf20654baef2fbc9016a21bf6fb"),
+    ],
+    ids=["demo-r2-outer", "demo-r3-grid100-inner"],
+)
+def test_scan_stdout_pinned(capsys, args, sha):
+    assert main(["scan", DEMO_CONFIG, *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
 def test_check_envelope_that_never_settles_is_an_error(monkeypatch, capsys):
     monkeypatch.setattr(envelope, "_windows_match", lambda wa, wb, slope: False)
     assert main(["check", CONTROL_CONFIG]) == 1

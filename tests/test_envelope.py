@@ -303,6 +303,28 @@ def test_values_of_a_scalar_on_the_transient():
         assert got == env(t)
 
 
+def test_below_zero_the_envelope_holds_every_delay_argument():
+    # below 0 h takes its settled form, whose lag form is periodic; the
+    # transient polyline, extended, fell below tau_max there, by 0.353 at
+    # z = -0.104 on draw 4.  h stays nondecreasing on each side of 0.
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    for _ in range(300):
+        eq = make_random_equation(rng)
+        env = combined_envelope(eq)
+        if env.t_stab == 0.0:
+            continue
+        lo = env(0.0) - eq.max_lag
+        zs = np.sort(np.concatenate([np.linspace(lo, 0.0, 1001), env.knots(lo, 0.0)]))
+        zs = zs[zs < 0.0]
+        hs = env.values(zs)
+        slack = 1e-12 * np.maximum(1.0, np.abs(zs))
+        assert (hs >= tau_max(eq, zs) - slack).all()
+        assert (np.diff(hs) >= -slack[1:]).all()
+        checked += 1
+    assert checked >= 30
+
+
 # -- steep lags ---------------------------------------------------------------
 
 # one constant coefficient and a lag whose last piece falls at a slope of

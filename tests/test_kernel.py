@@ -456,38 +456,36 @@ def test_kink_phases_fall_back_to_the_lattice_past_the_cap():
     assert out["kinks"] == len(_lattice(make_tent_lag_equation(1e4))), out
 
 
-# The transient sliding table spans [h(0), t_stab), about L/P periods, each
-# tiled with the level-1 phases, about 2 L/P of them on the tent lag: 1e6
-# seeds at L/P = 1e3, which took 2.2 GB at r = 1
-_TRANSIENT_TABLE_RUN = """
-import json, sys, time
+# The tent lag from 500 to 1000 periods settles at once, and h(0) lies about
+# 500 periods below 0: the transient sliding table once spanned all of them,
+# each tiled with the level-1 phases, 1e6 seeds, and took 2.2 GB at r = 1
+_LONG_LAG_SMALL_TIMES_RUN = """
+import json, resource, sys, time
+import numpy as np
 from delayosc import DelayEquation, PiecewisePeriodic, inner_criterion_integral
 
 lag = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 500.0), (0.5, 1000.0)))
 p = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 3e-4),))
 eq = DelayEquation(coefficients=(p,), lags=(lag,))
 start = time.perf_counter()
-try:
-    inner_criterion_integral(eq, int(sys.argv[1]), 0.0)
-    error = None
-except ValueError as exc:
-    error = str(exc)
-print(json.dumps(dict(error=error, seconds=time.perf_counter() - start)))
+r = int(sys.argv[1])
+values = [inner_criterion_integral(eq, r, 0.0), *inner_criterion_integral(eq, r, np.linspace(0.0, 20.0, 37))]
+seconds = time.perf_counter() - start
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps(dict(finite=bool(np.isfinite(values).all()), seconds=seconds, rss_mb=rss_mb)))
 """
 
 
 @pytest.mark.parametrize("r", [1, 2])
-def test_an_oversized_transient_table_is_refused_before_it_is_built(r):
-    out = _run_capped(_TRANSIENT_TABLE_RUN, r)
-    assert out["error"] is not None and "transient sliding table" in out["error"], out
-    assert f"limit of {kernel._MAX_PIECES}" in out["error"], out
-    assert out["seconds"] <= 10.0, out
+def test_small_times_on_a_long_lag_read_one_period_tables(r):
+    out = _run_capped(_LONG_LAG_SMALL_TIMES_RUN, r)
+    assert out["finite"] and out["seconds"] <= 10.0 and out["rss_mb"] <= 300.0, out
 
 
 def test_small_times_read_where_the_envelope_rounds_below_its_start():
     # draw 7 of seed 777 settles at once and is flat near 0: h(5/9) rounds
-    # two ulps below h(0), where the transient table starts, and the inner
-    # lookup raised
+    # two ulps below h(0), where the transient table once started, and the
+    # inner lookup raised
     rng = np.random.default_rng(777)
     for _ in range(7):
         make_random_equation(rng)
@@ -499,9 +497,17 @@ def test_small_times_read_where_the_envelope_rounds_below_its_start():
     for r in (1, 2, 3):
         for lookup in (inner_criterion_integral, outer_criterion_integral):
             assert np.isfinite(lookup(eq, r, ts, cache=cache, env=env)).all()
-    # a lower limit that really lies below the table still raises
-    with pytest.raises(ValueError, match="^the sliding envelope integral starts at"):
-        term_integral(eq, 1, 0, float(env.values(0.0)) - 0.1, 1.0, cache=cache, env=env)
+    # below h(0), below 0 and across t_stab the integral is additive, here and
+    # on an envelope that settles after one period
+    settles_late = make_random_equation(rng)
+    while combined_envelope(settles_late).t_stab == 0.0:
+        settles_late = make_random_equation(rng)
+    for eq in (eq, settles_late):
+        env = combined_envelope(eq)
+        cuts = [float(env.values(0.0)) - 0.1, 0.0, env.t_stab, env.t_stab + 1.0]
+        whole = term_integral(eq, 1, 0, cuts[0], cuts[-1], cache=cache, env=env)
+        parts = [term_integral(eq, 1, 0, a, b, cache=cache, env=env) for a, b in zip(cuts, cuts[1:])]
+        assert whole == pytest.approx(sum(parts), rel=1e-13, abs=1e-15)
 
 
 # -- the kink phase ladder against its loop version ---------------------------

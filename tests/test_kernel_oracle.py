@@ -36,6 +36,7 @@ from conftest import (
     make_constant_equation,
     make_demo_equation,
     make_random_equation,
+    make_tent_lag_equation,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -217,13 +218,19 @@ def _sloped_lag_equation():
 
 
 def _cases():
+    """``(name, eq, t)``; t None for a time two spans past t_stab."""
     rng = np.random.default_rng(20250822)
     random_eqs = [make_random_equation(rng) for _ in range(3)]
-    cases = [("demo", make_demo_equation()), ("control", make_constant_equation(0.2, 1.0))]
-    cases += [(f"random{k}", eq) for k, eq in enumerate(random_eqs)]
-    cases.append(("transient", _transient_draw()))
-    cases.append(("sloped_lag", _sloped_lag_equation()))
-    return [pytest.param(name, eq, id=name) for name, eq in cases]
+    cases = [("demo", make_demo_equation(), None), ("control", make_constant_equation(0.2, 1.0), None)]
+    cases += [(f"random{k}", eq, None) for k, eq in enumerate(random_eqs)]
+    # the window [h(t), t] lies where the envelope has not settled yet
+    transient = _transient_draw()
+    cases.append(("transient", transient, 0.6 * combined_envelope(transient).t_stab))
+    cases.append(("sloped_lag", _sloped_lag_equation(), None))
+    # small times on a lag of 2.5 to 5 periods: h(t) < 0, where h takes its
+    # settled form and kinks at the tail lag's breakpoints
+    cases += [(f"tent_small_t{t}", make_tent_lag_equation(5.0), t) for t in (0.0, 1.85)]
+    return [pytest.param(name, eq, t, id=name) for name, eq, t in cases]
 
 
 def _close(got, want):
@@ -231,17 +238,14 @@ def _close(got, want):
 
 
 @pytest.mark.parametrize("r", [1, 2])
-@pytest.mark.parametrize("name,eq", _cases())
-def test_tables_match_quadrature_oracle(name, eq, r):
+@pytest.mark.parametrize("name,eq,t", _cases())
+def test_tables_match_quadrature_oracle(name, eq, t, r):
     env = combined_envelope(eq)
-    period = eq.period
     if name == "transient":
-        # the window [h(t), t] lies where the envelope has not settled yet
-        t = 0.6 * env.t_stab
         zs = np.linspace(env(t), t, 101)
         assert np.abs(env.values(zs) - (zs - env.tail_lag.values(zs))).max() > 1e-3
-    else:
-        t = env.t_stab + 2.0 * (eq.max_lag + period) + 0.37 * period
+    elif t is None:
+        t = env.t_stab + 2.0 * (eq.max_lag + eq.period) + 0.37 * eq.period
     h = env(t)
     s = t - 0.8 * eq.max_lag
     oracle = Oracle(eq, min(h, s) - eq.max_lag, t)
