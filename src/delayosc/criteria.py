@@ -7,17 +7,22 @@ quadratic between known knots, so their extrema are exact: the best of
 the profile's values at the knots and at the vertices inside the pieces
 (``_quadratic_extrema``), with no grid.  The two kernel limsups are rows
 of one profile (``_kernel_profile``), scanned for their maxima on a dense
-grid seeded with every geometric breakpoint, every local maximum refined
-by a zoom search, all brackets in lockstep (``_scan_maxima``).  The
+grid seeded with every geometric breakpoint and, for ``check``, every edge
+of the kernel tables the profile reads and their preimages under the
+envelope, so the profile is smooth between grid points.  The
 window's ends are one point of a circle: neighbours are cyclic, a run of
 maxima may wrap across the seam, and every location is reported in
 [w0, w0 + P).  Grid values within a rounding tie (1e-13 of the row's
 largest magnitude) count as equal, so a profile flat up to rounding gives
-one bracket, not hundreds.  A check
-takes 1 zoom step on a flat profile, 4-5 on the demo, and never more than
-about 27 whatever the scale of the period and lags.  A criterion counts
-as satisfied only when its margin clears 10 * tol; anything closer is
-marginal and reported as not satisfied.
+one bracket, not hundreds, and a row flat to the tie is not refined.
+Each bracket is refined once (``_scan_maxima``): both sides of its best
+grid point are fitted by degree-16 Chebyshev interpolants, all sides in
+one profile call, and the fits' interior maxima are evaluated in one more
+(Trefethen, ATAP ch. 18).  A check makes 1 kernel-profile call on a flat
+profile, 2-3 on the demo, and a bounded number whatever the scale of the
+period and lags.  A criterion counts as satisfied only when its margin
+clears 10 * tol; anything closer is marginal and reported as not
+satisfied.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .envelope import (
     tau_max,
     tau_max_polyline,
 )
-from .kernel import DEFAULT_TOL, KernelCache, _criterion
+from .kernel import _CHEB_DEG, _CHEB_FIT, _CHEB_U, DEFAULT_TOL, KernelCache, _breaks, _criterion
 from .model import DelayEquation, _merge_close, _piece, breakpoint_times, phase_lattice
 
 __all__ = [
@@ -63,7 +68,6 @@ CRITERIA_ORDER = (
 )
 
 INV_E = math.exp(-1.0)
-_REFINE_XTOL = 1e-10
 # Grid values this close, relative to the largest finite one, are equal for
 # bracketing: profiles are sums and differences of table lookups whose
 # rounding is a few eps of their magnitude, so a flat profile wiggles at
@@ -74,11 +78,22 @@ _TIE_REL = 1e-13
 # their values tie, and tie-tolerant bracketing would refine the pair as an
 # extremum on any slope.
 _SAME_POINT_REL = 1e-9
-# a zoom step cuts each side of a bracket's best point in 16 equal parts: 33
-# samples, of which the ends and the best point are known, 30 new
-_ZOOM_FRACTIONS = np.arange(-16.0, 17.0) / 16
-_ZOOM_KNOWN = np.array([0, 16, 32])
-_ZOOM_NEW = np.arange(33) % 16 != 0
+# A side's interpolant is maximised from the best of these nodes, uniform in
+# theta = arccos(u), by Newton steps (``_side_maxima``)
+_THETA = np.pi * np.arange(129) / 128
+_K = np.arange(_CHEB_DEG + 1.0)
+_NODE_COS = np.cos(_THETA[:, None] * _K)
+_NEWTON_STEPS = 3
+# Rounds in which a side that fails its tail test is halved.  The kernel
+# grids hold every break of their profiles, so on the shipped
+# configurations, the bench piecewise equation, 20 random draws and the
+# kink cases at r = 1..3 no round moves a value.  A kink between grid
+# points, which the kernel grids do not have, is found to within about 1e-3
+# of a grid spacing.
+_MAX_HALVINGS = 2
+# An interpolant that peaks at an end of its side and tops the best grid
+# value by this many times its error shows a break a rounding inside that end.
+_KINK_FACTOR = 10.0
 # pieces per block of ``_quadratic_extrema``: a profile of the tent lag at
 # L/P = 1e6 has a million knots
 _BLOCK = 1 << 16
@@ -131,50 +146,6 @@ class ScanExtremum:
     t: float
 
 
-def _zoom_lockstep(g, x3, g3, tie, xtol: float):
-    """Zoom search for the minimum of ``g`` on every bracket at once.  Row
-    ``k`` of ``x3`` holds a bracket's ends and its best point, ``lo, c, hi``,
-    and ``g3`` their values; ``tie[k]`` is the rounding tie of its profile.
-    ``g(x, act)`` evaluates the points ``x``, point ``i`` in bracket
-    ``act[i]``; ``act`` is always nondecreasing.
-
-    Each step cuts each side of ``c`` in 16 equal parts, the sides' widths
-    may differ, evaluates the new samples of every active bracket in one
-    call of ``g``, and keeps the two neighbours of the best interior sample
-    (the first among equals) as the next bracket, centred on it.  A bracket
-    stops once the second differences of its 33 samples are within its tie
-    at every sample but the best (the profile is straight to rounding on
-    each side of it, so refining further moves the value by about the tie;
-    an infinite sample is never straight), once it is no wider than
-    ``xtol``, or once a step fails to halve it, which happens only where the
-    float spacing is coarser than ``xtol``; so a scan ends at any scale.
-    Returns the best sample of every bracket and its value; a NaN value
-    counts as +inf.
-    """
-    act = np.arange(len(x3))
-    while act.size:
-        rows = np.arange(act.size)
-        lo, c, hi = x3[act].T
-        # each side of c cut in 16 parts, the bracket's own ends kept
-        side = np.where(_ZOOM_FRACTIONS < 0, (c - lo)[:, None], (hi - c)[:, None])
-        x = c[:, None] + side * _ZOOM_FRACTIONS
-        x[:, 0], x[:, -1] = lo, hi
-        gx = np.empty_like(x)
-        gx[:, _ZOOM_KNOWN] = g3[act]
-        gx[:, _ZOOM_NEW] = g(x[:, _ZOOM_NEW].ravel(), np.repeat(act, 30)).reshape(-1, 30)
-        gx[np.isnan(gx)] = math.inf
-        k = 1 + np.argmin(gx[:, 1:-1], axis=1)
-        keep = k[:, None] + np.array([-1, 0, 1])
-        x3[act], g3[act] = x[rows[:, None], keep], gx[rows[:, None], keep]
-        with np.errstate(invalid="ignore"):
-            bent = np.abs(gx[:, :-2] - 2.0 * gx[:, 1:-1] + gx[:, 2:]) > tie[act, None]
-        bent[rows, k - 1] = False
-        straight = ~bent.any(axis=1) & np.isfinite(gx).all(axis=1)
-        width, new_width = hi - lo, x3[act, 2] - x3[act, 0]
-        act = act[~straight & (new_width > xtol) & (new_width <= 0.5 * width)]
-    return x3[:, 1], g3[:, 1]
-
-
 def _scan_grid(w0: float, w1: float, knots, n_grid: int) -> np.ndarray:
     """Uniform grid over [w0, w1] joined with the knots inside; its ends are
     exactly w0 and w1.  Points closer than ``_SAME_POINT_REL * (w1 - w0)`` are
@@ -205,73 +176,139 @@ def _brackets(vals, tie: float):
     in the order of ``c``.  A run may wrap across the seam: ``c`` is in
     [0, n), and an ``lo`` or ``hi`` past an end stands for point i mod n."""
     n = len(vals)
-    is_min = (vals <= np.roll(vals, 1) + tie) & (vals <= np.roll(vals, -1) + tie)
+    ext = np.concatenate([vals[-1:], vals, vals[:1]])  # cyclic neighbours
+    is_min = (vals <= ext[:-2] + tie) & (vals <= ext[2:] + tie)
     # read the circle from a point that is no minimum, so no run wraps; when
     # every point is one, the whole circle is one run
     s = int(np.argmin(is_min))
-    m, v = np.roll(is_min, -s), np.roll(vals, -s)
-    ends = np.flatnonzero(np.diff(m, prepend=False, append=False))
+    m = np.zeros(n + 2, dtype=bool)
+    m[1 : n + 1 - s], m[n + 1 - s : n + 1] = is_min[s:], is_min[:s]
+    v = np.concatenate([vals[s:], vals[:s]])
+    ends = np.flatnonzero(m[1:] != m[:-1])
     j0, j1 = ends[::2], ends[1::2] - 1
     # each run's lowest value, and its first point at that value
-    lowest = np.minimum.reduceat(np.where(m, v, math.inf), j0)
-    at_lowest = v == np.repeat(np.append(math.inf, lowest), np.diff(j0, prepend=0, append=n))
-    hits = np.flatnonzero(m & at_lowest)
+    pts, size = np.flatnonzero(m[1:-1]), j1 - j0 + 1
+    lowest = np.minimum.reduceat(v[pts], np.cumsum(size) - size)
+    hits = pts[v[pts] == np.repeat(lowest, size)]
     c = hits[np.searchsorted(hits, j0)]
     # back from the rotated circle, each bracket shifted to centre in [0, n)
     shift = s - n * (c + s >= n)
     return (np.stack([j0 - 1, c, j1 + 1], axis=1) + shift[:, None])[np.argsort(c + shift)]
 
 
-def _scan_maxima(f, cand, xtol=_REFINE_XTOL):
+def _side_maxima(coef):
+    """``(u, p)``: the maximiser on [-1, 1] and the maximum of each row of
+    ``coef``, a Chebyshev series.  In u = cos(theta) a row is the cosine
+    series sum_k c_k cos(k theta); the best of the nodes ``_THETA`` starts
+    ``_NEWTON_STEPS`` Newton steps on its derivative, kept when the series
+    is higher there.  That derivative is zero at either end, so a peak at an
+    end node stays there, u = +-1 exactly."""
+    vals = coef @ _NODE_COS.T
+    j = np.argmax(vals, axis=1)
+    th0, p0 = _THETA[j], vals[np.arange(j.size), j]
+    th = th0
+    for _ in range(_NEWTON_STEPS):
+        kt = th[:, None] * _K
+        d1, d2 = (np.sin(kt) * coef) @ _K, (np.cos(kt) * coef) @ _K**2
+        th = np.clip(th - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0.0), 0.0, np.pi)
+    p = (np.cos(th[:, None] * _K) * coef).sum(axis=1)
+    better = p > p0
+    return np.cos(np.where(better, th, th0)), np.where(better, p, p0)
+
+
+def _scan_maxima(f, cand):
     """The maximum of each row of a vectorised periodic profile, with its
     location, as a list of ``ScanExtremum``.
 
     ``f`` maps times to an array of one row per profile, ``cand`` holds the
     sorted candidates over one period; each ``t`` is in
     ``[cand[0], cand[-1])``.  ``f`` is evaluated once on ``cand[:-1]``, the
-    last candidate being the first one's periodic copy.  The zoom looks for
-    minima, so it reads the rows negated, which is exact.  Every run of
-    local minima of a negated row, neighbours cyclic and grid values within
-    the row's tie (``_TIE_REL`` of its largest finite one) counting as
-    equal, brackets one refinement between its outer neighbours, centred on
-    the run's best point; the brackets of every row are refined in one
-    ``_zoom_lockstep``, each step calling ``f`` once.  Kinks are grid
-    points, so a kink extremum is a sample from the first step on.  A
-    refinement replaces the best grid value only when strictly better, and
-    the first bracket wins a tie.
+    last candidate being the first one's periodic copy.  A row whose finite
+    grid values lie within its tie (``_TIE_REL`` of its largest finite one),
+    or whose best is +inf, is not refined.  In any other row each run of
+    local maxima, neighbours cyclic and values within the tie counting as
+    equal, brackets its best point c between its outer neighbours lo and
+    hi, and ``_refine_sides`` refines the sides [lo, c] and [c, hi] of every
+    bracket at once.  A candidate replaces the best grid value only when
+    strictly better, and the earliest location wins a tie.
     """
     n, period = len(cand) - 1, cand[-1] - cand[0]
-    rows = -np.asarray(f(cand[:-1]), dtype=float).reshape(-1, n)
-    best, xs, gs, ties, counts = [], [], [], [], []
-    for row in rows:
-        finite = np.abs(row[np.isfinite(row)])
-        tie = _TIE_REL * finite.max() if finite.size else 0.0
-        k = int(np.argmin(row))
-        idx = _brackets(row, tie)
+    w0, w1 = cand[0], cand[-1]
+    rows = np.asarray(f(cand[:-1]), dtype=float).reshape(-1, n)
+    k = np.argmax(rows, axis=1)
+    top, at = rows[np.arange(len(rows)), k], cand[k]
+    ties, sides = np.zeros(len(rows)), []
+    for i, row in enumerate(rows):
+        finite = row[np.isfinite(row)]
+        if top[i] == math.inf or not finite.size:
+            continue
+        ties[i] = _TIE_REL * np.abs(finite).max()
+        if finite.max() - finite.min() <= ties[i]:
+            continue
+        idx = _brackets(-row, ties[i])
         lap = np.where(idx == n, 0, idx // n)  # index n is the window's end
-        xs.append(cand[idx - lap * n] + period * lap)
-        gs.append(row[idx % n])
-        ties.append(tie)
-        counts.append(len(idx))
-        best.append([row[k], cand[k]])
-    x3 = np.concatenate(xs)
-    if x3.size:
-        row_of = np.repeat(np.arange(len(rows)), counts)
-
-        def g(x, act):
-            return -np.asarray(f(x), dtype=float)[row_of[act], np.arange(x.size)]
-
-        x, gx = _zoom_lockstep(g, x3, np.concatenate(gs), np.repeat(ties, counts), xtol)
+        x3 = cand[idx - lap * n] + period * lap
+        sides.append((x3[:, :2].ravel(), x3[:, 1:].ravel(), np.full(2 * len(idx), i)))
+    best, where = top.copy(), at.copy()
+    if sides:
+        a, b, row = (np.concatenate(part) for part in zip(*sides))
+        x, gx, row = _refine_sides(f, a, b, row, top, ties)
         # a point refined past either end goes a period back, into [w0, w1)
-        w0, w1 = cand[0], cand[-1]
-        x = np.where(x < w0, x + period, np.where(x >= w1, x - period, x))
-        x = np.clip(x, w0, np.nextafter(w1, w0))
-        for entry, ks in zip(best, np.split(np.arange(x.size), np.cumsum(counts)[:-1])):
-            if ks.size:
-                k = ks[int(np.argmin(gx[ks]))]
-                if gx[k] < entry[0]:
-                    entry[:] = gx[k], x[k]
-    return [ScanExtremum(value=float(-v), t=float(t)) for v, t in best]
+        t = np.where(x < w0, x + period, np.where(x >= w1, x - period, x))
+        t = np.clip(t, w0, np.nextafter(w1, w0))
+        for j in np.lexsort((t, -gx)):
+            if gx[j] > best[row[j]]:
+                best[row[j]], where[row[j]] = gx[j], t[j]
+    return [ScanExtremum(value=float(v), t=float(t)) for v, t in zip(best, where)]
+
+
+def _refine_sides(f, a, b, row, top, tie):
+    """``(x, value, row)`` of every candidate of the sides [a, b], side k of
+    row ``row[k]``, whose best grid value is ``top[row]`` and tie
+    ``tie[row]``.
+
+    Each side is sampled at the _CHEB_DEG + 1 points ``_CHEB_U``, all in
+    one call of ``f``, and fitted.  The fit's error is its tail (the two
+    trailing coefficients) plus its slope times an ulp, the rounding of a
+    sample's position.  A side whose tail exceeds that rounding plus the tie
+    is halved and sampled again, for at most ``_MAX_HALVINGS`` rounds.  In
+    every round, a side whose interpolant peaks inside it, within the tie
+    of the best grid value or above it, gives a candidate at the peak.  A
+    peak at an end gives one only when it tops the best grid value by
+    ``_KINK_FACTOR`` times the error plus a value's rounding (1e-15 of the
+    row's magnitude): the profile then breaks a rounding inside the side,
+    and the end's neighbour an ulp inside is the candidate.  A side with a
+    non-finite sample gives its best sample.  The candidates take one more
+    call.
+    """
+    m = _CHEB_DEG + 1
+    found = []
+    for rnd in range(_MAX_HALVINGS + 1):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        xs = mid[:, None] + half[:, None] * _CHEB_U
+        vals = np.asarray(f(xs.ravel()), dtype=float)[np.repeat(row, m), np.arange(xs.size)]
+        vals = vals.reshape(-1, m)
+        bad = ~np.isfinite(vals).all(axis=1)
+        j = np.argmax(np.where(np.isnan(vals[bad]), -math.inf, vals[bad]), axis=1)
+        found.append((xs[bad, j], row[bad]))
+        a, b, mid, half, row, vals = (v[~bad] for v in (a, b, mid, half, row, vals))
+        coef = vals @ _CHEB_FIT.T
+        tail = np.abs(coef[:, -2:]).max(axis=1)
+        # |p'| <= sum_k k^2 |c_k| on [-1, 1]
+        moved = np.abs(coef) @ _K**2 / half * np.spacing(np.maximum(abs(a), abs(b)))
+        rough = (tail > tie[row] + moved) & (rnd < _MAX_HALVINGS)
+        u, p = _side_maxima(coef)
+        inside = np.abs(u) < 1.0
+        kink = p > top[row] + _KINK_FACTOR * (tail + moved + tie[row] / 100)
+        want = np.where(inside, p >= top[row] - tie[row], kink)
+        x = np.where(inside, mid + half * u, np.nextafter(np.where(u > 0.0, b, a), mid))
+        found.append((x[want], row[want]))
+        if not rough.any():
+            break
+        a, b = np.concatenate([a[rough], mid[rough]]), np.concatenate([mid[rough], b[rough]])
+        row = np.tile(row[rough], 2)
+    x, row = (np.concatenate(part) for part in zip(*found))
+    return x, np.asarray(f(x), dtype=float)[row, np.arange(x.size)] if x.size else x, row
 
 
 def _quadratic_extrema(f, knots, curvature=None, seam_jump: bool = False):
@@ -307,8 +344,10 @@ def _quadratic_extrema(f, knots, curvature=None, seam_jump: bool = False):
             k = np.flatnonzero(c)
             a, b, c = t[k], t[k + 1], c[k]
             # q(t) = ya + m (t - a) - c (t - a)(b - t) / 2 has q' = 0 at
-            # (a + b) / 2 - m / c, m the piece's chord slope
-            v = 0.5 * (a + b) - (yb[k] - ya[k]) / ((b - a) * c)
+            # (a + b) / 2 - m / c, m the piece's chord slope; a curvature so
+            # small that (b - a) c underflows puts it at infinity, outside
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                v = 0.5 * (a + b) - (yb[k] - ya[k]) / ((b - a) * c)
             v = v[(a < v) & (v < b)]
             if v.size:
                 samples.append(np.asarray(f(v), dtype=float))
@@ -346,11 +385,6 @@ def _check_tol(tol: float) -> None:
 def _check_grid(n_grid: int, name: str = "n_grid") -> None:
     if not n_grid >= 1:
         raise ValueError(f"{name} must be >= 1, got {n_grid}")
-
-
-def _refine_xtol(tol: float) -> float:
-    _check_tol(tol)
-    return min(float(tol), _REFINE_XTOL)
 
 
 def _coeff_integral_profile(eq, lower, polyline, env):
@@ -487,16 +521,22 @@ def hunt_yorke_liminf(
 # -- limsup of the criterion integrals -------------------------------------
 
 
-def _kernel_profile(eq, r, kinds, env, cache, tol, n_grid):
+def _kernel_profile(eq, r, kinds, env, cache, tol, n_grid, table_knots=False):
     """``(f, w0, ts)``: the depth-``r`` criterion integrals of ``kinds``, one
     row each, over the envelope ``env`` (built when None), the start of
     their scan window ``[w0, w0 + P]``, and its grid, a uniform grid joined
-    with every coefficient, lag and envelope knot."""
+    with every coefficient, lag and envelope knot.  With ``table_knots`` the
+    grid also holds every phase where the profile may break
+    (``kernel._breaks``), so it is smooth between grid points."""
     env = env if env is not None else combined_envelope(eq)
+    cache = cache if cache is not None else KernelCache()
     f = _criterion(eq, r, kinds, env, cache, tol)
     _, w0, w1 = _window(eq, env, r)
-    knots = breakpoint_times(eq.coefficients + eq.lags, w0, w1)
-    return f, w0, _scan_grid(w0, w1, np.concatenate([knots, env.knots(w0, w1)]), n_grid)
+    knots = [breakpoint_times(eq.coefficients + eq.lags, w0, w1), env.knots(w0, w1)]
+    if table_knots:
+        # w0 is a period multiple, so the phases shift onto the window
+        knots.append(w0 + _breaks(eq, r, env, cache, tol))
+    return f, w0, _scan_grid(w0, w1, np.concatenate(knots), n_grid)
 
 
 def criterion_profile(
@@ -537,9 +577,9 @@ def limsup_envelope_integral(
     ``kind`` selects the sliding-envelope ("inner") or frozen-envelope
     ("outer") integrand.
     """
-    xtol = _refine_xtol(tol)
-    f, _, ts = _kernel_profile(eq, r, (kind,), env, cache, tol, n_grid)
-    return _scan_maxima(f, ts, xtol)[0]
+    _check_tol(tol)
+    f, _, ts = _kernel_profile(eq, r, (kind,), env, cache, tol, n_grid, table_knots=True)
+    return _scan_maxima(f, ts)[0]
 
 
 # -- verdicts --------------------------------------------------------------
@@ -599,18 +639,18 @@ def check_all(
     are exact; ``n_grid`` is the grid of the two kernel limsups, and
     ``n_grid_liminf`` is validated but changes no result.
     """
-    xtol = _refine_xtol(tol)
+    _check_tol(tol)
     _check_grid(n_grid_liminf, "n_grid_liminf")
     env = combined_envelope(eq)
     cache = KernelCache()
     strict = 10.0 * tol
 
     # the liminf constants exactly; the two criterion integrals, rows of one
-    # profile on one grid, in one lockstep scan
+    # profile on one grid, in one scan
     a_val, kw = _tau_max_extrema(eq, env)
     hy = _hunt_yorke_min(eq, env)
-    f, w0, ts = _kernel_profile(eq, r, ("inner", "outer"), env, cache, tol, n_grid)
-    inner, outer = _scan_maxima(f, ts, xtol)
+    f, w0, ts = _kernel_profile(eq, r, ("inner", "outer"), env, cache, tol, n_grid, True)
+    inner, outer = _scan_maxima(f, ts)
     lam = lambda0(a_val) if 0.0 < a_val <= INV_E else None
 
     window_liminf = _window(eq, env, 0)[1:]

@@ -46,7 +46,8 @@ routine that also gives the alpha and Kwong profile its knots where
 tau_max meets the coefficient lattice.
 ``_within`` is the one lookup: the tables it reads in a call, on common
 pieces, are gathered coefficient-major into one block and summed in one
-Clenshaw pass.
+Clenshaw pass.  ``_breaks`` lists the phases where the criterion integrals,
+sums of such lookups, may break, for the grid of the limsup scan.
 Kernel exponents past 709 saturate to +inf (reciprocals to 0.0), and so
 does every integral over a table whose integrand overflows; each table
 saturates on its own.
@@ -369,6 +370,17 @@ def _seed_edges(points, lo: float, hi: float) -> np.ndarray:
     return np.concatenate([[lo], inner, [hi]])
 
 
+def _chain(eq: DelayEquation, cache: KernelCache, lags):
+    """The polylines of the delay arguments z - d(z) over [0, P], one per lag
+    of ``lags``, chained into one, cached."""
+    return cache._table(
+        ("chain", lags),
+        lambda: tuple(
+            np.concatenate(part) for part in zip(*(_tau_polyline(d, 0.0, eq.period) for d in lags))
+        ),
+    )
+
+
 def _phases(eq: DelayEquation, cache: KernelCache, levels: int, lag=None) -> np.ndarray:
     """Rung ``levels`` of the kink phase ladder of ``eq``, cached.  Level 0 is
     the breakpoint lattice, and level k adds the delay preimages of level
@@ -387,14 +399,7 @@ def _phases(eq: DelayEquation, cache: KernelCache, levels: int, lag=None) -> np.
             return phase_lattice(eq.coefficients + eq.lags)
         below = _phases(eq, cache, levels - 1)
         base, lags = (below, eq.lags) if lag is None else (_phases(eq, cache, levels), (lag,))
-        chain = cache._table(
-            ("chain", lags),
-            lambda: tuple(
-                np.concatenate(part)
-                for part in zip(*(_tau_polyline(d, 0.0, eq.period) for d in lags))
-            ),
-        )
-        z = _lattice_preimages(chain, below, eq.period, _MAX_KINKS)
+        z = _lattice_preimages(_chain(eq, cache, lags), below, eq.period, _MAX_KINKS)
         return base if z is None else _merge_close(np.concatenate([base, z[z < eq.period]]))
 
     return cache._table(("phases", eq, levels, lag), build)
@@ -417,11 +422,12 @@ def _weighted_sums(eq: DelayEquation, terms, level, zs, base_at, rows: int = 1):
 
 
 def _level(eq: DelayEquation, level: int, cache: KernelCache, tol: float):
-    """G_level: exact for level 0, else the periodic table of g_level."""
-    if level == 0:
-        return _CoeffSumLevel(eq)
+    """G_level, cached: exact for level 0, else the periodic table of
+    g_level."""
 
     def build():
+        if level == 0:
+            return _CoeffSumLevel(eq)
         prev = _level(eq, level - 1, cache, tol)
         if prev.saturated:
             return _Table()
@@ -527,6 +533,22 @@ def _frozen(eq, r, cache, tol, w, c, k, ws):
     with np.errstate(over="ignore", invalid="ignore"):
         out = inside * np.where(expo > _EXP_MAX, math.inf, np.exp(expo))
     return np.where(inside == 0.0, 0.0, out)
+
+
+def _breaks(eq, r, env, cache, tol) -> np.ndarray:
+    """Phases in [0, P] where the depth-``r`` criterion integrals over
+    ``env``, sums of table lookups at t and h(t), may break: the edges of
+    the settled F/W table and of G_{r-1}, and where the settled envelope
+    z - tail_lag(z) meets them, unless those number more than _MAX_KINKS
+    (they grow with L/P).  Unsorted, with repeats."""
+    tables = [_sliding_table(eq, r, tuple(range(eq.m)), env, cache, tol, False)[0]]
+    tables += [_level(eq, r - 1, cache, tol)] if r > 1 else []
+    edges = [t.edges[:-1] for t in tables if not t.saturated]
+    if not edges:
+        return np.empty(0)
+    phases = np.concatenate(edges)
+    pre = _lattice_preimages(_chain(eq, cache, (env.tail_lag,)), phases, eq.period, _MAX_KINKS)
+    return phases if pre is None else np.concatenate([phases, pre])
 
 
 # -- public lookups -------------------------------------------------------------

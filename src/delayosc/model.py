@@ -98,11 +98,6 @@ class PiecewisePeriodic:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def closing_value(self) -> float:
-        """Left limit of the interpolant at the wrap point (before offset)."""
-        return float(self._vs[-1])
-
-    @property
     def wrap_jump(self) -> float:
         """Jump at the wrap point: f(period-) minus f(period)."""
         return float(self._vs[-1] - self._vs[0])

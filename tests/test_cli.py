@@ -210,9 +210,9 @@ def test_negative_grid_is_an_error_naming_the_argument(capsys, command):
         (DEMO_CONFIG, ["--r", "2"], 0, "e1b496238cd0e3e762cd65b2678312044e6f91eddb589d5e19b7f70e702e83a0"),
         (DEMO_CONFIG, ["--r", "3"], 0, "f457ff10c196ae2349a76e690836d5d1d9f0468297eac9cb85809247b0923023"),
         # the benchmark's deep_kernel checks, and the deepest table cut at its hints
-        (DEMO_CONFIG, ["--r", "2", "--grid", "100"], 0, "01837b26e88ccc8b2b61d078a00e38a2c38dd6df4dce44c65a27fceec08d021c"),
-        (DEMO_CONFIG, ["--r", "3", "--grid", "100"], 0, "408485750dbc3628682e233073c8cb3eded860f7987fffe613e0973f613ce3d8"),
-        (DEMO_CONFIG, ["--r", "4"], 0, "df5bb5182bac6fcb24512e03bc33348b973a17056d965924197c9134bd6dd872"),
+        (DEMO_CONFIG, ["--r", "2", "--grid", "100"], 0, "755b14c6a03f40242254e481c52967e419d65b6f59ae38f0494534876a8d56da"),
+        (DEMO_CONFIG, ["--r", "3", "--grid", "100"], 0, "5aa4c2df5e293c312a05d6c8fa7c0790b06cb5098b3e0e0c67309212d125f366"),
+        (DEMO_CONFIG, ["--r", "4"], 0, "17bbd23821f3bc772a62b8a4380fe501f9048224b6758e2bae8d539159e42b3e"),
     ],
     ids=[
         "control-r1", "control-r2", "control-r3", "demo-r1", "demo-r2", "demo-r3",

@@ -210,6 +210,15 @@ def test_cache_transparency(demo_eq):
         assert abs(cold - first) <= 1e-8 * abs(first)
 
 
+def test_level_zero_is_cached(demo_eq):
+    # G_0 is read on every frozen lookup and by every depth-1 table build;
+    # built fresh, it integrated the coefficient sum over a period each time
+    cache = KernelCache()
+    g0 = kernel._level(demo_eq, 0, cache, 1e-8)
+    assert kernel._level(demo_eq, 0, cache, 1e-8) is g0
+    assert g0.total == kernel._level(demo_eq, 0, KernelCache(), 1e-8).total
+
+
 def test_depth_validation(demo_eq):
     with pytest.raises(ValueError, match="depth"):
         decay_kernel(demo_eq, 0, 2.0, 1.0)

@@ -65,7 +65,6 @@ def test_values_matches_scalar_eval():
 def test_jump_representation():
     """A closing pair at t == period pins the left limit at the wrap."""
     f = PiecewisePeriodic(period=1.0, breakpoints=((0.0, 2.0), (1.0, 3.0)))
-    assert f.closing_value == 3.0
     assert f.wrap_jump == 1.0
     assert f(1.0) == 2.0  # value at the wrap is the first breakpoint's
     assert f(1.0 - 1e-9) == pytest.approx(3.0, abs=1e-8)
