@@ -232,7 +232,7 @@ def cmd_check(args) -> int:
 def cmd_scan(args) -> int:
     eq = load_equation(args.config)
     f, w0, ts = criterion_profile(eq, args.r, args.kind, tol=args.tol, n_grid=args.grid)
-    ts = ts[ts < w0 + eq.period - 1e-12]  # half-open period window: t mod period in [0, P)
+    ts = ts[:-1]  # half-open period window: the grid ends exactly at w0 + P
     _write_csv(args.out, "t,F", ts - w0, f(ts))
     return 0
 

@@ -19,8 +19,8 @@ Each bracket is refined once (``_scan_maxima``): both sides of its best
 grid point are fitted by degree-16 Chebyshev interpolants, all sides in
 one profile call, and the fits' interior maxima are evaluated in one more
 (Trefethen, ATAP ch. 18).  A check makes 1 kernel-profile call on a flat
-profile, 2-3 on the demo, and a bounded number whatever the scale of the
-period and lags.  A criterion counts as satisfied only when its margin
+profile, 2-3 on the demo, and at most 3 whatever the scale of the period
+and lags.  A criterion counts as satisfied only when its margin
 clears 10 * tol; anything closer is marginal and reported as not
 satisfied.
 """
@@ -84,33 +84,29 @@ _THETA = np.pi * np.arange(129) / 128
 _K = np.arange(_CHEB_DEG + 1.0)
 _NODE_COS = np.cos(_THETA[:, None] * _K)
 _NEWTON_STEPS = 3
-# Rounds in which a side that fails its tail test is halved.  The kernel
-# grids hold every break of their profiles, so on the shipped
-# configurations, the bench piecewise equation, 20 random draws and the
-# kink cases at r = 1..3 no round moves a value.  A kink between grid
-# points, which the kernel grids do not have, is found to within about 1e-3
-# of a grid spacing.
-_MAX_HALVINGS = 2
 # An interpolant that peaks at an end of its side and tops the best grid
-# value by this many times its error shows a break a rounding inside that end.
+# value by this many times what rounding explains shows a break a rounding
+# inside that end.
 _KINK_FACTOR = 10.0
 # pieces per block of ``_quadratic_extrema``: a profile of the tent lag at
 # L/P = 1e6 has a million knots
 _BLOCK = 1 << 16
+# width of ``lambda0``'s final bracket
+_LAMBDA_XTOL = 1e-13
 
 
 # -- root finding ----------------------------------------------------------
 
 
-def lambda0(alpha_value: float, *, xtol: float = 1e-13) -> float:
+def lambda0(alpha_value: float) -> float:
     """Smaller root of lambda = exp(alpha * lambda), by bisection.
 
     Exists for alpha in (0, 1/e]; anything outside raises.  Returns the
-    lower end of the final bracket, below the root by at most ``xtol``, so
-    the thresholds (1 + ln lambda) / lambda, which fall as lambda grows, are
-    never understated.  The other way round, ``sim.check_envelope_ratio``,
-    whose margin is the simulated ratio minus lambda, reads up to ``xtol``
-    looser.
+    lower end of the final bracket, below the root by at most
+    ``_LAMBDA_XTOL`` (1e-13), so the thresholds (1 + ln lambda) / lambda,
+    which fall as lambda grows, are never understated.  The other way
+    round, ``sim.check_envelope_ratio``, whose margin is the simulated
+    ratio minus lambda, reads up to ``_LAMBDA_XTOL`` looser.
     """
     a = float(alpha_value)
     if not (0.0 < a <= INV_E):
@@ -128,7 +124,7 @@ def lambda0(alpha_value: float, *, xtol: float = 1e-13) -> float:
     if f(hi) >= 0.0:
         # tangency at alpha == 1/e (up to rounding)
         return hi
-    while hi - lo > xtol:
+    while hi - lo > _LAMBDA_XTOL:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
@@ -267,47 +263,37 @@ def _refine_sides(f, a, b, row, top, tie):
     row ``row[k]``, whose best grid value is ``top[row]`` and tie
     ``tie[row]``.
 
-    Each side is sampled at the _CHEB_DEG + 1 points ``_CHEB_U``, all in
-    one call of ``f``, and fitted.  The fit's error is its tail (the two
-    trailing coefficients) plus its slope times an ulp, the rounding of a
-    sample's position.  A side whose tail exceeds that rounding plus the tie
-    is halved and sampled again, for at most ``_MAX_HALVINGS`` rounds.  In
-    every round, a side whose interpolant peaks inside it, within the tie
+    The grid holds every break of the profile (``kernel._breaks``), so one
+    fit serves each side: all are sampled at the points ``_CHEB_U`` in one
+    call of ``f``.  A side whose interpolant peaks inside it, within the tie
     of the best grid value or above it, gives a candidate at the peak.  A
     peak at an end gives one only when it tops the best grid value by
-    ``_KINK_FACTOR`` times the error plus a value's rounding (1e-15 of the
-    row's magnitude): the profile then breaks a rounding inside the side,
-    and the end's neighbour an ulp inside is the candidate.  A side with a
-    non-finite sample gives its best sample.  The candidates take one more
-    call.
+    ``_KINK_FACTOR`` times the rounding of the sample positions plus 1e-15
+    of the row's magnitude: the profile then breaks a rounding inside the
+    side, and the end's neighbour an ulp inside is the candidate.  Past
+    ``kernel._MAX_KINKS`` preimages the grid holds only the tables' edges,
+    and a kink between its points is not chased (no value moves for it on
+    the tent lag at L/P = 5000 or 1e4).  A side with a non-finite sample
+    gives its best sample.  The candidates take one more call.
     """
     m = _CHEB_DEG + 1
-    found = []
-    for rnd in range(_MAX_HALVINGS + 1):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xs = mid[:, None] + half[:, None] * _CHEB_U
-        vals = np.asarray(f(xs.ravel()), dtype=float)[np.repeat(row, m), np.arange(xs.size)]
-        vals = vals.reshape(-1, m)
-        bad = ~np.isfinite(vals).all(axis=1)
-        j = np.argmax(np.where(np.isnan(vals[bad]), -math.inf, vals[bad]), axis=1)
-        found.append((xs[bad, j], row[bad]))
-        a, b, mid, half, row, vals = (v[~bad] for v in (a, b, mid, half, row, vals))
-        coef = vals @ _CHEB_FIT.T
-        tail = np.abs(coef[:, -2:]).max(axis=1)
-        # |p'| <= sum_k k^2 |c_k| on [-1, 1]
-        moved = np.abs(coef) @ _K**2 / half * np.spacing(np.maximum(abs(a), abs(b)))
-        rough = (tail > tie[row] + moved) & (rnd < _MAX_HALVINGS)
-        u, p = _side_maxima(coef)
-        inside = np.abs(u) < 1.0
-        kink = p > top[row] + _KINK_FACTOR * (tail + moved + tie[row] / 100)
-        want = np.where(inside, p >= top[row] - tie[row], kink)
-        x = np.where(inside, mid + half * u, np.nextafter(np.where(u > 0.0, b, a), mid))
-        found.append((x[want], row[want]))
-        if not rough.any():
-            break
-        a, b = np.concatenate([a[rough], mid[rough]]), np.concatenate([mid[rough], b[rough]])
-        row = np.tile(row[rough], 2)
-    x, row = (np.concatenate(part) for part in zip(*found))
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    xs = mid[:, None] + half[:, None] * _CHEB_U
+    vals = np.asarray(f(xs.ravel()), dtype=float)[np.repeat(row, m), np.arange(xs.size)]
+    vals = vals.reshape(-1, m)
+    bad = ~np.isfinite(vals).all(axis=1)
+    j = np.argmax(np.where(np.isnan(vals[bad]), -math.inf, vals[bad]), axis=1)
+    x_bad, row_bad = xs[bad, j], row[bad]
+    a, b, mid, half, row, vals = (v[~bad] for v in (a, b, mid, half, row, vals))
+    coef = vals @ _CHEB_FIT.T
+    # |p'| <= sum_k k^2 |c_k| on [-1, 1]
+    moved = np.abs(coef) @ _K**2 / half * np.spacing(np.maximum(abs(a), abs(b)))
+    u, p = _side_maxima(coef)
+    inside = np.abs(u) < 1.0
+    kink = p > top[row] + _KINK_FACTOR * (moved + tie[row] / 100)
+    want = np.where(inside, p >= top[row] - tie[row], kink)
+    x = np.where(inside, mid + half * u, np.nextafter(np.where(u > 0.0, b, a), mid))
+    x, row = np.concatenate([x_bad, x[want]]), np.concatenate([row_bad, row[want]])
     return x, np.asarray(f(x), dtype=float)[row, np.arange(x.size)] if x.size else x, row
 
 

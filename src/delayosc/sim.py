@@ -52,6 +52,12 @@ class History:
     times: tuple[float, ...] = ()
     samples: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        values = (self.level, self.rate, *self.times, *self.samples)
+        bad = [x for x in values if not math.isfinite(x)]
+        if bad:
+            raise ValueError(f"the {self.kind} history needs finite values, got {bad[0]}")
+
     @classmethod
     def constant(cls, level: float = 1.0) -> "History":
         return cls(kind="constant", level=float(level))
@@ -167,11 +173,12 @@ def _rhs(p, plan, xs, ds):
 def integrate(
     eq: DelayEquation, history: History, t_end: float, h_step: float
 ) -> Trajectory:
-    """Integrate forward from 0 to t_end with uniform step h_step."""
-    if h_step <= 0.0:
+    """Integrate forward from 0 to t_end with uniform step h_step; raises
+    ValueError at the first time where x leaves the double range."""
+    if not h_step > 0.0:
         raise ValueError(f"h_step must be positive, got {h_step}")
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     d_min = eq.min_lag
     if h_step >= d_min:
         raise ValueError(
@@ -191,29 +198,34 @@ def integrate(
     block = max(1, math.floor(d_min / h) - 1)
     chunk = block * max(1, _CHUNK_STEPS // block)
 
-    xs = np.zeros(n + 1)
-    ds = np.zeros(n + 1)
-    xs[0] = history(0.0)
-    ds[0] = _rhs(*_stages(eq, np.zeros(1), -1, h, history), xs, ds)[0]
-    for c0 in range(0, n, chunk):
-        c1 = min(c0 + chunk, n)
-        # Simpson's rule (RK4 with k2 == k3): step k's stages sit at
-        # t_k + h/2 and t_k + h, and their lookups read steps up to k
-        t = h * np.arange(c0, c1)
-        stage_t = np.stack((t + 0.5 * h, t + h))
-        p, plan = _stages(eq, stage_t, np.arange(c0 - 1, c1 - 1), h, history)
-        for k0 in range(c0, c1, block):
-            k1 = min(k0 + block, c1)
-            cut = np.s_[..., k0 - c0 : k1 - c0]
-            part = tuple(a if a is None else a[cut] for a in plan)
-            fm, f1 = _rhs(p[cut], part, xs, ds)
-            ds[k0 + 1 : k1 + 1] = f1
-            dx = (h / 6.0) * (ds[k0:k1] + 4.0 * fm + f1)
-            # x_{k+1} = x_k + dx_k, added in sequence from x_{k0}
-            dx[0] += xs[k0]
-            np.add.accumulate(dx, out=xs[k0 + 1 : k1 + 1])
+    # an overflow is reported below, by the first time x is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.zeros(n + 1)
+        ds = np.zeros(n + 1)
+        xs[0] = history(0.0)
+        ds[0] = _rhs(*_stages(eq, np.zeros(1), -1, h, history), xs, ds)[0]
+        for c0 in range(0, n, chunk):
+            c1 = min(c0 + chunk, n)
+            # Simpson's rule (RK4 with k2 == k3): step k's stages sit at
+            # t_k + h/2 and t_k + h, and their lookups read steps up to k
+            t = h * np.arange(c0, c1)
+            stage_t = np.stack((t + 0.5 * h, t + h))
+            p, plan = _stages(eq, stage_t, np.arange(c0 - 1, c1 - 1), h, history)
+            for k0 in range(c0, c1, block):
+                k1 = min(k0 + block, c1)
+                cut = np.s_[..., k0 - c0 : k1 - c0]
+                part = tuple(a if a is None else a[cut] for a in plan)
+                fm, f1 = _rhs(p[cut], part, xs, ds)
+                ds[k0 + 1 : k1 + 1] = f1
+                dx = (h / 6.0) * (ds[k0:k1] + 4.0 * fm + f1)
+                # x_{k+1} = x_k + dx_k, added in sequence from x_{k0}
+                dx[0] += xs[k0]
+                np.add.accumulate(dx, out=xs[k0 + 1 : k1 + 1])
 
     times = h * np.arange(n + 1)
+    bad = np.flatnonzero(~np.isfinite(xs))
+    if bad.size:
+        raise ValueError(f"the solution leaves the double range at t={times[bad[0]]}")
     return Trajectory(
         h_step=h,
         times=times,
@@ -229,7 +241,8 @@ def _detect_sign_changes(times, values):
     zero = values == 0.0
     event = zero.copy()
     event[1:] &= ~zero[:-1]
-    event[1:] |= values[:-1] * values[1:] < 0.0
+    sign = np.sign(values)  # a product of the values themselves may overflow
+    event[1:] |= sign[:-1] * sign[1:] < 0.0
     k = np.flatnonzero(event)
     lo = times[np.where(zero[k], k, k - 1)]
     return tuple(zip(lo.tolist(), times[k].tolist()))

@@ -9,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -383,6 +384,24 @@ def test_scan_constant_equation_flat(capsys):
     assert fs[0] == pytest.approx(math.expm1(0.2), rel=1e-7)
 
 
+def test_scan_rows_at_a_tiny_period(tmp_path, capsys):
+    # the demo with time scaled by 2^-66: the grid scales exactly, so the
+    # window's 503 rows are all printed, at the same scaled times
+    c = 2.0**-66
+    lag = {"kind": "lag", "breakpoints": [[0.0, c], [c, c], [2 * c, 5 * c]]}
+    coef = {"kind": "constant", "value": 0.135 / c}
+    delays = [lag, dict(lag, offset=0.1 * c)]
+    body = {"period": 3 * c, "coefficients": [coef, coef], "delays": delays}
+    rows = {}
+    for name, config in (("tiny", write_config(tmp_path, body)), ("demo", DEMO_CONFIG)):
+        assert main(["scan", config]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        rows[name] = [tuple(map(float, ln.split(","))) for ln in lines]
+    assert len(rows["tiny"]) == len(rows["demo"]) == 503
+    for (t, f), (t_demo, f_demo) in zip(rows["tiny"], rows["demo"]):
+        assert t == t_demo * c and f == pytest.approx(f_demo, rel=1e-12)
+
+
 def test_scan_unwritable_out(capsys):
     code = main(["scan", CONTROL_CONFIG, "--out", "/nonexistent-dir/x.csv"])
     assert code == 1
@@ -463,10 +482,33 @@ def test_simulate_histories(tmp_path, capsys):
     assert "history" in capsys.readouterr().err
 
 
-def test_simulate_history_spec_errors(capsys):
-    for spec in ("const", "wave:1.0", "const:abc", "file:/no/such/file.csv"):
-        assert main(["simulate", CONTROL_CONFIG, "--history", spec]) == 1
-        assert "error:" in capsys.readouterr().err
+def test_simulate_history_spec_errors(tmp_path, capsys):
+    nan_time = tmp_path / "nan.csv"
+    nan_time.write_text("nan,1.0\n-0.5,1.0\n0.0,1.0\n")
+    inf_sample = tmp_path / "inf.csv"
+    inf_sample.write_text("-2.0,1.0\n-0.5,inf\n0.0,1.0\n")
+    specs = ("const", "wave:1.0", "const:abc", "file:/no/such/file.csv", "const:nan",
+             "const:inf", "exp:inf", f"file:{nan_time}", f"file:{inf_sample}")
+    out = str(tmp_path / "x.csv")
+    # exp:800 is finite, but x(-1) = e^800 is not: x overflows at the first step
+    for spec, where in [*((spec, "") for spec in specs), ("exp:800", "at t=0.001")]:
+        for action in ("error", "always"):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter(action, RuntimeWarning)
+                assert main(["simulate", CONTROL_CONFIG, "--history", spec, "--out", out]) == 1
+            captured = capsys.readouterr()
+            assert not seen and captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert where in captured.err
+
+
+def test_simulate_counts_sign_changes_near_the_double_range(capsys):
+    # the product of neighbouring values of a history at 1e308 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        args = ["--history", "const:1e308", "--t-end", "5", "--out", "-"]
+        assert main(["simulate", CONTROL_CONFIG, *args]) == 0
+    assert capsys.readouterr().out.endswith("# sign_changes=0 first_change_t=none\n")
 
 
 def test_module_entry_point():

@@ -58,6 +58,11 @@ def test_history_validation():
         History.tabulated([-1.0, -1.0, 0.0], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="extend to t = 0"):
         History.tabulated([-3.0, -2.0], [1.0, 1.0])
+    for make in (lambda: History.constant(math.nan), lambda: History.exponential(math.inf),
+                 lambda: History.tabulated([math.nan, -1.0, 0.0], [1.0, 1.0, 1.0]),
+                 lambda: History.tabulated([-2.0, -1.0, 0.0], [1.0, -math.inf, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
 
 # -- integration ------------------------------------------------------------
@@ -104,8 +109,12 @@ def test_integration_validation(control_eq, demo_eq):
     hist = History.constant(1.0)
     with pytest.raises(ValueError, match="h_step"):
         integrate(control_eq, hist, 5.0, 0.0)
-    with pytest.raises(ValueError, match="t_end"):
-        integrate(control_eq, hist, -1.0, 0.01)
+    for t_end, h_step in ((5.0, math.nan), (-1.0, 0.01), (math.inf, 0.01), (math.nan, 0.01)):
+        with pytest.raises(ValueError, match="h_step" if t_end == 5.0 else "t_end"):
+            integrate(control_eq, hist, t_end, h_step)
+    # x(-1) = e^800 overflows, so x does after the first step
+    with pytest.raises(ValueError, match="double range at t=0.01$"):
+        integrate(control_eq, History.exponential(800.0), 1.0, 0.01)
     # the step must stay below the smallest lag
     with pytest.raises(ValueError, match="smallest lag"):
         integrate(control_eq, hist, 5.0, 1.0)
