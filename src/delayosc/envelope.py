@@ -13,7 +13,7 @@ envelope h(t) = sup_{0 <= s <= t} max_i tau_i(s) is nondecreasing and
 eventually periodic in lag form: e(t) = t - h(t) repeats with the common
 period from the second period onward (the running supremum only ever
 looks one period back once a full period has been swept).  It is built
-by one running maximum over the first three periods and stored as an
+by one running maximum over the first two periods and stored as an
 optional transient polyline on [0, t_stab) plus a periodic tail lag.
 Below 0 the envelope takes its settled form, z - tail_lag(z), too.
 """
@@ -34,14 +34,6 @@ __all__ = [
     "tau_min",
     "tau_max_polyline",
 ]
-
-# Two period windows of the lag form are considered identical when node times
-# agree to this tolerance, relative to the windows' largest time or value (at
-# least 1): they are differences of absolute times up to 3 periods.  Values
-# may differ by as much again, plus the delay argument's steepest slope times
-# it: a knot time rounded by an ulp moves its value by that multiple.
-_PERIODIC_TOL = 1e-12
-
 
 def _eval(poly, x):
     """The polyline at ``x``, elementwise; its end segments extend past its
@@ -158,16 +150,6 @@ def _window_form(poly, w0: float, w1: float):
     return _canonical((np.append(t, w1 - w0), np.append(y, y1)))
 
 
-def _windows_match(wa, wb, slope: float) -> bool:
-    """Whether two windows agree, ``slope`` the steepest of the polyline
-    they were swept from."""
-    if wa[0].size != wb[0].size:
-        return False
-    tol = _PERIODIC_TOL * max(1.0, *(np.abs(v).max() for v in (*wa, *wb)))
-    (ta, ya), (tb, yb) = wa, wb
-    return (np.abs(ta - tb) <= tol).all() and (np.abs(ya - yb) <= tol * (1.0 + slope)).all()
-
-
 @dataclass(frozen=True)
 class EnvelopeFunction:
     """Nondecreasing envelope of a delay argument.
@@ -229,19 +211,19 @@ def _pairs(ts, ys) -> tuple[tuple[float, float], ...]:
 
 
 def _envelope_from_polyline(period: float, tau_poly) -> EnvelopeFunction:
-    """Build the transient + periodic-tail form from a 3-period sweep of a
-    delay argument, the polyline ``tau_poly``."""
+    """Build the transient + periodic-tail form from a 2-period sweep of a
+    delay argument, the polyline ``tau_poly``.
+
+    Lags are periodic, so tau(s + P) = tau(s) + P.  Hence from P on, h(t)
+    is the maximum of tau over [t - P, t], and its lag form t - h(t)
+    repeats; it repeats from 0 on exactly when tau peaks over [0, P] at P,
+    up to the rounding that ``_canonical`` allows.
+    """
     h_poly = _running_max(tau_poly)
     ts, ys = h_poly
-    e_poly = _canonical((ts, ts - ys))
-    w0, w1, w2 = (_window_form(e_poly, k * period, (k + 1) * period) for k in range(3))
-    dt, dy = np.diff(tau_poly[0]), np.diff(tau_poly[1])
-    slope = float(np.abs(dy[dt > 0.0] / dt[dt > 0.0]).max(initial=0.0))
-    if not _windows_match(w1, w2, slope):
-        raise ValueError(
-            "lag form of the running supremum failed to settle after one period"
-        )
-    t_stab, (tail_ts, tail_ys) = (0.0, w0) if _windows_match(w0, w1, slope) else (period, w1)
+    first = np.append(tau_poly[1][tau_poly[0] <= period], _eval(tau_poly, period))
+    t_stab = 0.0 if first.max() - first[-1] <= 1e-13 * np.abs(first).max() else period
+    tail_ts, tail_ys = _window_form(_canonical((ts, ts - ys)), t_stab, t_stab + period)
 
     # final knot sits at t = period; it only restates continuity, so it is
     # dropped (the lag form of a running supremum is continuous)
@@ -259,7 +241,7 @@ def _envelope_from_polyline(period: float, tau_poly) -> EnvelopeFunction:
 def running_sup(lag: PiecewisePeriodic) -> EnvelopeFunction:
     """Envelope of the delay argument t - lag(t)."""
     period = lag.period
-    return _envelope_from_polyline(period, _tau_polyline(lag, 0.0, 3.0 * period))
+    return _envelope_from_polyline(period, _tau_polyline(lag, 0.0, 2.0 * period))
 
 
 def combined_envelope(eq: DelayEquation) -> EnvelopeFunction:
@@ -267,7 +249,7 @@ def combined_envelope(eq: DelayEquation) -> EnvelopeFunction:
     envelopes: the running supremum of a maximum is the maximum of the
     running suprema."""
     period = eq.period
-    return _envelope_from_polyline(period, tau_max_polyline(eq, 0.0, 3.0 * period))
+    return _envelope_from_polyline(period, tau_max_polyline(eq, 0.0, 2.0 * period))
 
 
 def tau_max(eq: DelayEquation, t):

@@ -192,7 +192,7 @@ def integrate(
         )
 
     n = int(round(t_end / h_step))
-    if abs(n * h_step - t_end) > 1e-9 * max(1.0, t_end):
+    if abs(n * h_step - t_end) > 1e-9 * t_end:
         n = int(math.ceil(t_end / h_step - 1e-12))
     h = h_step
     block = max(1, math.floor(d_min / h) - 1)
@@ -329,14 +329,14 @@ def check_envelope_ratio(
     traj: Trajectory,
     alpha_val: float | None = None,
     *,
-    window=None,
     n_samples: int = 2000,
 ) -> EnvelopeRatioReport:
-    """Test the envelope ratio bound  min x(h(t))/x(t) >= lambda0(alpha).
+    """Test the envelope ratio bound  min x(h(t))/x(t) >= lambda0(alpha)
+    on the window [t_stab + max_lag + P, t_end].
 
     Applies to nonoscillatory (eventually positive) solutions with
-    alpha in (0, 1/e]; a trajectory that is not positive on the window
-    raises, and so does ``n_samples`` below 1.
+    alpha in (0, 1/e]; a trajectory that ends before the window starts or
+    is not positive on it raises, and so does ``n_samples`` below 1.
     """
     if not n_samples >= 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -345,11 +345,8 @@ def check_envelope_ratio(
         alpha_val = criteria_mod.alpha(eq, env=env)
     lam = criteria_mod.lambda0(alpha_val)
 
-    if window is None:
-        start = env.t_stab + eq.max_lag + eq.period
-        window = (start, traj.t_end)
-    a, b = window
-    if not (0.0 <= a < b <= traj.t_end + 1e-12):
+    a, b = env.t_stab + eq.max_lag + eq.period, traj.t_end
+    if not a < b:
         raise ValueError(
             f"ratio window [{a}, {b}] not usable for a trajectory on "
             f"[0, {traj.t_end}]"

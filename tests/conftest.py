@@ -95,6 +95,26 @@ def make_random_equation(rng: np.random.Generator) -> DelayEquation:
     return DelayEquation(coefficients=tuple(coeffs), lags=tuple(lags))
 
 
+def nth_random_equation(seed: int, k: int) -> DelayEquation:
+    """Draw ``k`` (counted from 0) of ``make_random_equation`` under ``seed``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(k):
+        make_random_equation(rng)
+    return make_random_equation(rng)
+
+
+def make_rescaled_equation(eq: DelayEquation, c: float) -> DelayEquation:
+    """``eq`` with time scaled by c: t -> c t, p -> p / c, d -> c d."""
+
+    def scale(f, k):
+        return PiecewisePeriodic(c * f.period, tuple((c * t, v * k) for t, v in f.breakpoints), f.offset * k)
+
+    return DelayEquation(
+        coefficients=tuple(scale(p, 1.0 / c) for p in eq.coefficients),
+        lags=tuple(scale(d, c) for d in eq.lags),
+    )
+
+
 
 def make_tent_lag_equation(ratio: float) -> DelayEquation:
     """A lag rising from ratio/2 to ratio periods over half a period and

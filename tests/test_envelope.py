@@ -15,7 +15,7 @@ from delayosc import (
 )
 from delayosc import envelope
 
-from conftest import make_random_equation
+from conftest import make_random_equation, make_rescaled_equation, nth_random_equation
 
 
 @pytest.fixture(scope="module")
@@ -171,13 +171,30 @@ def _scaled_equation(period):
 
 @pytest.mark.parametrize("period", [10.0**2.5, 10.0**3.5, 1e6, 10.0**7.5])
 def test_stabilisation_is_detected_at_any_scale(period):
-    # the lag form carries the rounding of absolute times up to 3P, past an
-    # absolute 1e-12 from P ~ 300 on: the windows must match relative to P
+    # the lag form carries the rounding of absolute times up to 2P, past an
+    # absolute 1e-12 from P ~ 300 on: t_stab must be decided relative to P
     unit = combined_envelope(_scaled_equation(1.0))
     env = combined_envelope(_scaled_equation(period))
     assert env.t_stab == period * unit.t_stab
     ts = np.linspace(0.0, 6.0, 601)
     assert np.allclose(env.values(ts * period) / period, unit.values(ts), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("power", [40, 66, 200, -40, -66, -200])
+@pytest.mark.parametrize("k", [4, 18, 25])
+def test_late_settling_is_detected_at_any_scale(k, power):
+    # a power of two scales every time exactly, so t_stab, the transient and
+    # the tail knots scale exactly too; these draws settle after one period,
+    # and at periods of 1e-12 and below a settle check with an absolute
+    # floor took them as settled at 0
+    c = 2.0**power
+    unit_eq = nth_random_equation(20261019, k)
+    unit = combined_envelope(unit_eq)
+    env = combined_envelope(make_rescaled_equation(unit_eq, c))
+    assert unit.t_stab == unit_eq.period
+    assert env.t_stab == c * unit.t_stab
+    assert env.transient == tuple((c * t, c * y) for t, y in unit.transient)
+    assert env.tail_lag.breakpoints == tuple((c * t, c * y) for t, y in unit.tail_lag.breakpoints)
 
 
 def test_envelope_rejects_negative_time(demo_env):
@@ -328,9 +345,8 @@ def test_below_zero_the_envelope_holds_every_delay_argument():
 # -- steep lags ---------------------------------------------------------------
 
 # one constant coefficient and a lag whose last piece falls at a slope of
-# about 1.4e4: the knot times of the second and third period windows agree
-# to 8.9e-16, which that slope turns into a value gap of 1.24e-11, past the
-# 3.0e-12 that the settle check allowed before it took the slope into account
+# about 1.4e4, which turns a knot time rounded by 8.9e-16 into a value gap
+# of 1.24e-11: a settle check that compared period windows refused it
 STEEP_PERIOD = 2.9804741486000266
 STEEP_LAG = (
     (0.0, 2.8539954245261505),
@@ -346,20 +362,13 @@ def make_steep_lag_equation() -> DelayEquation:
     )
 
 
-def _draw(seed, k):
-    rng = np.random.default_rng(seed)
-    for _ in range(k):
-        make_random_equation(rng)
-    return make_random_equation(rng)
-
-
 @pytest.mark.parametrize("case", ["config", "draw-429", "draw-1086"])
 def test_steep_lags_settle(case):
     # the draws' lags fall at slopes of 1.4e4 and 1.2e5
     eq = {
         "config": make_steep_lag_equation,
-        "draw-429": lambda: _draw(20261019, 429),
-        "draw-1086": lambda: _draw(777, 1086),
+        "draw-429": lambda: nth_random_equation(20261019, 429),
+        "draw-1086": lambda: nth_random_equation(777, 1086),
     }[case]()
     env = combined_envelope(eq)
     ts = env.t_stab + np.linspace(0.0, 3.0 * eq.period, 3001)

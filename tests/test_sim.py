@@ -26,6 +26,7 @@ from conftest import (
     make_constant_equation,
     make_demo_equation,
     make_random_equation,
+    make_rescaled_equation,
 )
 
 
@@ -183,7 +184,7 @@ def _ref_integrate(eq, history, t_end, h):
     """One scalar Simpson step at a time, each lookup clamped to the steps
     finished so far: the block integrator must match it to the bit."""
     n = int(round(t_end / h))
-    if abs(n * h - t_end) > 1e-9 * max(1.0, t_end):
+    if abs(n * h - t_end) > 1e-9 * t_end:
         n = int(math.ceil(t_end / h - 1e-12))
     xs = [0.0] * (n + 1)
     ds = [0.0] * (n + 1)
@@ -216,8 +217,9 @@ def _ref_integrate(eq, history, t_end, h):
 
 def _reference_cases():
     """(id, equation, t_end, step): the demo and the control at the usual
-    steps, seeded random draws, and the control at steps where a block is
-    one step (min_lag / h = 1.67) and two steps (3.33)."""
+    steps, seeded random draws, the control at steps where a block is
+    one step (min_lag / h = 1.67) and two steps (3.33), and the demo at a
+    t_end that is not a step multiple, at three time scales."""
     demo = make_demo_equation()
     control = make_constant_equation(0.2, 1.0)
     cases = [("demo", demo, 10.0, 2e-3), ("control", control, 10.0, 2e-3)]
@@ -226,6 +228,9 @@ def _reference_cases():
         eq = make_random_equation(rng)
         cases.append((f"random{i}", eq, 15.0, eq.min_lag / 37.0))
     cases += [("block1", control, 60.0, 0.6), ("block2", control, 60.0, 0.3)]
+    for p in (0, -20, -66):
+        c = 2.0**p
+        cases.append((f"demo-2^{p}", make_rescaled_equation(demo, c), 0.0255 * c, 1e-3 * c))
     return cases
 
 
@@ -240,6 +245,8 @@ def _tabulated_for(eq):
 def test_block_integrator_equals_step_by_step_reference(eq, t_end, h):
     for history in (History.constant(1.0), _tabulated_for(eq)):
         traj = integrate(eq, history, t_end, h)
+        # the last step reaches t_end, at any time scale
+        assert traj.t_end >= t_end * (1.0 - 1e-9)
         times, values, derivs, changes = _ref_integrate(eq, history, t_end, h)
         assert traj.times.tobytes() == times.tobytes()
         assert traj.values.tobytes() == values.tobytes()
@@ -412,6 +419,13 @@ def test_envelope_ratio_near_degenerate_limit():
 def test_envelope_ratio_rejects_no_samples(control_eq, control_traj):
     with pytest.raises(ValueError, match="n_samples"):
         check_envelope_ratio(control_eq, control_traj, 0.2, n_samples=0)
+
+
+def test_envelope_ratio_rejects_a_trajectory_that_ends_before_its_window(control_eq):
+    # the window starts at t_stab + max_lag + P = 2 on the control
+    traj = integrate(control_eq, History.exponential(char_root(0.2)), 2.0, 1e-2)
+    with pytest.raises(ValueError, match=r"ratio window \[2\.0, 2\.0\] not usable"):
+        check_envelope_ratio(control_eq, traj)
 
 
 def test_envelope_ratio_rejects_sign_changes(demo_eq):
