@@ -39,11 +39,13 @@ the breakpoint lattice, level k its delay preimages k deep.  Level 1 seeds
 every table; the settled F and W add the phases where h(z) hits the
 lattice.  A depth-r table, whose integrand reads G_{r-1} at the delayed
 arguments, also breaks at level r - 1, and a piece that fails its tail
-test is cut there, at its hints, rather than at its midpoint, so its
-pieces end on the breaks that halving only approaches.  The preimages come
-from the polyline toolkit in ``envelope``: ``_lattice_preimages``, the
-routine that also gives the alpha and Kwong profile its knots where
-tau_max meets the coefficient lattice.
+test is cut there, at its hints, so its pieces end on the breaks; a piece
+with no hint in reach is halved, as every cut of a table of depth 1 or 2
+is, its seeds holding its hints.  One set-up, ``_fit``, gives every table
+its integrand, seeds and hints.  The preimages come from the polyline
+toolkit in ``envelope``: ``_lattice_preimages``, the routine that also
+gives the alpha and Kwong profile its knots where tau_max meets the
+coefficient lattice.
 ``_within`` is the one lookup: the tables it reads in a call, on common
 pieces, are gathered coefficient-major into one block and summed in one
 Clenshaw pass.  ``_breaks`` lists the phases where the criterion integrals,
@@ -254,7 +256,7 @@ class _CoeffSumLevel:
         self.total = float(self.values(eq.period))
 
 
-def _fit_table(f, edges, tol: float, hints=None) -> list[_Table]:
+def _fit_table(f, edges, tol: float, hints) -> list[_Table]:
     """Antiderivative tables of ``k`` integrands over [edges[0], edges[-1]],
     on common pieces.
 
@@ -266,8 +268,8 @@ def _fit_table(f, edges, tol: float, hints=None) -> list[_Table]:
     _MAX_PIECES pieces.  This is chebfun's splitting rule (Pachon, Platte &
     Trefethen, IMA J. Numer. Anal. 30 (2010); Trefethen, ATAP ch. 3 and 8),
     which puts a break at a detected edge: a failing piece is cut at the
-    sorted ``hints``, the points where the integrands may break, when given
-    (see ``_cut_points``), else at its midpoint.
+    sorted ``hints``, the points where the integrands may break, and at its
+    midpoint when none is in reach (``_cut_points``).
     A row with a non-finite value saturates its own table and takes no
     further part in the splitting.
     """
@@ -294,20 +296,16 @@ def _fit_table(f, edges, tol: float, hints=None) -> list[_Table]:
         floor = _TAIL_FLOOR * scale * np.maximum(1.0, np.abs(np.log(scale + 1e-300)))
         keep = (mag[:, :, -2:].max(axis=2) <= np.maximum(tol / _TAIL_DIV, floor)).all(axis=0)
         pieces += int(keep.sum())
-        fail = ~keep
-        lo, hi, mid = los[fail], his[fail], mids[fail]
-        if hints is not None and hints.size:
-            new_lo, new_hi = _cut_points(lo, hi, hints, multi=depth > 0)
-        else:
-            new_lo, new_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        if depth == _MAX_BISECT or pieces + new_lo.size > _MAX_PIECES:
-            keep[:] = True
+        if not keep.all():
+            cut = _cut_points(los[~keep], his[~keep], hints, multi=depth > 0)
+            if depth == _MAX_BISECT or pieces + cut[0].size > _MAX_PIECES:
+                keep[:] = True
         kept_lo.append(los[keep])
         kept_hi.append(his[keep])
         kept_c.append(c[:, keep])
         if keep.all():
             break
-        los, his = new_lo, new_hi
+        los, his = cut
 
     lo = np.concatenate(kept_lo)
     order = np.argsort(lo)
@@ -408,7 +406,7 @@ def _phases(eq: DelayEquation, cache: KernelCache, levels: int, lag=None) -> np.
 # -- the tables ---------------------------------------------------------------
 
 
-def _weighted_sums(eq: DelayEquation, terms, level, zs, base_at, rows: int = 1):
+def _weighted_sums(eq: DelayEquation, terms, level, zs, base_at, rows: int):
     """Row 0: the sum over ``terms`` of p_i(z) * exp(G(base_at) - G(tau_i(z))),
     G = ``level``; with ``rows`` 2, row 1 the same with the base 0.  The base
     points and every delayed argument take one lookup."""
@@ -421,6 +419,25 @@ def _weighted_sums(eq: DelayEquation, terms, level, zs, base_at, rows: int = 1):
     return acc
 
 
+def _fit(eq, r, terms, cache, tol, h=None, lag=None, rows: int = 1) -> list[_Table]:
+    """The tables of ``rows`` depth-``r`` integrands over one period, on
+    common pieces: row 0 the sum over ``terms`` of p_i(z) * exp(G(base(z)) -
+    G(tau_i(z))), G = G_{r-1}, whose base is z (G_r) or, given, the
+    envelope ``h`` (F); row 1 the same with the base 0 (W).  Seeded at level
+    1 of the phase ladder under ``lag`` and the knots of ``h``, and cut at
+    level r - 1 (``_phases``)."""
+    g = _level(eq, r - 1, cache, tol)
+    if g.saturated:
+        return [_Table()] * rows
+    base, knots = (lambda zs: zs, ()) if h is None else (h.values, h.knots(0.0, eq.period))
+    edges = _seed_edges(np.concatenate([_phases(eq, cache, 1, lag), knots]), 0.0, eq.period)
+
+    def f(zs):
+        return _weighted_sums(eq, terms, g, zs, base(zs), rows)
+
+    return _fit_table(f, edges, tol, _phases(eq, cache, r - 1, lag))
+
+
 def _level(eq: DelayEquation, level: int, cache: KernelCache, tol: float):
     """G_level, cached: exact for level 0, else the periodic table of
     g_level."""
@@ -428,15 +445,7 @@ def _level(eq: DelayEquation, level: int, cache: KernelCache, tol: float):
     def build():
         if level == 0:
             return _CoeffSumLevel(eq)
-        prev = _level(eq, level - 1, cache, tol)
-        if prev.saturated:
-            return _Table()
-        return _fit_table(
-            lambda zs: _weighted_sums(eq, range(eq.m), prev, zs, zs),
-            _seed_edges(_phases(eq, cache, 1), 0.0, eq.period),
-            tol,
-            _phases(eq, cache, level - 1) if level >= 3 else None,
-        )[0]
+        return _fit(eq, level, range(eq.m), cache, tol)[0]
 
     return cache._table(("G", eq, level, None, None, tol), build)
 
@@ -447,24 +456,12 @@ def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> list[_Tabl
     envelope has not settled yet."""
 
     def build():
-        g = _level(eq, r - 1, cache, tol)
-        if g.saturated:
-            return [_Table()] if transient else [_Table(), _Table()]
         if transient:
-            h, points, rows, hints = env, _phases(eq, cache, 1), 1, None
-        else:
-            # the settled envelope, continued periodically: h(z) = z -
-            # tail_lag(z) hits a level at its preimages under the tail lag
-            h = EnvelopeFunction(0.0, (), env.tail_lag)
-            points = _phases(eq, cache, 1, env.tail_lag)
-            rows, hints = 2, _phases(eq, cache, r - 1, env.tail_lag) if r >= 3 else None
-
-        def f(zs):
-            # settled: F's integrand and W's, exp(0.0 - G(tau_i)), on one lookup
-            return _weighted_sums(eq, terms, g, zs, h.values(zs), rows)
-
-        edges = _seed_edges(np.concatenate([points, h.knots(0.0, eq.period)]), 0.0, eq.period)
-        return _fit_table(f, edges, tol, hints)
+            return _fit(eq, r, terms, cache, tol, env)
+        # the settled envelope, continued periodically: h(z) = z -
+        # tail_lag(z) hits a level at its preimages under the tail lag
+        settled = EnvelopeFunction(0.0, (), env.tail_lag)
+        return _fit(eq, r, terms, cache, tol, settled, env.tail_lag, 2)
 
     kind = "F-" if transient else "F"
     return cache._table((kind, eq, r, terms, env, tol), build)

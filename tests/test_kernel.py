@@ -620,10 +620,11 @@ def test_an_overflowing_row_saturates_only_its_own_table(late):
         steep = 1e6 * (zs - 0.999) + 709.0 if late else 800.0 * zs
         return np.stack([np.exp(steep), smooth(zs)])
 
-    # tol 1e-8: the tail test reads tol / 100
-    steep, joint = kernel._fit_table(both, edges, 1e-8)
+    # tol 1e-8: the tail test reads tol / 100; the seeds as hints, so every
+    # cut halves
+    steep, joint = kernel._fit_table(both, edges, 1e-8, edges)
     assert steep.saturated and steep.total == math.inf
-    (alone,) = kernel._fit_table(lambda zs: smooth(zs)[None], edges, 1e-8)
+    (alone,) = kernel._fit_table(lambda zs: smooth(zs)[None], edges, 1e-8, edges)
     if late:
         # the rows were bisected together until the overflow
         assert len(joint.edges) > len(alone.edges)
@@ -656,7 +657,7 @@ def test_check_fits_each_sliding_and_frozen_pair_once(monkeypatch, demo_eq):
     fits = []
     fit = kernel._fit_table
 
-    def counting_fit(f, edges, tol, hints=None):
+    def counting_fit(f, edges, tol, hints):
         fits.append(len(edges))
         return fit(f, edges, tol, hints)
 
@@ -718,17 +719,18 @@ def test_cut_points_away_from_hints_are_plain_halving():
 def _fitted(monkeypatch, eqs, rs, hints=True):
     """(samples, tables): the integrand samples and the tables of every fit
     that ``check_all`` makes for ``eqs`` at the depths ``rs``.  Without
-    ``hints`` each failing piece is cut at its midpoint.  The tables do not
-    depend on the scan grid, so the grid is small."""
+    ``hints`` the seeds are the hints, so each failing piece is cut at its
+    midpoint.  The tables do not depend on the scan grid, so the grid is
+    small."""
     fit = kernel._fit_table
     samples, tables = [0], []
 
-    def counting_fit(f, edges, tol, cuts=None):
+    def counting_fit(f, edges, tol, cuts):
         def counted(zs):
             samples[0] += zs.size
             return f(zs)
 
-        out = fit(counted, edges, tol, cuts if hints else None)
+        out = fit(counted, edges, tol, cuts if hints else edges)
         tables.extend(out)
         return out
 
@@ -792,11 +794,12 @@ def test_hint_levels_stop_at_the_last_one_under_the_cap(monkeypatch, demo_eq):
 
 def test_tables_are_seeded_at_level_one_and_cut_at_level_depth_minus_one(monkeypatch, demo_eq):
     # G_L reads G_{L-1} at the delayed arguments, so it breaks at level L - 1;
-    # the settled F/W table adds the tail lag's preimages to both
+    # the settled F/W table adds the tail lag's preimages to both.  G_1 and
+    # G_2 are cut at levels 0 and 1, which their seeds hold: they halve
     fits = []
     fit = kernel._fit_table
 
-    def recording_fit(f, edges, tol, hints=None):
+    def recording_fit(f, edges, tol, hints):
         fits.append((edges, hints))
         return fit(f, edges, tol, hints)
 
@@ -807,14 +810,13 @@ def test_tables_are_seeded_at_level_one_and_cut_at_level_depth_minus_one(monkeyp
     tail = env.tail_lag
     settled = EnvelopeFunction(0.0, (), tail).knots(0.0, demo_eq.period)
     seeds = kernel._seed_edges(kernel._phases(demo_eq, cache, 1), 0.0, demo_eq.period)
-    want = [(seeds, None), (seeds, None), (seeds, kernel._phases(demo_eq, cache, 2))]
+    want = [(seeds, kernel._phases(demo_eq, cache, k)) for k in range(3)]
     points = np.concatenate([kernel._phases(demo_eq, cache, 1, tail), settled])
     want.append((kernel._seed_edges(points, 0.0, demo_eq.period), kernel._phases(demo_eq, cache, 3, tail)))
     assert len(fits) == len(want)
     for (edges, hints), (want_edges, want_hints) in zip(fits, want):
         assert np.array_equal(edges, want_edges)
-        assert (hints is None) == (want_hints is None)
-        assert hints is None or np.array_equal(hints, want_hints)
+        assert np.array_equal(hints, want_hints)
 
 
 def test_caps_hold_with_multi_way_cuts(monkeypatch, demo_eq):
@@ -823,7 +825,7 @@ def test_caps_hold_with_multi_way_cuts(monkeypatch, demo_eq):
     def fw_table():
         calls = []
 
-        def counting_fit(f, edges, tol, hints=None):
+        def counting_fit(f, edges, tol, hints):
             return fit(lambda zs: calls.append(zs.size) or f(zs), edges, tol, hints)
 
         with monkeypatch.context() as patch:
