@@ -40,7 +40,17 @@ from .envelope import (
     tau_max,
     tau_max_polyline,
 )
-from .kernel import _CHEB_DEG, _CHEB_FIT, _CHEB_U, DEFAULT_TOL, KernelCache, _breaks, _criterion
+from .kernel import (
+    _BLOCK,
+    _CHEB_DEG,
+    _CHEB_FIT,
+    _CHEB_U,
+    _MAX_KINKS,
+    DEFAULT_TOL,
+    KernelCache,
+    _breaks,
+    _criterion,
+)
 from .model import DelayEquation, _merge_close, _piece, breakpoint_times, phase_lattice
 
 __all__ = [
@@ -88,9 +98,6 @@ _NEWTON_STEPS = 3
 # value by this many times what rounding explains shows a break a rounding
 # inside that end.
 _KINK_FACTOR = 10.0
-# pieces per block of ``_quadratic_extrema``: a profile of the tent lag at
-# L/P = 1e6 has a million knots
-_BLOCK = 1 << 16
 # width of ``lambda0``'s final bracket
 _LAMBDA_XTOL = 1e-13
 
@@ -715,6 +722,12 @@ def check_all(
                 f"{v.name} saturated: its integrand overflows the double range, "
                 "so its value is +inf and exceeds any threshold."
             )
+    if cache.capped:
+        notes.append(
+            f"kink cap reached: past {_MAX_KINKS} delay preimages, the kernel tables "
+            "and the scan grid hold fewer kinks, so values may be off by more than "
+            f"tol ({tol:.1e})."
+        )
 
     return CheckReport(
         alpha=a_val,

@@ -104,6 +104,10 @@ _TAIL_FLOOR = 1e-14
 # remaining pieces are kept as they are
 _MAX_BISECT = 40
 _MAX_PIECES = 1 << 16
+# points per integrand call of ``_fit_table``, and pieces per block of
+# ``criteria._quadratic_extrema``: memory stays bounded whatever the number
+# of pieces, terms or knots
+_BLOCK = 1 << 14
 # A piece is kept once its trailing coefficients fall below tol / _TAIL_DIV:
 # across a break of a higher derivative, which the seeds do not hold, the
 # tail understates a piece's error (at the default tol the sloped-lag oracle
@@ -126,6 +130,8 @@ class KernelCache:
     settled sliding and frozen tables of a level, are fitted together, so
     they share F's pieces and one entry, keyed by the envelope.  Every table
     spans one period; a transient F covers [0, t_stab) when t_stab > 0.
+    ``capped`` records that some set of delay preimages passed _MAX_KINKS
+    and was left out, so a table or a scan grid holds fewer kinks.
 
     A table is built on first use and read by every later lookup, so results
     with and without a shared cache are identical.
@@ -133,6 +139,7 @@ class KernelCache:
 
     def __init__(self):
         self._tables: dict = {}
+        self.capped = False
 
     def _table(self, key, build):
         if key not in self._tables:
@@ -261,11 +268,12 @@ def _fit_table(f, edges, tol: float, hints) -> list[_Table]:
     on common pieces.
 
     ``f`` maps an array of n points to a (k, n) array of values, one row per
-    integrand.  Each piece between ``edges`` is interpolated in _CHEB_DEG + 1
-    Chebyshev points and kept once the two trailing coefficients of every
-    row fall below ``tol / _TAIL_DIV`` (or the rounding floor); otherwise it
-    is cut, at most _MAX_BISECT times and while the tables stay within
-    _MAX_PIECES pieces.  This is chebfun's splitting rule (Pachon, Platte &
+    integrand; it is called on at most _BLOCK points at a time.  Each piece
+    between ``edges`` is interpolated in _CHEB_DEG + 1 Chebyshev points and
+    kept once the two trailing coefficients of every row fall below
+    ``tol / _TAIL_DIV`` (or the rounding floor); otherwise it is cut, at
+    most _MAX_BISECT times and while the tables stay within _MAX_PIECES
+    pieces.  This is chebfun's splitting rule (Pachon, Platte &
     Trefethen, IMA J. Numer. Anal. 30 (2010); Trefethen, ATAP ch. 3 and 8),
     which puts a break at a detected edge: a failing piece is cut at the
     sorted ``hints``, the points where the integrands may break, and at its
@@ -282,8 +290,9 @@ def _fit_table(f, edges, tol: float, hints) -> list[_Table]:
         mids = 0.5 * (los + his)
         halves = 0.5 * (his - los)
         pts = mids[:, None] + halves[:, None] * _CHEB_U[None, :]
+        x = pts.ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = f(pts.ravel())
+            vals = np.concatenate([f(x[i : i + _BLOCK]) for i in range(0, x.size, _BLOCK)], 1)
         vals = vals.reshape(len(vals), *pts.shape)
         dead = dead | ~np.isfinite(vals).all(axis=(1, 2))
         if dead.all():
@@ -379,6 +388,14 @@ def _chain(eq: DelayEquation, cache: KernelCache, lags):
     )
 
 
+def _preimages(eq: DelayEquation, cache: KernelCache, lags, phases):
+    """Where some z - d(z), d of ``lags``, hits ``phases`` over [0, P]
+    (``_lattice_preimages``); None past _MAX_KINKS, recorded on ``cache``."""
+    z = _lattice_preimages(_chain(eq, cache, lags), phases, eq.period, _MAX_KINKS)
+    cache.capped |= z is None
+    return z
+
+
 def _phases(eq: DelayEquation, cache: KernelCache, levels: int, lag=None) -> np.ndarray:
     """Rung ``levels`` of the kink phase ladder of ``eq``, cached.  Level 0 is
     the breakpoint lattice, and level k adds the delay preimages of level
@@ -397,7 +414,7 @@ def _phases(eq: DelayEquation, cache: KernelCache, levels: int, lag=None) -> np.
             return phase_lattice(eq.coefficients + eq.lags)
         below = _phases(eq, cache, levels - 1)
         base, lags = (below, eq.lags) if lag is None else (_phases(eq, cache, levels), (lag,))
-        z = _lattice_preimages(_chain(eq, cache, lags), below, eq.period, _MAX_KINKS)
+        z = _preimages(eq, cache, lags, below)
         return base if z is None else _merge_close(np.concatenate([base, z[z < eq.period]]))
 
     return cache._table(("phases", eq, levels, lag), build)
@@ -544,7 +561,7 @@ def _breaks(eq, r, env, cache, tol) -> np.ndarray:
     if not edges:
         return np.empty(0)
     phases = np.concatenate(edges)
-    pre = _lattice_preimages(_chain(eq, cache, (env.tail_lag,)), phases, eq.period, _MAX_KINKS)
+    pre = _preimages(eq, cache, (env.tail_lag,), phases)
     return phases if pre is None else np.concatenate([phases, pre])
 
 

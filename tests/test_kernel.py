@@ -33,6 +33,7 @@ from conftest import (
     kink_cases,
     make_bench_piecewise_equation,
     make_demo_equation,
+    make_many_breakpoint_equation,
     make_random_equation,
     make_tent_lag_equation,
     midpoint_integral,
@@ -465,6 +466,16 @@ def test_kink_phases_fall_back_to_the_lattice_past_the_cap():
     assert out["kinks"] == len(_lattice(make_tent_lag_equation(1e4))), out
 
 
+def test_a_check_past_the_kink_cap_says_so_in_its_notes(demo_eq):
+    # the fallback holds fewer kinks, so values may miss tol: never silently
+    def capped(eq, r):
+        note = f"kink cap reached: past {kernel._MAX_KINKS} delay preimages"
+        return any(n.startswith(note) for n in check_all(eq, r).notes)
+
+    assert capped(make_tent_lag_equation(1e4), 2)
+    assert not any(capped(demo_eq, r) for r in (1, 2, 3, 4))
+
+
 # The tent lag from 500 to 1000 periods settles at once, and h(0) lies about
 # 500 periods below 0: the transient sliding table once spanned all of them,
 # each tiled with the level-1 phases, 1e6 seeds, and took 2.2 GB at r = 1
@@ -664,6 +675,24 @@ def test_check_fits_each_sliding_and_frozen_pair_once(monkeypatch, demo_eq):
     monkeypatch.setattr(kernel, "_fit_table", counting_fit)
     check_all(demo_eq, 3)
     assert len(fits) == 3
+
+
+def test_integrand_calls_take_at_most_a_block(monkeypatch, demo_eq):
+    # a round of the 1000-breakpoint coefficient's tables holds 47 243
+    # points; the integrand is elementwise, so blocks change no value
+    sizes = []
+    weighted = kernel._weighted_sums
+
+    def recording(eq, terms, level, zs, *args):
+        sizes.append(zs.size)
+        return weighted(eq, terms, level, zs, *args)
+
+    monkeypatch.setattr(kernel, "_weighted_sums", recording)
+    check_all(make_many_breakpoint_equation(), 1)
+    assert 0 < max(sizes) <= kernel._BLOCK
+    whole = repr(check_all(demo_eq, 3))
+    monkeypatch.setattr(kernel, "_BLOCK", 100)
+    assert repr(check_all(demo_eq, 3)) == whole
 
 
 # -- cutting failing pieces at the delay preimages -------------------------------

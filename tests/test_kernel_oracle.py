@@ -312,13 +312,23 @@ def test_check_reports_on_the_hint_cut_path_are_pinned(eq, sha):
 
 
 @pytest.mark.parametrize(
-    "name,eq",
-    [("demo", make_demo_equation()), ("refined", _refined_draw())],
-    ids=["demo", "refined"],
+    "name,eq,frac",
+    [
+        ("demo", make_demo_equation(), None),
+        ("refined", _refined_draw(), None),
+        # the window [h(t), t] lies where the envelope has not settled yet,
+        # read off the transient table, cut at its kinks
+        ("transient", _transient_draw(), 0.6),
+    ],
+    ids=["demo", "refined", "transient"],
 )
-def test_depth_three_criteria_match_gauss_legendre_oracle(name, eq):
+def test_depth_three_criteria_match_gauss_legendre_oracle(name, eq, frac):
+    # t is ``frac`` of t_stab, or two spans past it for None
     env = combined_envelope(eq)
-    t = env.t_stab + 2.0 * (eq.max_lag + eq.period) + 0.37 * eq.period
+    if frac is None:
+        t = env.t_stab + 2.0 * (eq.max_lag + eq.period) + 0.37 * eq.period
+    else:
+        t = frac * env.t_stab
     h = env(t)
     oracle = Oracle(eq, h - eq.max_lag, t)
     cache = KernelCache()
