@@ -29,8 +29,8 @@ import sys
 
 import numpy as np
 
-from .criteria import CheckReport, check_all, criterion_profile
-from .kernel import DEFAULT_TOL
+from .criteria import CheckReport, _kink_cap_note, check_all, criterion_profile
+from .kernel import DEFAULT_TOL, KernelCache
 from .model import DelayEquation, PiecewisePeriodic
 from .sim import History, count_sign_changes, integrate
 
@@ -231,9 +231,15 @@ def cmd_check(args) -> int:
 
 def cmd_scan(args) -> int:
     eq = load_equation(args.config)
-    f, w0, ts = criterion_profile(eq, args.r, args.kind, tol=args.tol, n_grid=args.grid)
+    cache = KernelCache()
+    f, w0, ts = criterion_profile(
+        eq, args.r, args.kind, tol=args.tol, n_grid=args.grid, cache=cache
+    )
     ts = ts[:-1]  # half-open period window: the grid ends exactly at w0 + P
     _write_csv(args.out, "t,F", ts - w0, f(ts))
+    if cache.capped:
+        # stdout holds the profile alone; the note a check would report
+        print(f"note: {_kink_cap_note(args.tol)}", file=sys.stderr)
     return 0
 
 

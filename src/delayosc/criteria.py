@@ -349,15 +349,17 @@ def _quadratic_extrema(f, knots, curvature=None, seam_jump: bool = False):
     return lo, hi
 
 
-def _window(eq: DelayEquation, env: EnvelopeFunction | None, depth: int):
+def _window(eq: DelayEquation, env: EnvelopeFunction | None):
     """``(env, w0, w1)``: the envelope, built when not given, and the
-    period-aligned steady-state scan window ``[w0, w1 = w0 + P]``.  Its start
-    is (depth + 2)(max_lag + P) past t_stab, over a period more than the
-    (depth + 1) lags ``depth`` nested kernel lookups reach back: a bracket
-    wrapped across the seam reads at most a period before w0."""
+    period-aligned steady-state scan window ``[w0, w1 = w0 + P]`` of every
+    criterion.  Its start is the first period multiple at or past t_stab +
+    max_lag + P: from t_stab + max_lag on, h(t) >= t_stab, so every profile
+    reads the settled envelope and one-period tables and is periodic, at any
+    depth, and a bracket wrapped across the seam reads at most a period
+    before w0."""
     env = env if env is not None else combined_envelope(eq)
-    t0 = env.t_stab + (depth + 2) * (eq.max_lag + eq.period)
-    w0 = eq.period * math.ceil(t0 / eq.period - 1e-9)
+    t0 = env.t_stab + eq.max_lag + eq.period
+    w0 = eq.period * math.ceil(t0 / eq.period)
     return env, w0, w0 + eq.period
 
 
@@ -388,7 +390,7 @@ def _coeff_integral_profile(eq, lower, polyline, env):
     derivative S''(t) - S''(lower(t)) lower'(t)^2, zero when S' is constant.
     Knots a rounding apart are kept apart: merged, they could hide a kink
     inside a piece."""
-    _, w0, w1 = _window(eq, env, 0)
+    _, w0, w1 = _window(eq, env)
     anti = eq.coeff_sum_antiderivative
 
     def f(ts):
@@ -420,7 +422,7 @@ def _product_profile(eq, env):
     """``(f, knots, curvature)`` for ``_quadratic_extrema``: t -> sum_i
     p_i(t) d_i(t) over one settled period.  Between the knots every factor is
     linear, so f is quadratic, with second derivative 2 sum_i p_i' d_i'."""
-    _, w0, w1 = _window(eq, env, 0)
+    _, w0, w1 = _window(eq, env)
     terms = list(zip(eq.coefficients, eq.lags))
 
     def f(ts):
@@ -524,7 +526,7 @@ def _kernel_profile(eq, r, kinds, env, cache, tol, n_grid, table_knots=False):
     env = env if env is not None else combined_envelope(eq)
     cache = cache if cache is not None else KernelCache()
     f = _criterion(eq, r, kinds, env, cache, tol)
-    _, w0, w1 = _window(eq, env, r)
+    _, w0, w1 = _window(eq, env)
     knots = [breakpoint_times(eq.coefficients + eq.lags, w0, w1), env.knots(w0, w1)]
     if table_knots:
         # w0 is a period multiple, so the phases shift onto the window
@@ -611,6 +613,15 @@ class CheckReport:
         raise KeyError(name)
 
 
+def _kink_cap_note(tol: float) -> str:
+    """What a check or scan says when ``KernelCache.capped`` is set."""
+    return (
+        f"kink cap reached: past {_MAX_KINKS} delay preimages, the kernel tables "
+        "and the scan grid hold fewer kinks, so values may be off by more than "
+        f"tol ({tol:.1e})."
+    )
+
+
 def _is_monotone_delay(eq: DelayEquation) -> bool:
     """tau(t) = t - d(t) nondecreasing <=> every lag segment has slope <= 1."""
     return all(d.max_slope <= 1.0 + 1e-12 for d in eq.lags)
@@ -646,15 +657,11 @@ def check_all(
     inner, outer = _scan_maxima(f, ts)
     lam = lambda0(a_val) if 0.0 < a_val <= INV_E else None
 
-    window_liminf = _window(eq, env, 0)[1:]
-    window_kernel = (w0, w0 + eq.period)
-    base_params = {"tol": tol, "r": None}
-
-    def params_liminf():
-        return dict(base_params, window=window_liminf)
+    # one window: every profile is periodic from it on, at any depth
+    base_params = {"tol": tol, "r": None, "window": (w0, w0 + eq.period)}
 
     def params_kernel(t):
-        return dict(base_params, r=r, n_grid=n_grid, window=window_kernel, t=t)
+        return dict(base_params, r=r, n_grid=n_grid, t=t)
 
     lam_threshold = (1.0 + math.log(lam)) / lam if lam is not None else None
     sqrt_arg = 1.0 - 2.0 * a_val - a_val * a_val
@@ -681,14 +688,14 @@ def check_all(
         )
 
     verdicts = (
-        verdict("ladde_1_3", a_val, INV_E, True, params_liminf()),
-        verdict("hunt_yorke_1_4", hy, INV_E, True, params_liminf()),
+        verdict("ladde_1_3", a_val, INV_E, True, dict(base_params)),
+        verdict("hunt_yorke_1_4", hy, INV_E, True, dict(base_params)),
         verdict(
             "kwong_1_5",
             kw,
             lam_threshold,
             eq.m == 1 and _is_monotone_delay(eq) and lam is not None,
-            params_liminf(),
+            dict(base_params),
         ),
         verdict("bcs_1_8", outer.value, 1.0, True, params_kernel(outer.t)),
         verdict(
@@ -723,11 +730,7 @@ def check_all(
                 "so its value is +inf and exceeds any threshold."
             )
     if cache.capped:
-        notes.append(
-            f"kink cap reached: past {_MAX_KINKS} delay preimages, the kernel tables "
-            "and the scan grid hold fewer kinks, so values may be off by more than "
-            f"tol ({tol:.1e})."
-        )
+        notes.append(_kink_cap_note(tol))
 
     return CheckReport(
         alpha=a_val,

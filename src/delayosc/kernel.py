@@ -24,24 +24,26 @@ below ``tol / 100``, cut otherwise):
 
     G_L  of g_L(z) = sum_i p_i(z) K_L(z, tau_i(z)), one period;
          K_r(t, s) = exp(G_{r-1}(t) - G_{r-1}(s)), G_0 exact
-    F    of the sliding integrand, one period past env.t_stab, and a
-         transient table over [0, t_stab); sliding = F(b) - F(a)
+    F    of the sliding integrand over one period of the settled envelope,
+         z - tail_lag(z); sliding = F(b) - F(a)
     W    of w(z) = sum_i p_i(z) exp(-G_{r-1}(tau_i(z))), one period, as
-         w(z + P) = e^{-T} w(z); frozen = e^{G_{r-1}(c)} (W(b) - W(a))
+         w(z + P) = e^{-T} w(z); frozen = e^{G_{r-1}(c)} (W(b) - W(a)),
+         its part from a to the period's end read off suffix sums
 
-The settled F and W differ only in the base of the exponent, G_{r-1}(h(z))
-or 0, so they are fitted together: one set of samples, one set of pieces,
-W keyed by the envelope like F.  Every table spans one period: below 0
-the envelope takes its settled form, so F there is read off the settled
-table, and t_stab is 0 or a period.  Every table is seeded and cut at the
+F and W differ only in the base of the exponent, G_{r-1}(h(z)) or 0, so
+they are fitted together: one set of samples, one set of pieces, keyed by
+the tail lag.  The envelope has its settled form below 0 and from t_stab
+on (t_stab is 0 or a period), so a sliding integral is defined over spans
+that do not meet [0, t_stab); the criteria read only past t_stab +
+max_lag, where h(t) >= t_stab.  Every table is seeded and cut at the
 rungs of one ladder of kink phases per equation (``_phases``): level 0 is
 the breakpoint lattice, level k its delay preimages k deep.  Level 1 seeds
-every table; the settled F and W add the phases where h(z) hits the
-lattice.  A depth-r table, whose integrand reads G_{r-1} at the delayed
-arguments, also breaks at level r - 1, and a piece that fails its tail
-test is cut there, at its hints, so its pieces end on the breaks; a piece
-with no hint in reach is halved, as every cut of a table of depth 1 or 2
-is, its seeds holding its hints.  One set-up, ``_fit``, gives every table
+every table; F and W add the phases where h(z) hits the lattice.  A
+depth-r table, whose integrand reads G_{r-1} at the delayed arguments,
+also breaks at level r - 1, and a piece that fails its tail test is cut
+there, at its hints, so its pieces end on the breaks; a piece with no
+hint in reach is halved, as every cut of a table of depth 1 or 2 is,
+its seeds holding its hints.  One set-up, ``_fit``, gives every table
 its integrand, seeds and hints.  The preimages come from the polyline
 toolkit in ``envelope``: ``_lattice_preimages``, the routine that also
 gives the alpha and Kwong profile its knots where tau_max meets the
@@ -61,8 +63,13 @@ import math
 
 import numpy as np
 
-from .envelope import EnvelopeFunction, _lattice_preimages, _tau_polyline, combined_envelope
-from .model import DelayEquation, _merge_close, _piece, phase_lattice
+from typing import TYPE_CHECKING
+
+from .envelope import _lattice_preimages, _tau_polyline, combined_envelope
+from .model import DelayEquation, _merge_close, _piece, breakpoint_times, phase_lattice
+
+if TYPE_CHECKING:
+    from .envelope import EnvelopeFunction
 
 __all__ = [
     "KernelCache",
@@ -127,9 +134,9 @@ class KernelCache:
     and the delay-argument polyline of each lag set they are built from.
     Level 1 seeds every table, and level r - 1 gives the hints a failing
     piece of a depth-r table is cut at, built with the table.  F and W, the
-    settled sliding and frozen tables of a level, are fitted together, so
-    they share F's pieces and one entry, keyed by the envelope.  Every table
-    spans one period; a transient F covers [0, t_stab) when t_stab > 0.
+    sliding and frozen tables of a level, are fitted together, so they
+    share F's pieces and one entry, keyed by the envelope's tail lag.
+    Every table spans one period.
     ``capped`` records that some set of delay preimages passed _MAX_KINKS
     and was left out, so a table or a scan grid holds fewer kinks.
 
@@ -201,31 +208,46 @@ class _Table:
     ``coef`` holds one row of antiderivative coefficients per piece, shape
     (nseg, deg + 2), in the piece's local variable u in [-1, 1], stored
     column-major: lookups read it as ``coef.T``, one contiguous row per
-    coefficient.  ``cum`` holds the integral up to each piece's left end.
-    Every table spans [0, P] and is read periodically.  A ``saturated``
-    table stands for an integrand that overflowed; it carries no
-    coefficients.
+    coefficient.  ``cum`` holds the integral up to each piece's left end,
+    and ``rest`` the integral from there to the table's end, summed from
+    that end.  Every table spans [0, P] and is read periodically.  A
+    ``saturated`` table stands for an integrand that overflowed; it carries
+    no coefficients.
     """
 
-    __slots__ = ("edges", "coef", "cum", "total", "saturated")
+    __slots__ = ("edges", "coef", "cum", "rest", "total", "saturated")
 
-    def __init__(self, edges=None, coef=None, cum=None):
+    def __init__(self, edges=None, coef=None):
         self.edges = edges
         self.coef = coef
-        self.cum = cum
-        self.saturated = cum is None
-        self.total = math.inf if self.saturated else float(cum[-1])
+        self.saturated = coef is None
+        self.cum = self.rest = None
+        self.total = math.inf
+        if not self.saturated:
+            piece = coef.sum(axis=1)  # T_k(1) = 1
+            self.cum = np.concatenate([[0.0], np.cumsum(piece)])
+            self.rest = np.append(np.cumsum(piece[::-1])[::-1], 0.0)
+            self.total = float(self.cum[-1])
 
     def values(self, xs):
         """Periodic continuation: A(x + P) = A(x) + total."""
-        k, (frac,) = _split([self], xs)
-        return k * self.total + frac
+        k, u = _split(self.edges[-1], xs)
+        lump, part = self.parts(u)
+        return k * self.total + (lump + part)
+
+    def parts(self, us):
+        """A at the points ``us`` of [0, P] in two parts, unsummed: its value
+        at the left end of each point's piece, and the integral from there."""
+        j, (s,) = _within([self], us)
+        return self.cum[j], s
 
 
 def _within(tables, xs):
-    """Each of ``tables``, fitted on common pieces, at the points ``xs`` of
-    their span, in the shape of ``xs``: one search of the pieces and one
-    Clenshaw pass over every table's coefficients.
+    """``(j, [s, ...])`` at the points ``xs`` of the span of ``tables``,
+    fitted on common pieces, in the shape of ``xs``: the piece j of each
+    point, and each table's integral from that piece's left end, by one
+    search of the pieces and one Clenshaw pass over every table's
+    coefficients.
 
     Each table gathers its series coefficient-major, a column per point,
     into a contiguous slab of one block.  ``mode="clip"``: numpy buffers a
@@ -241,16 +263,14 @@ def _within(tables, xs):
     for t, slab in zip(tables, block):
         np.take(t.coef.T, j, axis=1, out=slab, mode="clip")
     sums = _clenshaw(u, block.transpose(1, 0, 2))
-    return [(t.cum[j] + s).reshape(shape) for t, s in zip(tables, sums)]
+    return j.reshape(shape), [s.reshape(shape) for s in sums]
 
 
-def _split(tables, xs):
-    """``(k, [A(u), ...])`` for x = k * P + u with u in [0, P], over
-    ``tables`` on common pieces of [0, P]."""
+def _split(period: float, xs):
+    """``(k, u)`` for x = k * P + u with u in [0, P]."""
     x = np.asarray(xs, dtype=float)
-    period = tables[0].edges[-1]
     k = np.floor(x / period)
-    return k, _within(tables, np.minimum(np.maximum(x - k * period, 0.0), period))
+    return k, np.minimum(np.maximum(x - k * period, 0.0), period)
 
 
 class _CoeffSumLevel:
@@ -261,6 +281,9 @@ class _CoeffSumLevel:
     def __init__(self, eq: DelayEquation):
         self.values = eq.coeff_sum_antiderivative
         self.total = float(self.values(eq.period))
+
+    def parts(self, us):
+        return 0.0, self.values(us)
 
 
 def _fit_table(f, edges, tol: float, hints) -> list[_Table]:
@@ -326,10 +349,8 @@ def _fit_table(f, edges, tol: float, hints) -> list[_Table]:
     tables = []
     for cj, saturated in zip(coef, dead):
         # a one-row fit's memory layout, so numpy sums each row in its order
-        cj = np.asfortranarray(cj)
-        cum = np.concatenate([[0.0], np.cumsum(cj.sum(axis=1))])  # T_k(1) = 1
-        ok = not saturated and math.isfinite(cum[-1])
-        tables.append(_Table(edges, cj, cum) if ok else _Table())
+        table = _Table(edges, np.asfortranarray(cj))
+        tables.append(table if not saturated and math.isfinite(table.total) else _Table())
     return tables
 
 
@@ -436,21 +457,22 @@ def _weighted_sums(eq: DelayEquation, terms, level, zs, base_at, rows: int):
     return acc
 
 
-def _fit(eq, r, terms, cache, tol, h=None, lag=None, rows: int = 1) -> list[_Table]:
-    """The tables of ``rows`` depth-``r`` integrands over one period, on
-    common pieces: row 0 the sum over ``terms`` of p_i(z) * exp(G(base(z)) -
-    G(tau_i(z))), G = G_{r-1}, whose base is z (G_r) or, given, the
-    envelope ``h`` (F); row 1 the same with the base 0 (W).  Seeded at level
-    1 of the phase ladder under ``lag`` and the knots of ``h``, and cut at
-    level r - 1 (``_phases``)."""
+def _fit(eq, r, terms, cache, tol, lag=None) -> list[_Table]:
+    """The tables of the depth-``r`` integrands over one period, on common
+    pieces: the sum over ``terms`` of p_i(z) * exp(G(base(z)) - G(tau_i(z))),
+    G = G_{r-1}, whose base is z (G_r) or, with ``lag``, z - lag(z) (F),
+    followed then by the same with the base 0 (W).  Seeded at level 1 of the
+    phase ladder under ``lag`` and the lag's breakpoints, and cut at level
+    r - 1 (``_phases``)."""
+    rows = 1 if lag is None else 2
     g = _level(eq, r - 1, cache, tol)
     if g.saturated:
         return [_Table()] * rows
-    base, knots = (lambda zs: zs, ()) if h is None else (h.values, h.knots(0.0, eq.period))
+    knots = () if lag is None else breakpoint_times([lag], 0.0, eq.period)
     edges = _seed_edges(np.concatenate([_phases(eq, cache, 1, lag), knots]), 0.0, eq.period)
 
     def f(zs):
-        return _weighted_sums(eq, terms, g, zs, base(zs), rows)
+        return _weighted_sums(eq, terms, g, zs, zs if lag is None else zs - lag.values(zs), rows)
 
     return _fit_table(f, edges, tol, _phases(eq, cache, r - 1, lag))
 
@@ -467,21 +489,12 @@ def _level(eq: DelayEquation, level: int, cache: KernelCache, tol: float):
     return cache._table(("G", eq, level, None, None, tol), build)
 
 
-def _sliding_table(eq, r, terms, env, cache, tol, transient: bool) -> list[_Table]:
-    """``[F, W]``, fitted together over one period of the settled envelope,
-    or (``transient``) ``[F]`` over [0, t_stab), the one period where the
-    envelope has not settled yet."""
-
-    def build():
-        if transient:
-            return _fit(eq, r, terms, cache, tol, env)
-        # the settled envelope, continued periodically: h(z) = z -
-        # tail_lag(z) hits a level at its preimages under the tail lag
-        settled = EnvelopeFunction(0.0, (), env.tail_lag)
-        return _fit(eq, r, terms, cache, tol, settled, env.tail_lag, 2)
-
-    kind = "F-" if transient else "F"
-    return cache._table((kind, eq, r, terms, env, tol), build)
+def _sliding_table(eq, r, terms, env, cache, tol) -> list[_Table]:
+    """``[F, W]``, fitted together over one period of the settled envelope
+    z - tail_lag(z), which hits a level at its preimages under the tail
+    lag."""
+    lag = env.tail_lag
+    return cache._table(("F", eq, r, terms, lag, tol), lambda: _fit(eq, r, terms, cache, tol, lag))
 
 
 def _integrals(eq, r, terms, env, cache, tol, kinds, c, a, b):
@@ -492,60 +505,57 @@ def _integrals(eq, r, terms, env, cache, tol, kinds, c, a, b):
 
     the sliding envelope h of ``env``, or the reference ``c`` frozen (read
     by "outer" rows only).  F and W are fitted on the same pieces, so the
-    rows share one search of them and one Clenshaw pass."""
+    rows share one search of them and one Clenshaw pass.  An "inner" row
+    whose span [a, b] meets [0, t_stab), where h has not settled, raises."""
     a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)))
-    per = _sliding_table(eq, r, terms, env, cache, tol, False)
+    if env.t_stab > 0.0 and "inner" in kinds and ((a < env.t_stab) & (b >= 0.0)).any():
+        raise ValueError(
+            f"the sliding envelope settles at t_stab = {env.t_stab}: a sliding integral "
+            "needs its span [a, b] below 0 or from t_stab on"
+        )
+    per = _sliding_table(eq, r, terms, env, cache, tol)
     tables = [per[0] if kind == "inner" else per[1] for kind in kinds]
-    x = np.stack([a, b])
     live = [t for t in tables if not t.saturated]
-    k, parts = _split(live, x) if live else (None, [])
-    parts = iter(parts)
+    k, u = _split(eq.period, np.stack([a, b]))
+    j, sums = _within(live, u) if live else (None, [])
+    sums = iter(sums)
     rows = []
     for kind, table in zip(kinds, tables):
         if table.saturated:
-            row = None
+            rows.append(np.where(b > a, math.inf, 0.0))
         elif kind == "inner":
-            row = _sliding(eq, r, terms, env, cache, tol, table, x, k * table.total + next(parts))
+            out = k * table.total + (table.cum[j] + next(sums))
+            rows.append(out[1] - out[0])
         else:
-            row = _frozen(eq, r, cache, tol, table, c, k, next(parts))
-        rows.append(np.where(b > a, math.inf, 0.0) if row is None else row)
+            rows.append(_frozen(eq, r, cache, tol, table, c, k, j, next(sums)))
     return np.stack(rows)
 
 
-def _sliding(eq, r, terms, env, cache, tol, per, x, out):
-    """integral_{x[0]}^{x[1]} of the sliding integrand, from ``out``, F of
-    the settled table ``per`` at ``x``.  When t_stab > 0, points below it
-    read the transient table on [0, t_stab), and below 0 ``per`` down to 0.
-    None when the transient table saturates."""
-    pre = x < env.t_stab
-    if env.t_stab > 0.0 and pre.any():
-        (tr,) = _sliding_table(eq, r, terms, env, cache, tol, True)
-        if tr.saturated:
-            return None
-        xs = x[pre]
-        # F(x) = F(t_stab) - integral_x^{t_stab}: the part of it on [0, x),
-        # or minus the settled integral over [x, 0)
-        part = np.where(xs < 0.0, out[pre] - per.values(0.0), tr.values(xs))
-        out[pre] = per.values(env.t_stab) - (tr.total - part)
-    return out[1] - out[0]
-
-
-def _frozen(eq, r, cache, tol, w, c, k, ws):
-    """integral_a^b of the frozen integrand at ``c``, from W's split
-    ``(k, ws)`` at ``(a, b)``."""
+def _frozen(eq, r, cache, tol, w, c, k, j, s):
+    """integral_a^b of the frozen integrand at ``c``, from the periods ``k``,
+    the pieces ``j`` and the sums ``s`` of W at ``(a, b)``."""
     g = _level(eq, r - 1, cache, tol)
     big_t = g.total
-    (ka, kb), (wa, wb) = k, ws
+    (ka, kb), (ja, jb), (sa, sb) = k, j, s
     n = kb - ka
-    # sum_{j=0}^{n-1} e^{-jT}: the periods between a and b
-    geo = n if big_t == 0.0 else np.expm1(-n * big_t) / np.expm1(-big_t)
-    # e^{k_a T} (W(b) - W(a)), as W(kP + u) = W_P geo(k) + e^{-kT} W(u); the
-    # integral of a nonnegative function, so rounding below 0 is clipped
-    inside = np.maximum(w.total * geo - wa + np.exp(-n * big_t) * wb, 0.0)
-    # times e^{G(c) - k_a T}, saturating past float range
-    expo = g.values(c) - ka * big_t
+    wb = w.cum[jb] + sb
+    # e^{k_a T} (W(b) - W(a)), as W(kP + u) = W_P geo(k) + e^{-kT} W(u) with
+    # geo(k) = sum_{j<k} e^{-jT}: within a period, W(b) - W(a); across
+    # periods, the rest of a's period (suffix sums, so W_P - W(a) does not
+    # cancel), the n - 1 whole periods and the start of b's, none negative
+    whole = np.maximum(n - 1, 0)
+    geo = whole if big_t == 0.0 else np.expm1(-whole * big_t) / np.expm1(-big_t)
+    across = (w.rest[ja] - sa) + math.exp(-big_t) * w.total * geo + np.exp(-n * big_t) * wb
+    # the integral of a nonnegative function, so rounding below 0 is clipped
+    inside = np.maximum(np.where(n == 0, wb - (w.cum[ja] + sa), across), 0.0)
+    # times e^{G(c) - k_a T} = e^{(k_c - k_a) T + G(u_c)}, saturating past
+    # float range; G(u_c) in two parts, as rounding their sum would cost the
+    # factor an ulp of G(u_c)
+    kc, uc = _split(eq.period, c)
+    lump, part = g.parts(uc)
+    expo = (kc - ka) * big_t + lump
     with np.errstate(over="ignore", invalid="ignore"):
-        out = inside * np.where(expo > _EXP_MAX, math.inf, np.exp(expo))
+        out = inside * np.where(expo + part > _EXP_MAX, math.inf, np.exp(expo) * np.exp(part))
     return np.where(inside == 0.0, 0.0, out)
 
 
@@ -555,7 +565,7 @@ def _breaks(eq, r, env, cache, tol) -> np.ndarray:
     the settled F/W table and of G_{r-1}, and where the settled envelope
     z - tail_lag(z) meets them, unless those number more than _MAX_KINKS
     (they grow with L/P).  Unsorted, with repeats."""
-    tables = [_sliding_table(eq, r, tuple(range(eq.m)), env, cache, tol, False)[0]]
+    tables = [_sliding_table(eq, r, tuple(range(eq.m)), env, cache, tol)[0]]
     tables += [_level(eq, r - 1, cache, tol)] if r > 1 else []
     edges = [t.edges[:-1] for t in tables if not t.saturated]
     if not edges:
@@ -617,7 +627,8 @@ def _criterion(eq, r, kinds, env, cache, tol):
     past 0, one row per kind of ``kinds``, over the tables of ``env`` (built
     when None): the sliding envelope h(z) for "inner", the envelope frozen
     at h(t) for "outer".  The rows share one envelope lookup; h(t) may lie
-    below 0, where h takes its settled form."""
+    below 0, where h takes its settled form, but an "inner" row raises where
+    [h(t), t] meets [0, t_stab)."""
     for kind in kinds:
         if kind not in ("inner", "outer"):
             raise ValueError(f"kind must be 'inner' or 'outer', got {kind!r}")
@@ -644,7 +655,10 @@ def inner_criterion_integral(
 ) -> float:
     """integral_{h(t)}^t sum_i p_i(z) K_r(h(z), tau_i(z)) dz.
 
-    ``t`` may be an array of times; the result then has its shape.
+    ``t`` may be an array of times; the result then has its shape.  Defined
+    where the envelope has settled along [h(t), t]: for every t when t_stab
+    is 0, and from t_stab + max_lag on in any case.  A ``ValueError`` names
+    t_stab for a t whose span [h(t), t] meets [0, t_stab).
     """
     return _as_output(_criterion(eq, r, ("inner",), env, cache, tol)(_times(t))[0], t)
 
@@ -660,7 +674,8 @@ def outer_criterion_integral(
 ) -> float:
     """integral_{h(t)}^t sum_i p_i(z) K_r(h(t), tau_i(z)) dz (envelope frozen at t).
 
-    ``t`` may be an array of times; the result then has its shape.
+    ``t`` may be an array of times; the result then has its shape.  Defined
+    for every t >= 0: the integrand reads the envelope at t alone.
     """
     return _as_output(_criterion(eq, r, ("outer",), env, cache, tol)(_times(t))[0], t)
 
@@ -681,8 +696,10 @@ def term_integral(
 
     ``ref`` is the sliding envelope h(z) by default, or the fixed value
     ``envelope_at`` when given; either way the tables are keyed by ``env``,
-    built when not given.  ``a`` and ``b`` may lie below 0, where h takes
-    its settled form: every bound reads a one-period table.
+    built when not given.  Every bound reads a one-period table.  With
+    ``envelope_at``, any a <= b will do.  Without it, the span [a, b] must
+    lie where h has its settled form, below 0 or from t_stab on; a span
+    that meets [0, t_stab) raises a ``ValueError`` naming t_stab.
     """
     _check_depth(r)
     if not 0 <= i < eq.m:

@@ -204,16 +204,16 @@ def test_negative_grid_is_an_error_naming_the_argument(capsys, command):
 @pytest.mark.parametrize(
     "config,args,code,sha",
     [
-        (CONTROL_CONFIG, ["--r", "1"], 3, "bd905c4cb02a3ada95ca093d18195010aa9fccb1d399fdad5b1f78705b62d55f"),
-        (CONTROL_CONFIG, ["--r", "2"], 3, "6f7a64faedcd9796444d9a3fe5d9c4e38c989250264ec757d8e9fef4aafabef0"),
-        (CONTROL_CONFIG, ["--r", "3"], 3, "486e831e16a0ecfdb9bff819b1e5ccc949e3915ea4a38d863361c03fd543f63f"),
-        (DEMO_CONFIG, ["--r", "1"], 0, "6b784ad8333304322fb079cdc4885ae5b647e34655565e5fa2a6cf614a5d7935"),
-        (DEMO_CONFIG, ["--r", "2"], 0, "e1b496238cd0e3e762cd65b2678312044e6f91eddb589d5e19b7f70e702e83a0"),
-        (DEMO_CONFIG, ["--r", "3"], 0, "f457ff10c196ae2349a76e690836d5d1d9f0468297eac9cb85809247b0923023"),
+        (CONTROL_CONFIG, ["--r", "1"], 3, "f8511acbe64470952f3cd5c70c6dc875d4246b4f60ffe231d36eed22bd764b69"),
+        (CONTROL_CONFIG, ["--r", "2"], 3, "2b2201b25cd0c09e0924798c758b62e19db1f8243dde6d9fa41bdf41d62da1d2"),
+        (CONTROL_CONFIG, ["--r", "3"], 3, "e790a47ec55af8a51f4e544e50fe25dd0ec72f3ce498f804df00b6699af71f3f"),
+        (DEMO_CONFIG, ["--r", "1"], 0, "09af804dee9553de2c3d0be013b0ac09c05a514352119e626144ee6c7b44a6bb"),
+        (DEMO_CONFIG, ["--r", "2"], 0, "590c2bf643b1c4461aeaa89232b208eebdc30891fc33591a7eec7adc12bcd871"),
+        (DEMO_CONFIG, ["--r", "3"], 0, "7deba4db07d866636a8eb7999015f75ef0cb27fc7a130024801d6c747b70a526"),
         # the benchmark's deep_kernel checks, and the deepest table cut at its hints
-        (DEMO_CONFIG, ["--r", "2", "--grid", "100"], 0, "755b14c6a03f40242254e481c52967e419d65b6f59ae38f0494534876a8d56da"),
-        (DEMO_CONFIG, ["--r", "3", "--grid", "100"], 0, "5aa4c2df5e293c312a05d6c8fa7c0790b06cb5098b3e0e0c67309212d125f366"),
-        (DEMO_CONFIG, ["--r", "4"], 0, "17bbd23821f3bc772a62b8a4380fe501f9048224b6758e2bae8d539159e42b3e"),
+        (DEMO_CONFIG, ["--r", "2", "--grid", "100"], 0, "9eff5af9b95361e7663edbaf997f9e2d8784f715e22b83ec049e0f1084971256"),
+        (DEMO_CONFIG, ["--r", "3", "--grid", "100"], 0, "3a25b56891d725a177a1f6a1d3339ffc4346376586ee877a5a953b8a64a010ec"),
+        (DEMO_CONFIG, ["--r", "4"], 0, "78dec22eda0a83cfab8bf2a75c4409ff27e82da6906ded4f90996ad43ee36495"),
     ],
     ids=[
         "control-r1", "control-r2", "control-r3", "demo-r1", "demo-r2", "demo-r3",
@@ -229,8 +229,8 @@ def test_check_stdout_pinned(capsys, config, args, code, sha):
 @pytest.mark.parametrize(
     "args,sha",
     [
-        (["--r", "2", "--kind", "outer"], "8331329a9f81ab86cb49fa2670b41e32a85888878a093148e46d076ff83ba54a"),
-        (["--r", "3", "--grid", "100", "--kind", "inner"], "8e2fc95ed6e90506aeda79442f7907fa7186ddf20654baef2fbc9016a21bf6fb"),
+        (["--r", "2", "--kind", "outer"], "6f386be2d1cff291fda751082c75afe30c378f33e59e0c05c463a778b9e96edd"),
+        (["--r", "3", "--grid", "100", "--kind", "inner"], "69c7edb7a140cb57fc89f46ee3ead68f0842db3d774d3bb0d2ec3c859b2edadf"),
     ],
     ids=["demo-r2-outer", "demo-r3-grid100-inner"],
 )
@@ -394,6 +394,23 @@ def test_scan_rows_at_a_tiny_period(tmp_path, capsys):
     assert len(rows["tiny"]) == len(rows["demo"]) == 503
     for (t, f), (t_demo, f_demo) in zip(rows["tiny"], rows["demo"]):
         assert t == t_demo * c and f == pytest.approx(f_demo, rel=1e-12)
+
+
+def test_scan_says_when_the_kink_cap_is_reached(tmp_path, capsys):
+    # the tent lag at L/P = 1e4 passes the kink cap, which `check` reports in
+    # its notes: `scan` says so on stderr, and prints the profile alone
+    body = {
+        "period": 1.0,
+        "coefficients": [{"kind": "constant", "value": 3e-05}],
+        "delays": [{"kind": "lag", "breakpoints": [[0, 5000], [0.5, 10000]]}],
+    }
+    assert main(["scan", write_config(tmp_path, body), "--r", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("note: kink cap reached: past 20000 delay preimages")
+    assert captured.err.count("\n") == 1
+    assert captured.out.startswith("t,F\n") and len(captured.out.splitlines()) == 502
+    assert main(["scan", DEMO_CONFIG, "--r", "2"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_scan_unwritable_out(capsys):

@@ -541,15 +541,31 @@ def test_kernel_maxima_reach_the_zoom(case, r):
 
 
 def test_deep_kernel_maxima_within_their_rounding_noise(demo_eq):
-    # at r = 4 the demo's frozen-envelope row carries rounding noise of
-    # about +-1e-12 of its value around its peak: its exponent G_3(h(t)),
-    # about 1508, less k T cancels to about 150.  The zoom's best of about
-    # 200 samples there is one of the noise's highs; the fit's maximiser
-    # gives one sample, within the noise of it
+    # at r = 4 the demo's frozen-envelope row carried rounding noise of
+    # about +-1e-12 of its value around its peak (W_P - W(a) cancelled).
+    # The zoom's best of about 200 samples there was one of the noise's
+    # highs; the fit's maximiser gives one sample, within the noise of it
     f, _, ts = criteria._kernel_profile(demo_eq, 4, ("inner", "outer"), None, None, 1e-8, 500, True)
     for k, got in enumerate(criteria._scan_maxima(f, ts)):
         want = _scan_reference(lambda x: f(x)[k], ts, "max")[0]
         assert got.value >= want - 2e-12 * abs(want), (k, got.value, want)
+
+
+def test_frozen_row_at_depth_four_is_as_smooth_as_the_sliding_one(demo_eq):
+    # rounding noise around each row's peak, as the residual of a quartic
+    # fit to 2001 samples within 2e-5 of it: the frozen row's was 4.7e-13
+    # of its value at r = 4, a thousand times the sliding row's, while its
+    # table's W_P - W(a) cancelled about four digits and its exponent
+    # G_3(h(t)) was rounded to a double of about 1508
+    rep = check_all(demo_eq, 4)
+    f, _, _ = criteria._kernel_profile(demo_eq, 4, ("inner", "outer"), None, None, 1e-8, 500)
+    x = np.linspace(-1.0, 1.0, 2001)
+    noise = []
+    for k, name in enumerate(("main_2_8", "bcs_1_8")):
+        y = f(rep[name].params["t"] + 2e-5 * x)[k]
+        y = y / y.max()
+        noise.append(float(np.std(y - np.polyval(np.polyfit(x, y, 4), x))))
+    assert noise[1] <= 10.0 * noise[0], noise
 
 
 def test_saturated_demo_warns_nothing(demo_eq):
@@ -653,11 +669,11 @@ def test_scan_grid_ends_are_the_window_ends():
     assert cand.tolist() == [6.0, 6.25, 6.5, 6.75, 7.0]
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_profiles_are_settled_a_period_before_the_window(demo_eq, r):
     # a bracket wrapped across the seam reads up to a period before w0: the
-    # window's margin past t_stab keeps the profiles periodic there.  On the
-    # second draw, a margin of r lags alone moves the r = 2 profile by 1e-11
+    # window's margin of a lag and a period past t_stab keeps the profiles
+    # periodic there, at any depth
     rng = np.random.default_rng(777)
     for eq in (demo_eq, [make_random_equation(rng) for _ in range(2)][1]):
         env = combined_envelope(eq)
@@ -745,7 +761,7 @@ def test_integral_profile_knots_equal_the_loop_version(case):
     # lattice values and the preimages in different orders
     eq = [*kink_cases(), make_bench_piecewise_equation()][case]
     env = combined_envelope(eq)
-    _, w0, w1 = criteria._window(eq, env, 0)
+    _, w0, w1 = criteria._window(eq, env)
     for poly in (tau_max_polyline(eq, w0, w1), env.polyline(w0, w1)):
         got = criteria._integral_profile_knots(eq, poly, w0, w1)
         want = _integral_profile_knots_loop(eq, list(zip(*(v.tolist() for v in poly))), w0, w1)
@@ -1245,6 +1261,22 @@ def test_verdicts_do_not_depend_on_the_time_scale(make):
             want = [base[1].alpha] + [v.value for v in base[1].verdicts]
             for name, x, y in zip(["alpha", *CRITERIA_ORDER], got, want):
                 assert x == y if y is None else x == pytest.approx(y, rel=1e-9), (c, name)
+
+
+def test_every_criterion_reports_one_window_at_every_depth(demo_eq):
+    # the liminf and kernel criteria scan one window, from the first period
+    # multiple at or past t_stab + max_lag + P, whatever the depth; here on
+    # the demo and on a draw that settles only after one period
+    rng = np.random.default_rng(0)
+    draws = (make_random_equation(rng) for _ in range(50))
+    late = next(eq for eq in draws if combined_envelope(eq).t_stab > 0.0)
+    for eq in (demo_eq, late):
+        start = combined_envelope(eq).t_stab + eq.max_lag + eq.period
+        windows = {v.params["window"] for r in (1, 2, 3, 4) for v in check_all(eq, r).verdicts}
+        assert len(windows) == 1, windows
+        ((w0, w1),) = windows
+        assert w0 == eq.period * round(w0 / eq.period) and w1 == w0 + eq.period
+        assert start - 1e-12 * eq.period <= w0 < start + eq.period
 
 
 def test_kernel_verdicts_report_the_maximiser(demo_eq):

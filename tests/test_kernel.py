@@ -108,6 +108,27 @@ def test_degenerate_envelope_gives_zero(demo_eq, demo_cache):
     assert outer_criterion_integral(demo_eq, 2, 5.0, cache=demo_cache, env=ident) == 0.0
 
 
+def test_sliding_lookups_over_the_unsettled_period_raise():
+    # a draw that settles only after one period: no table holds the envelope
+    # on [0, t_stab), so a sliding integral whose span meets it raises,
+    # naming t_stab; a frozen one reads the envelope at one point and stays
+    # defined.  From t_stab + max_lag on, h(t) >= t_stab
+    rng = np.random.default_rng(0)
+    eq = next(eq for eq in (make_random_equation(rng) for _ in range(50)) if combined_envelope(eq).t_stab > 0)
+    env = combined_envelope(eq)
+    t_stab, t = env.t_stab, 0.6 * env.t_stab
+    cache = KernelCache()
+    for r in (1, 2):
+        with pytest.raises(ValueError, match="t_stab"):
+            inner_criterion_integral(eq, r, t, cache=cache, env=env)
+        for a, b in ((0.0, t), (t, 2.0 * t_stab), (-1.0, t_stab + 1.0)):
+            with pytest.raises(ValueError, match="t_stab"):
+                term_integral(eq, r, 0, a, b, cache=cache, env=env)
+        assert math.isfinite(outer_criterion_integral(eq, r, t, cache=cache, env=env))
+        assert math.isfinite(term_integral(eq, r, 0, 0.0, t, envelope_at=env(t), cache=cache, env=env))
+        assert math.isfinite(inner_criterion_integral(eq, r, t_stab + eq.max_lag, cache=cache, env=env))
+
+
 def test_outer_integral_constant_equation(control_eq):
     # frozen envelope h(t) = t - 1: integral_{t-1}^t 0.2 e^{0.2 (t-1-z+1)} dz
     # = e^{0.2} - 1
@@ -120,13 +141,16 @@ def test_outer_integral_constant_equation(control_eq):
 @pytest.mark.parametrize("r", [1, 2, 5])
 def test_rows_of_one_profile_equal_the_public_integrals(demo_eq, r):
     # inner and outer on one envelope lookup, one search and one Clenshaw
-    # pass: bitwise the one-kind lookups, below t_stab and saturated too
+    # pass: bitwise the one-kind lookups, below 0 and saturated too
     rng = np.random.default_rng(3)
     draws = (make_random_equation(rng) for _ in range(50))
     draw = next(eq for eq in draws if combined_envelope(eq).t_stab > 0)
     for eq in (demo_eq, draw):
         ts = np.concatenate([[0.0], np.linspace(0.3, 6.0 * eq.period + eq.max_lag, 97)])
         cache, env = KernelCache(), combined_envelope(eq)
+        # the sliding row is defined where [h(t), t] misses [0, t_stab)
+        if env.t_stab > 0.0:
+            ts = ts[env.values(ts) >= env.t_stab]
         rows = kernel._criterion(eq, r, ("outer", "inner"), env, cache, kernel.DEFAULT_TOL)(ts)
         inner = inner_criterion_integral(eq, r, ts, cache=cache, env=env)
         outer = outer_criterion_integral(eq, r, ts, cache=cache, env=env)
@@ -328,6 +352,13 @@ def _within_reference(tables, xs):
     return [(t.cum[j] + s).reshape(shape) for t, s in zip(tables, sums)]
 
 
+def _within(tables, xs):
+    """Each table's antiderivative by ``kernel._within``: the integral up to
+    each point's piece plus its series there."""
+    j, sums = kernel._within(tables, xs)
+    return [t.cum[j] + s for t, s in zip(tables, sums)]
+
+
 def _random_tables(rng, nseg, count, period=1.0):
     """``count`` tables of random coefficients on common random pieces of
     [0, period], stored as ``_fit_table`` stores them."""
@@ -336,7 +367,7 @@ def _random_tables(rng, nseg, count, period=1.0):
     tables = []
     for _ in range(count):
         coef = np.asfortranarray(rng.standard_normal((nseg, 18)) * 10.0 ** rng.integers(-6, 4))
-        tables.append(kernel._Table(edges, coef, np.concatenate([[0.0], np.cumsum(coef.sum(axis=1))])))
+        tables.append(kernel._Table(edges, coef))
     return tables
 
 
@@ -357,11 +388,11 @@ def test_lookup_equals_the_row_major_reference(nseg):
         for n in (0, 1, 90, 1000):
             xs = _lookup_points(rng, edges, n)
             for x in (xs, xs.reshape(-1, 1)):
-                got, want = kernel._within(tables, x), _within_reference(tables, x)
+                got, want = _within(tables, x), _within_reference(tables, x)
                 assert all(a.shape == x.shape and np.array_equal(a, b) for a, b in zip(got, want))
         # 0-d and empty points keep their shapes
         for x in (0.0, edges[-1], 0.37, np.empty(0), np.empty((2, 0))):
-            got, want = kernel._within(tables, x), _within_reference(tables, x)
+            got, want = _within(tables, x), _within_reference(tables, x)
             assert all(a.shape == np.shape(x) and np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -517,14 +548,20 @@ def test_small_times_read_where_the_envelope_rounds_below_its_start():
     for r in (1, 2, 3):
         for lookup in (inner_criterion_integral, outer_criterion_integral):
             assert np.isfinite(lookup(eq, r, ts, cache=cache, env=env)).all()
-    # below h(0), below 0 and across t_stab the integral is additive, here and
-    # on an envelope that settles after one period
+    # below h(0) and across 0 the integral is additive; on an envelope that
+    # settles after one period, below 0 and from t_stab on, the spans that
+    # miss [0, t_stab)
     settles_late = make_random_equation(rng)
     while combined_envelope(settles_late).t_stab == 0.0:
         settles_late = make_random_equation(rng)
-    for eq in (eq, settles_late):
-        env = combined_envelope(eq)
-        cuts = [float(env.values(0.0)) - 0.1, 0.0, env.t_stab, env.t_stab + 1.0]
+    h0 = float(env.values(0.0))
+    late = combined_envelope(settles_late)
+    t_stab = late.t_stab
+    for eq, env, cuts in (
+        (eq, env, [h0 - 0.1, h0, 0.0, 1.0]),
+        (settles_late, late, [-2.0 * t_stab, -1.3 * t_stab, -0.5 * t_stab]),
+        (settles_late, late, [t_stab, 1.5 * t_stab, 3.0 * t_stab]),
+    ):
         whole = term_integral(eq, 1, 0, cuts[0], cuts[-1], cache=cache, env=env)
         parts = [term_integral(eq, 1, 0, a, b, cache=cache, env=env) for a, b in zip(cuts, cuts[1:])]
         assert whole == pytest.approx(sum(parts), rel=1e-13, abs=1e-15)
@@ -862,7 +899,7 @@ def test_caps_hold_with_multi_way_cuts(monkeypatch, demo_eq):
             cache = KernelCache()
             kernel._level(demo_eq, 2, cache, kernel.DEFAULT_TOL)
             calls.clear()
-            tables = kernel._sliding_table(demo_eq, 3, (0, 1), env, cache, kernel.DEFAULT_TOL, False)
+            tables = kernel._sliding_table(demo_eq, 3, (0, 1), env, cache, kernel.DEFAULT_TOL)
         return tables[0], len(calls)
 
     fit = kernel._fit_table
