@@ -8,74 +8,75 @@ with periodic piecewise-linear coefficients p_i >= 0 and lags
 d_i(t) = t - tau_i(t) > 0 that need not be monotone.  Six numeric
 criteria are evaluated (see `criteria.check_all`), and a method-of-steps
 simulator (`sim.integrate`) provides an independent cross-check.
+
+Each engine loads on first use: ``import delayosc`` loads no submodule,
+and a public name imports the submodule that defines it when it is first
+read.  So the command line loads ``cli`` and ``model``, then what its
+command runs: ``check`` and ``scan`` add ``criteria``, ``kernel`` and
+``envelope``; ``simulate`` adds ``sim``; ``--help`` adds nothing.
 """
 
-from .criteria import (
-    CRITERIA_ORDER,
-    CheckReport,
-    CriterionVerdict,
-    ScanExtremum,
-    alpha,
-    alpha_over_envelope,
-    check_all,
-    hunt_yorke_liminf,
-    kwong_limsup,
-    lambda0,
-    limsup_envelope_integral,
-)
-from .envelope import EnvelopeFunction, combined_envelope, running_sup, tau_max, tau_min
-from .kernel import (
-    KernelCache,
-    decay_kernel,
-    inner_criterion_integral,
-    outer_criterion_integral,
-    term_integral,
-)
-from .model import DelayEquation, PiecewisePeriodic
-from .sim import (
-    EnvelopeRatioReport,
-    History,
-    KernelBoundReport,
-    Trajectory,
-    check_envelope_ratio,
-    check_kernel_bound,
-    count_sign_changes,
-    integrate,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PiecewisePeriodic",
-    "DelayEquation",
-    "EnvelopeFunction",
-    "running_sup",
-    "combined_envelope",
-    "tau_max",
-    "tau_min",
-    "KernelCache",
-    "decay_kernel",
-    "inner_criterion_integral",
-    "outer_criterion_integral",
-    "term_integral",
-    "alpha",
-    "alpha_over_envelope",
-    "hunt_yorke_liminf",
-    "kwong_limsup",
-    "lambda0",
-    "limsup_envelope_integral",
-    "check_all",
-    "CheckReport",
-    "CriterionVerdict",
-    "ScanExtremum",
-    "CRITERIA_ORDER",
-    "History",
-    "Trajectory",
-    "integrate",
-    "count_sign_changes",
-    "check_kernel_bound",
-    "check_envelope_ratio",
-    "KernelBoundReport",
-    "EnvelopeRatioReport",
-    "__version__",
-]
+# each public name and the submodule that defines it
+_EXPORTS = {
+    "PiecewisePeriodic": "model",
+    "DelayEquation": "model",
+    "EnvelopeFunction": "envelope",
+    "running_sup": "envelope",
+    "combined_envelope": "envelope",
+    "tau_max": "envelope",
+    "tau_min": "envelope",
+    "KernelCache": "kernel",
+    "decay_kernel": "kernel",
+    "inner_criterion_integral": "kernel",
+    "outer_criterion_integral": "kernel",
+    "term_integral": "kernel",
+    "alpha": "criteria",
+    "alpha_over_envelope": "criteria",
+    "hunt_yorke_liminf": "criteria",
+    "kwong_limsup": "criteria",
+    "lambda0": "criteria",
+    "limsup_envelope_integral": "criteria",
+    "check_all": "criteria",
+    "CheckReport": "criteria",
+    "CriterionVerdict": "criteria",
+    "ScanExtremum": "criteria",
+    "CRITERIA_ORDER": "criteria",
+    "History": "sim",
+    "Trajectory": "sim",
+    "integrate": "sim",
+    "count_sign_changes": "sim",
+    "check_kernel_bound": "sim",
+    "check_envelope_ratio": "sim",
+    "KernelBoundReport": "sim",
+    "EnvelopeRatioReport": "sim",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def _lazy(namespace: dict, table: dict):
+    """A PEP 562 ``__getattr__`` for the module whose globals are
+    ``namespace``: each name in ``table`` (name -> submodule of this
+    package) is imported on first read and kept in ``namespace``, where a
+    later read or a rebinding finds it."""
+
+    def __getattr__(name):
+        if name not in table:
+            module = namespace["__name__"]
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{__name__}.{table[name]}"), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy(globals(), _EXPORTS)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -26,13 +26,30 @@ import itertools
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .criteria import CheckReport, _kink_cap_note, check_all, criterion_profile
-from .kernel import DEFAULT_TOL, KernelCache
-from .model import DelayEquation, PiecewisePeriodic
-from .sim import History, count_sign_changes, integrate
+from . import _lazy
+from .model import DEFAULT_TOL, DelayEquation, PiecewisePeriodic
+
+if TYPE_CHECKING:
+    from .criteria import CheckReport
+    from .sim import History
+
+# engines load on first use; the commands read them off this module, as
+# ``_cli.check_all``, so that rebinding ``cli.check_all`` redirects them
+_ENGINES = {
+    "check_all": "criteria",
+    "criterion_profile": "criteria",
+    "_kink_cap_note": "criteria",
+    "KernelCache": "kernel",
+    "History": "sim",
+    "integrate": "sim",
+    "count_sign_changes": "sim",
+}
+__getattr__ = _lazy(globals(), _ENGINES)
+_cli = sys.modules[__name__]
 
 __all__ = [
     "ConfigError",
@@ -223,7 +240,7 @@ def _write_csv(path, header: str, *columns) -> None:
 
 def cmd_check(args) -> int:
     eq = load_equation(args.config)
-    report = check_all(eq, r=args.r, tol=args.tol, n_grid=args.grid)
+    report = _cli.check_all(eq, r=args.r, tol=args.tol, n_grid=args.grid)
     text = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
     _write_out(args.out, [text + "\n"])
     return 0 if report.overall == "oscillatory" else 3
@@ -231,15 +248,15 @@ def cmd_check(args) -> int:
 
 def cmd_scan(args) -> int:
     eq = load_equation(args.config)
-    cache = KernelCache()
-    f, w0, ts = criterion_profile(
+    cache = _cli.KernelCache()
+    f, w0, ts = _cli.criterion_profile(
         eq, args.r, args.kind, tol=args.tol, n_grid=args.grid, cache=cache
     )
     ts = ts[:-1]  # half-open period window: the grid ends exactly at w0 + P
     _write_csv(args.out, "t,F", ts - w0, f(ts))
     if cache.capped:
         # stdout holds the profile alone; the note a check would report
-        print(f"note: {_kink_cap_note(args.tol)}", file=sys.stderr)
+        print(f"note: {_cli._kink_cap_note(args.tol)}", file=sys.stderr)
     return 0
 
 
@@ -250,9 +267,9 @@ def _parse_history(spec: str) -> History:
             f"history spec {spec!r} must look like const:VALUE, exp:RATE or file:PATH"
         )
     if head == "const":
-        return History.constant(_float_or_fail(rest, spec))
+        return _cli.History.constant(_float_or_fail(rest, spec))
     if head == "exp":
-        return History.exponential(_float_or_fail(rest, spec))
+        return _cli.History.exponential(_float_or_fail(rest, spec))
     if head == "file":
         try:
             rows = np.loadtxt(rest, delimiter=",", ndmin=2)
@@ -262,7 +279,7 @@ def _parse_history(spec: str) -> History:
             raise ConfigError(f"history file {rest} is not t,x CSV: {exc}") from None
         if rows.shape[1] != 2:
             raise ConfigError(f"history file {rest} must have two columns t,x")
-        return History.tabulated(rows[:, 0], rows[:, 1])
+        return _cli.History.tabulated(rows[:, 0], rows[:, 1])
     raise ConfigError(f"unknown history kind {head!r} in {spec!r}")
 
 
@@ -276,9 +293,9 @@ def _float_or_fail(text: str, spec: str) -> float:
 def cmd_simulate(args) -> int:
     eq = load_equation(args.config)
     history = _parse_history(args.history)
-    traj = integrate(eq, history, args.t_end, args.step)
+    traj = _cli.integrate(eq, history, args.t_end, args.step)
     _write_csv(args.out, "t,x", traj.times, traj.values)
-    n_changes = count_sign_changes(traj)
+    n_changes = _cli.count_sign_changes(traj)
     if n_changes:
         lo, hi = traj.sign_changes[0]
         if hi > lo:

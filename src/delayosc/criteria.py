@@ -403,9 +403,10 @@ def _coeff_integral_profile(eq, lower, polyline, env):
         return f, knots, None
     dt = np.diff(ts)
     slope = np.diff(ys) / np.where(dt > 0.0, dt, 1.0)
-
-    def s2(x):  # S''
-        return sum(c.slopes(x) for c in eq.coefficients)
+    # S'' per piece of the coefficients' joint lattice: a time is reduced once
+    lattice = phase_lattice(eq.coefficients)
+    s2 = sum(c.slopes(lattice) for c in eq.coefficients)
+    edges, phase = np.append(lattice, eq.period), eq.coefficients[0]._phase
 
     def curvature(a, b):
         # each piece lies on one segment of the polyline: the one holding its
@@ -413,7 +414,8 @@ def _coeff_integral_profile(eq, lower, polyline, env):
         mid = 0.5 * (a + b)
         j = _piece(ts, mid)
         s = slope[j]
-        return s2(mid) - s2(ys[j] + s * (mid - ts[j])) * s * s
+        k = _piece(edges, phase(np.concatenate([mid, ys[j] + s * (mid - ts[j])])))
+        return s2[k[: len(mid)]] - s2[k[len(mid) :]] * s * s
 
     return f, knots, curvature
 

@@ -66,7 +66,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from .envelope import _lattice_preimages, _tau_polyline, combined_envelope
-from .model import DelayEquation, _merge_close, _piece, breakpoint_times, phase_lattice
+from .model import DEFAULT_TOL, DelayEquation, _merge_close, _piece, breakpoint_times, phase_lattice
 
 if TYPE_CHECKING:
     from .envelope import EnvelopeFunction
@@ -81,7 +81,6 @@ __all__ = [
 ]
 
 MAX_DEPTH = 8
-DEFAULT_TOL = 1e-8
 
 _CHEB_DEG = 16
 _CHEB_U = np.cos(

@@ -22,6 +22,8 @@ __all__ = ["PiecewisePeriodic", "DelayEquation", "breakpoint_times", "phase_latt
 # is rejected.  Coefficients may jump there (sawtooth and piecewise-constant
 # profiles are legitimate).
 WRAP_TOL = 1e-12
+# the criteria's default accuracy; here, so the CLI's options load no engine
+DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)

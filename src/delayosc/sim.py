@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import criteria as criteria_mod
-from .envelope import combined_envelope
-from .kernel import KernelCache, decay_kernel
 from .model import DelayEquation
+
+if TYPE_CHECKING:
+    from .kernel import KernelCache
 
 __all__ = [
     "History",
@@ -287,6 +288,7 @@ def check_kernel_bound(
     so does an empty set of pairs.  Violations are measured relative to x(s)
     and flagged beyond ``tol``.
     """
+    from .kernel import decay_kernel  # imported here: `integrate` needs no engine
     pairs = np.asarray(sample_pairs, dtype=float).reshape(-1, 2)
     if not pairs.size:
         raise ValueError("the decay bound needs at least one sample pair")
@@ -338,12 +340,14 @@ def check_envelope_ratio(
     alpha in (0, 1/e]; a trajectory that ends before the window starts or
     is not positive on it raises, and so does ``n_samples`` below 1.
     """
+    from .criteria import alpha, lambda0
+    from .envelope import combined_envelope
     if not n_samples >= 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     env = combined_envelope(eq)
     if alpha_val is None:
-        alpha_val = criteria_mod.alpha(eq, env=env)
-    lam = criteria_mod.lambda0(alpha_val)
+        alpha_val = alpha(eq, env=env)
+    lam = lambda0(alpha_val)
 
     a, b = env.t_stab + eq.max_lag + eq.period, traj.t_end
     if not a < b:

@@ -650,6 +650,70 @@ def test_check_does_not_import_numpy_ma():
     assert proc.stdout.strip() == "False False"
 
 
+_CONTROL = os.path.join("configs", "single_lag_control.json")
+_ENGINES = ("criteria", "envelope", "kernel")
+
+
+@pytest.mark.parametrize(
+    "run, loaded",
+    [
+        (f"delayosc.cli.load_equation({_CONTROL!r})", ()),
+        (f"cli.main(['check', {_CONTROL!r}, '--out', os.devnull])", _ENGINES),
+        (f"cli.main(['scan', {_CONTROL!r}, '--out', os.devnull])", _ENGINES),
+        (f"cli.main(['simulate', {_CONTROL!r}, '--t-end', '5', '--out', os.devnull])", ("sim",)),
+        ("try:\n    cli.main(['--help'])\nexcept SystemExit:\n    pass", ()),
+    ],
+    ids=["load_equation", "check", "scan", "simulate", "help"],
+)
+def test_a_command_imports_only_the_engines_it_runs(run, loaded):
+    # each engine loads on first use: set-up compiles the sources of every
+    # module imported, when no bytecode cache is written
+    code = (
+        "import os, sys\n"
+        "import delayosc\n"
+        "import delayosc.cli as cli\n"
+        f"{run}\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('delayosc'))))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=root, env=env
+    )
+    assert proc.stderr == ""
+    expected = {"delayosc", "delayosc.cli", "delayosc.model", *(f"delayosc.{m}" for m in loaded)}
+    assert set(proc.stdout.splitlines()[-1].split()) == expected
+
+
+def test_coeff_integral_curvature_is_the_per_coefficient_sum():
+    # S'' is read off one table over the coefficients' breakpoint lattice:
+    # to the bit, the sum over the coefficients of each one's own slope
+    rng = np.random.default_rng(20261021)
+    eqs = [make_bench_piecewise_equation()] + [make_random_equation(rng) for _ in range(10)]
+    checked = 0
+    for eq in eqs:
+        env, w0, w1 = criteria._window(eq, None)
+        for lower, poly in ((partial(tau_max, eq), partial(tau_max_polyline, eq)), (env.values, env.polyline)):
+            _, knots, curvature = criteria._coeff_integral_profile(eq, lower, poly, env)
+            if curvature is None:
+                continue
+            ts, ys = poly(w0, w1)
+            dt = np.diff(ts)
+            slope = np.diff(ys) / np.where(dt > 0.0, dt, 1.0)
+            a, b = knots[:-1], knots[1:]
+            mid = 0.5 * (a + b)
+            j = np.clip(np.searchsorted(ts, mid, side="right") - 1, 0, len(ts) - 2)
+            s = slope[j]
+
+            def s2(x):
+                return sum(c.slopes(x) for c in eq.coefficients)
+
+            want = s2(mid) - s2(ys[j] + s * (mid - ts[j])) * s * s
+            assert curvature(a, b).tobytes() == want.tobytes()
+            checked += 1
+    assert checked >= 10
+
+
 def test_scan_grid_keeps_a_knot_not_the_grid_point_beside_it():
     # the knot 8 + 119/250 is 8.475999999999999, the grid point 8.476; the
     # second copy of a knot, a rounding away, goes too
