@@ -7,14 +7,14 @@ quadratic between known knots, so their extrema are exact: the best of
 the profile's values at the knots and at the vertices inside the pieces
 (``_quadratic_extrema``), with no grid.  The two kernel limsups are rows
 of one profile (``_kernel_profile``), scanned for their maxima on a dense
-grid seeded with every geometric breakpoint and, for ``check``, every edge
-of the kernel tables the profile reads and their preimages under the
-envelope, so the profile is smooth between grid points.  The
-window's ends are one point of a circle: neighbours are cyclic, a run of
-maxima may wrap across the seam, and every location is reported in
-[w0, w0 + P).  Grid values within a rounding tie (1e-13 of the row's
-largest magnitude) count as equal, so a profile flat up to rounding gives
-one bracket, not hundreds, and a row flat to the tie is not refined.
+grid seeded with every edge of the kernel tables the profile reads and
+their preimages under the envelope, so the profile is smooth between grid
+points; ``scan`` prints this grid.  The window's ends are one point of a
+circle: neighbours are cyclic, a run of maxima may wrap across the seam,
+and every location is reported in [w0, w0 + P).  Grid values within a
+rounding tie (1e-13 of the row's largest magnitude) count as equal, so a
+profile flat up to rounding gives one bracket, not hundreds, and a row
+flat to the tie is not refined.
 Each bracket is refined once (``_scan_maxima``): both sides of its best
 grid point are fitted by degree-16 Chebyshev interpolants, all sides in
 one profile call, and the fits' interior maxima are evaluated in one more
@@ -49,6 +49,7 @@ from .kernel import (
     DEFAULT_TOL,
     KernelCache,
     _breaks,
+    _check_tol,
     _criterion,
 )
 from .model import DelayEquation, _merge_close, _piece, breakpoint_times, phase_lattice
@@ -372,11 +373,6 @@ def _integral_profile_knots(eq, poly, w0, w1):
     return np.concatenate([breakpoint_times(eq.coefficients, w0, w1), poly[0], pre])
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-
-
 def _check_grid(n_grid: int, name: str = "n_grid") -> None:
     if not n_grid >= 1:
         raise ValueError(f"{name} must be >= 1, got {n_grid}")
@@ -518,22 +514,18 @@ def hunt_yorke_liminf(
 # -- limsup of the criterion integrals -------------------------------------
 
 
-def _kernel_profile(eq, r, kinds, env, cache, tol, n_grid, table_knots=False):
+def _kernel_profile(eq, r, kinds, env, cache, tol, n_grid):
     """``(f, w0, ts)``: the depth-``r`` criterion integrals of ``kinds``, one
     row each, over the envelope ``env`` (built when None), the start of
     their scan window ``[w0, w0 + P]``, and its grid, a uniform grid joined
-    with every coefficient, lag and envelope knot.  With ``table_knots`` the
-    grid also holds every phase where the profile may break
-    (``kernel._breaks``), so it is smooth between grid points."""
+    with every phase where the profile may break (``kernel._breaks``), so it
+    is smooth between grid points."""
     env = env if env is not None else combined_envelope(eq)
     cache = cache if cache is not None else KernelCache()
     f = _criterion(eq, r, kinds, env, cache, tol)
     _, w0, w1 = _window(eq, env)
-    knots = [breakpoint_times(eq.coefficients + eq.lags, w0, w1), env.knots(w0, w1)]
-    if table_knots:
-        # w0 is a period multiple, so the phases shift onto the window
-        knots.append(w0 + _breaks(eq, r, env, cache, tol))
-    return f, w0, _scan_grid(w0, w1, np.concatenate(knots), n_grid)
+    # w0 is a period multiple, so the phases shift onto the window
+    return f, w0, _scan_grid(w0, w1, w0 + _breaks(eq, r, env, cache, tol), n_grid)
 
 
 def criterion_profile(
@@ -549,8 +541,8 @@ def criterion_profile(
     """A criterion integral over one steady-state period.
 
     Returns ``(f, w0, ts)``: ``f`` maps an array of times to the integral,
-    ``[w0, w0 + P]`` is the scan window and ``ts`` the scan grid on it, a
-    uniform grid joined with every coefficient, lag and envelope knot.
+    ``[w0, w0 + P]`` is the scan window and ``ts`` the grid that ``check``
+    scans on it, a uniform grid joined with every break of the profile.
     ``kind`` selects the sliding-envelope ("inner") or frozen-envelope
     ("outer") integrand.
     """
@@ -575,7 +567,7 @@ def limsup_envelope_integral(
     ("outer") integrand.
     """
     _check_tol(tol)
-    f, _, ts = _kernel_profile(eq, r, (kind,), env, cache, tol, n_grid, table_knots=True)
+    f, _, ts = _kernel_profile(eq, r, (kind,), env, cache, tol, n_grid)
     return _scan_maxima(f, ts)[0]
 
 
@@ -655,7 +647,7 @@ def check_all(
     # profile on one grid, in one scan
     a_val, kw = _tau_max_extrema(eq, env)
     hy = _hunt_yorke_min(eq, env)
-    f, w0, ts = _kernel_profile(eq, r, ("inner", "outer"), env, cache, tol, n_grid, True)
+    f, w0, ts = _kernel_profile(eq, r, ("inner", "outer"), env, cache, tol, n_grid)
     inner, outer = _scan_maxima(f, ts)
     lam = lambda0(a_val) if 0.0 < a_val <= INV_E else None
 

@@ -156,7 +156,7 @@ class EnvelopeFunction:
 
     ``h(t) = t - tail_lag(t)`` for ``t >= t_stab`` and for ``t < 0``; on
     ``[0, t_stab)`` the transient polyline applies, given as ``(t, y)``
-    pairs so the envelope stays hashable (it keys the kernel tables).
+    pairs.
     ``t_stab`` is 0 or one period.  Below 0 the lag form is periodic, so h
     never falls below max_i tau_i; h may drop at 0 when ``t_stab`` > 0, and
     is nondecreasing on each side of 0.
@@ -206,7 +206,7 @@ class EnvelopeFunction:
 
 
 def _pairs(ts, ys) -> tuple[tuple[float, float], ...]:
-    """The knots as hashable ``(t, y)`` pairs of floats."""
+    """The knots as ``(t, y)`` pairs of floats."""
     return tuple(zip(ts.tolist(), ys.tolist()))
 
 

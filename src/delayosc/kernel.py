@@ -20,7 +20,7 @@ with h the combined envelope of the equation.
 
 Every value is a lookup in an antiderivative table built by ``_fit_table``
 (degree-16 Chebyshev pieces, kept once their trailing coefficients fall
-below ``tol / 100``, cut otherwise):
+below ``tol / 100`` in the period's unit, cut otherwise):
 
     G_L  of g_L(z) = sum_i p_i(z) K_L(z, tau_i(z)), one period;
          K_r(t, s) = exp(G_{r-1}(t) - G_{r-1}(s)), G_0 exact
@@ -127,10 +127,17 @@ _MAX_KINKS = 20000
 _EXP_MAX = 709.0
 
 
+def _unit(period: float) -> float:
+    """The power of two u with period / u in [1, 2): the tables read their
+    absolute constants in it, so they scale exactly with time."""
+    return math.ldexp(1.0, math.frexp(period)[1] - 1)
+
+
 class KernelCache:
-    """Antiderivative tables keyed by (kind, equation, level, terms, envelope,
-    tol), plus the rungs of each equation's kink phase ladder (``_phases``)
-    and the delay-argument polyline of each lag set they are built from.
+    """Antiderivative tables keyed by (kind, equation, level, tol), with the
+    terms and the tail lag for F and W, plus the rungs of each equation's
+    kink phase ladder (``_phases``) and the delay-argument polyline of each
+    lag set they are built from.
     Level 1 seeds every table, and level r - 1 gives the hints a failing
     piece of a depth-r table is cut at, built with the table.  F and W, the
     sliding and frozen tables of a level, are fitted together, so they
@@ -151,6 +158,11 @@ class KernelCache:
         if key not in self._tables:
             self._tables[key] = build()
         return self._tables[key]
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def _check_depth(r: int) -> None:
@@ -293,9 +305,9 @@ def _fit_table(f, edges, tol: float, hints) -> list[_Table]:
     integrand; it is called on at most _BLOCK points at a time.  Each piece
     between ``edges`` is interpolated in _CHEB_DEG + 1 Chebyshev points and
     kept once the two trailing coefficients of every row fall below
-    ``tol / _TAIL_DIV`` (or the rounding floor); otherwise it is cut, at
-    most _MAX_BISECT times and while the tables stay within _MAX_PIECES
-    pieces.  This is chebfun's splitting rule (Pachon, Platte &
+    ``tol / _TAIL_DIV`` in the unit of the span (or the rounding floor);
+    otherwise it is cut, at most _MAX_BISECT times and while the tables
+    stay within _MAX_PIECES pieces.  This is chebfun's splitting rule (Pachon, Platte &
     Trefethen, IMA J. Numer. Anal. 30 (2010); Trefethen, ATAP ch. 3 and 8),
     which puts a break at a detected edge: a failing piece is cut at the
     sorted ``hints``, the points where the integrands may break, and at its
@@ -305,6 +317,8 @@ def _fit_table(f, edges, tol: float, hints) -> list[_Table]:
     """
     los = np.asarray(edges[:-1], dtype=float)
     his = np.asarray(edges[1:], dtype=float)
+    unit = _unit(his[-1] - los[0])
+    target = tol / _TAIL_DIV / unit
     kept_lo, kept_hi, kept_c = [], [], []
     dead = False
     pieces = 0
@@ -324,8 +338,8 @@ def _fit_table(f, edges, tol: float, hints) -> list[_Table]:
         c = vals @ _CHEB_FIT.T
         mag = np.abs(c)
         scale = mag.max(axis=2)
-        floor = _TAIL_FLOOR * scale * np.maximum(1.0, np.abs(np.log(scale + 1e-300)))
-        keep = (mag[:, :, -2:].max(axis=2) <= np.maximum(tol / _TAIL_DIV, floor)).all(axis=0)
+        floor = _TAIL_FLOOR * scale * np.maximum(1.0, np.abs(np.log(scale * unit + 1e-300)))
+        keep = (mag[:, :, -2:].max(axis=2) <= np.maximum(target, floor)).all(axis=0)
         pieces += int(keep.sum())
         if not keep.all():
             cut = _cut_points(los[~keep], his[~keep], hints, multi=depth > 0)
@@ -392,8 +406,9 @@ def _cut_points(lo, hi, hints, multi: bool):
 
 
 def _seed_edges(points, lo: float, hi: float) -> np.ndarray:
-    inner = _merge_close(points)
-    inner = inner[(lo + 1e-9 < inner) & (inner < hi - 1e-9)]
+    close = 1e-9 * _unit(hi - lo)
+    inner = _merge_close(points, close)
+    inner = inner[(lo + close < inner) & (inner < hi - close)]
     return np.concatenate([[lo], inner, [hi]])
 
 
@@ -435,7 +450,8 @@ def _phases(eq: DelayEquation, cache: KernelCache, levels: int, lag=None) -> np.
         below = _phases(eq, cache, levels - 1)
         base, lags = (below, eq.lags) if lag is None else (_phases(eq, cache, levels), (lag,))
         z = _preimages(eq, cache, lags, below)
-        return base if z is None else _merge_close(np.concatenate([base, z[z < eq.period]]))
+        close = 1e-9 * _unit(eq.period)
+        return base if z is None else _merge_close(np.concatenate([base, z[z < eq.period]]), close)
 
     return cache._table(("phases", eq, levels, lag), build)
 
@@ -485,7 +501,7 @@ def _level(eq: DelayEquation, level: int, cache: KernelCache, tol: float):
             return _CoeffSumLevel(eq)
         return _fit(eq, level, range(eq.m), cache, tol)[0]
 
-    return cache._table(("G", eq, level, None, None, tol), build)
+    return cache._table(("G", eq, level, tol), build)
 
 
 def _sliding_table(eq, r, terms, env, cache, tol) -> list[_Table]:
@@ -591,6 +607,7 @@ def decay_kernel(
     ``t`` and ``s`` may be arrays; the result then has their broadcast shape.
     """
     _check_depth(r)
+    _check_tol(tol)
     ts, ss = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float)) for x in (t, s)))
     if not (np.isfinite(ts).all() and np.isfinite(ss).all()):
         raise ValueError(f"kernel arguments must be finite, got t={t}, s={s}")
@@ -632,6 +649,7 @@ def _criterion(eq, r, kinds, env, cache, tol):
         if kind not in ("inner", "outer"):
             raise ValueError(f"kind must be 'inner' or 'outer', got {kind!r}")
     _check_depth(r)
+    _check_tol(tol)
     env = env if env is not None else combined_envelope(eq)
     cache = cache if cache is not None else KernelCache()
     terms = tuple(range(eq.m))
@@ -701,6 +719,7 @@ def term_integral(
     that meets [0, t_stab) raises a ``ValueError`` naming t_stab.
     """
     _check_depth(r)
+    _check_tol(tol)
     if not 0 <= i < eq.m:
         raise ValueError(f"term index {i} out of range for m={eq.m}")
     if a > b:

@@ -252,7 +252,7 @@ def _piece(edges, x):
     return np.minimum(np.maximum(np.searchsorted(edges, x, side="right") - 1, 0), len(edges) - 2)
 
 
-def _merge_close(values, tol: float = 1e-9) -> np.ndarray:
+def _merge_close(values, tol: float) -> np.ndarray:
     """The sorted values, each dropped when within ``tol`` of the one before
     it; ``tol = 0`` drops repeats (np.unique would import numpy.ma)."""
     v = np.sort(np.asarray(values, dtype=float))

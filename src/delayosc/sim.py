@@ -96,7 +96,8 @@ class History:
             return np.full(t.shape, self.level)
         if self.kind == "exponential":
             return np.exp(-self.rate * t)
-        if t.size and t.min() < self.times[0] - 1e-12:
+        # a rounding's slack, relative to the start
+        if t.size and t.min() < self.times[0] - 1e-12 * abs(self.times[0]):
             raise ValueError(
                 f"history lookup at t={t.min()} precedes the tabulated start "
                 f"{self.times[0]}: insufficient history extent"
@@ -125,7 +126,7 @@ class Trajectory:
     def at(self, ts) -> np.ndarray:
         """Dense evaluation: history for t <= 0, cubic Hermite inside steps."""
         t = np.asarray(ts, dtype=float)
-        if t.size and t.max() > self.times[-1] + 1e-12:
+        if t.size and t.max() > self.times[-1] + 1e-9 * self.h_step:
             raise ValueError(f"lookup at t={t.max()} beyond trajectory end {self.times[-1]}")
         plan = _lookup_plan(t, len(self.times) - 2, self.h_step, self.history)
         return _dense(plan, self.values, self.derivs)
@@ -254,7 +255,8 @@ def count_sign_changes(traj: Trajectory, window=None) -> int:
     if window is None:
         return len(traj.sign_changes)
     a, b = window
-    if a < -1e-12 or b > traj.t_end + 1e-12:
+    slack = 1e-9 * traj.h_step
+    if a < -slack or b > traj.t_end + slack:
         raise ValueError(f"window [{a}, {b}] outside trajectory span [0, {traj.t_end}]")
     return sum(1 for lo, hi in traj.sign_changes if lo >= a and hi <= b)
 

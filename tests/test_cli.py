@@ -229,8 +229,8 @@ def test_check_stdout_pinned(capsys, config, args, code, sha):
 @pytest.mark.parametrize(
     "args,sha",
     [
-        (["--r", "2", "--kind", "outer"], "6f386be2d1cff291fda751082c75afe30c378f33e59e0c05c463a778b9e96edd"),
-        (["--r", "3", "--grid", "100", "--kind", "inner"], "69c7edb7a140cb57fc89f46ee3ead68f0842db3d774d3bb0d2ec3c859b2edadf"),
+        (["--r", "2", "--kind", "outer"], "cd284ebb6d64fa4df0c4977c9a4b0dac109ad6f91599354d476aa5689c16b9e8"),
+        (["--r", "3", "--grid", "100", "--kind", "inner"], "3d1175fbcc6a4506372a0e03ef33776f0fe62b0d67f00d1f32f81c7563136c3c"),
     ],
     ids=["demo-r2-outer", "demo-r3-grid100-inner"],
 )
@@ -380,7 +380,7 @@ def test_scan_constant_equation_flat(capsys):
 
 def test_scan_rows_at_a_tiny_period(tmp_path, capsys):
     # the demo with time scaled by 2^-66: the grid scales exactly, so the
-    # window's 503 rows are all printed, at the same scaled times
+    # window's 526 rows are all printed, at the same scaled times
     c = 2.0**-66
     lag = {"kind": "lag", "breakpoints": [[0.0, c], [c, c], [2 * c, 5 * c]]}
     coef = {"kind": "constant", "value": 0.135 / c}
@@ -391,7 +391,7 @@ def test_scan_rows_at_a_tiny_period(tmp_path, capsys):
         assert main(["scan", config]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
         rows[name] = [tuple(map(float, ln.split(","))) for ln in lines]
-    assert len(rows["tiny"]) == len(rows["demo"]) == 503
+    assert len(rows["tiny"]) == len(rows["demo"]) == 526
     for (t, f), (t_demo, f_demo) in zip(rows["tiny"], rows["demo"]):
         assert t == t_demo * c and f == pytest.approx(f_demo, rel=1e-12)
 
@@ -408,7 +408,7 @@ def test_scan_says_when_the_kink_cap_is_reached(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("note: kink cap reached: past 20000 delay preimages")
     assert captured.err.count("\n") == 1
-    assert captured.out.startswith("t,F\n") and len(captured.out.splitlines()) == 502
+    assert captured.out.startswith("t,F\n") and len(captured.out.splitlines()) == 505
     assert main(["scan", DEMO_CONFIG, "--r", "2"]) == 0
     assert capsys.readouterr().err == ""
 

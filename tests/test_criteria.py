@@ -534,7 +534,7 @@ def test_kernel_maxima_reach_the_zoom(case, r):
     # the knot's value is up to 1.2e-12 below the profile's, and the fit of
     # the side before it shows the gap
     eq = kink_cases()[case]
-    f, _, ts = criteria._kernel_profile(eq, r, ("inner", "outer"), None, None, 1e-8, 500, True)
+    f, _, ts = criteria._kernel_profile(eq, r, ("inner", "outer"), None, None, 1e-8, 500)
     for k, got in enumerate(criteria._scan_maxima(f, ts)):
         want = _scan_reference(lambda x: f(x)[k], ts, "max")[0]
         assert got.value >= want - 1e-14 * abs(want), (k, got.value, want)
@@ -545,7 +545,7 @@ def test_deep_kernel_maxima_within_their_rounding_noise(demo_eq):
     # about +-1e-12 of its value around its peak (W_P - W(a) cancelled).
     # The zoom's best of about 200 samples there was one of the noise's
     # highs; the fit's maximiser gives one sample, within the noise of it
-    f, _, ts = criteria._kernel_profile(demo_eq, 4, ("inner", "outer"), None, None, 1e-8, 500, True)
+    f, _, ts = criteria._kernel_profile(demo_eq, 4, ("inner", "outer"), None, None, 1e-8, 500)
     for k, got in enumerate(criteria._scan_maxima(f, ts)):
         want = _scan_reference(lambda x: f(x)[k], ts, "max")[0]
         assert got.value >= want - 2e-12 * abs(want), (k, got.value, want)
@@ -1319,12 +1319,53 @@ def test_verdicts_do_not_depend_on_the_time_scale(make):
         for r in (1, 2, 3):
             rep = check_all(make(c), r)
             assert (rep.overall, rep.witness) == (base[r].overall, base[r].witness), (c, r)
-            if r > 1:
-                continue  # the kernel's tail test is not free of scale yet
             got = [rep.alpha] + [v.value for v in rep.verdicts]
-            want = [base[1].alpha] + [v.value for v in base[1].verdicts]
+            want = [base[r].alpha] + [v.value for v in base[r].verdicts]
             for name, x, y in zip(["alpha", *CRITERIA_ORDER], got, want):
                 assert x == y if y is None else x == pytest.approx(y, rel=1e-9), (c, name)
+
+
+@pytest.mark.parametrize(
+    "make", [_rescaled_demo, _two_piece_tent, _rescaled_draw], ids=["demo", "tent", "draw4"]
+)
+def test_power_of_two_time_scales_agree_to_the_bit(make):
+    # t -> 2^j t, p -> p / 2^j is exact in floating point, and the kernel
+    # tables read their absolute constants in the period's unit, a power of
+    # two: every value and verdict is the same double, and every time is
+    # scaled exactly (with absolute constants the demo moved by up to 9.9e-11
+    # at 2^-60, and by 1e-4 at 2^200 and r = 4)
+    for r in (1, 2, 3, 4):
+        base = check_all(make(1.0), r)
+        for j in (1, 20, 60, 200, 500):
+            for c in (2.0**j, 2.0**-j):
+                rep = check_all(make(c), r)
+                assert rep == base, (c, r)
+                for got, want in zip(rep.verdicts, base.verdicts):
+                    assert got.params["window"] == tuple(c * w for w in want.params["window"])
+                    t = want.params.get("t")
+                    assert got.params.get("t") == (None if t is None else c * t)
+
+
+def test_scan_prints_the_grid_that_check_scans(monkeypatch, demo_eq):
+    # one grid: the uniform grid joined with the kernel tables' breaks, for
+    # the profile ``scan`` prints and the limsups ``check`` takes
+    grids = []
+
+    def scan(f, cand):
+        grids.append(cand)
+        return real(f, cand)
+
+    real = criteria._scan_maxima
+    monkeypatch.setattr(criteria, "_scan_maxima", scan)
+    late = _rescaled_draw(1.0)
+    assert combined_envelope(late).t_stab > 0.0
+    for eq in (demo_eq, late):
+        for r in (1, 2, 3):
+            grids.clear()
+            check_all(eq, r)
+            for kind in ("inner", "outer"):
+                _, _, ts = criteria.criterion_profile(eq, r, kind)
+                assert np.array_equal(ts, grids[0]), (r, kind)
 
 
 def test_every_criterion_reports_one_window_at_every_depth(demo_eq):

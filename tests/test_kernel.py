@@ -255,6 +255,21 @@ def test_depth_validation(demo_eq):
         term_integral(demo_eq, 1, 0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_lookups_reject_a_bad_tol(demo_eq, tol):
+    # a nan tol failed every tail test, so the tables split until their caps
+    # stopped them (1.4-1.7 s for one kernel value); inf was taken as it came
+    lookups = (
+        lambda: decay_kernel(demo_eq, 3, 20.0, 10.0, tol=tol),
+        lambda: inner_criterion_integral(demo_eq, 2, 20.0, tol=tol),
+        lambda: outer_criterion_integral(demo_eq, 2, 20.0, tol=tol),
+        lambda: term_integral(demo_eq, 2, 0, 10.0, 20.0, tol=tol),
+    )
+    for lookup in lookups:
+        with pytest.raises(ValueError, match=r"^tol must be finite and > 0"):
+            lookup()
+
+
 def test_deep_kernel_saturates_to_inf(demo_eq, demo_cache):
     # doubly exponential growth overflows float range near depth 5; the
     # kernel saturates rather than raising
@@ -617,15 +632,17 @@ def test_kink_phases_equal_the_loop_versions(case, monkeypatch):
             if got is not None:
                 assert np.array_equal(np.sort(got[got < eq.period]), np.sort(found[key]))
     # rung 1, and rung 1 with the tail lag's preimages of the lattice: each
-    # rung adds its preimages, or stays as it is past the cap
+    # rung adds its preimages, merged 1e-9 of the period's unit apart, or
+    # stays as it is past the cap
+    close = 1e-9 * kernel._unit(eq.period)
     for cap in (kernel._MAX_KINKS, counts["lags"], counts["lags"] - 1, counts["tail"], counts["tail"] - 1):
         monkeypatch.setattr(kernel, "_MAX_KINKS", cap)
         level1 = lattice
         if counts["lags"] <= cap:
-            level1 = kernel._merge_close(np.concatenate([lattice, found["lags"]]))
+            level1 = kernel._merge_close(np.concatenate([lattice, found["lags"]]), close)
         with_tail = level1
         if counts["tail"] <= cap:
-            with_tail = kernel._merge_close(np.concatenate([level1, found["tail"]]))
+            with_tail = kernel._merge_close(np.concatenate([level1, found["tail"]]), close)
         cache = KernelCache()
         assert np.array_equal(kernel._phases(eq, cache, 0), lattice)
         assert np.array_equal(kernel._phases(eq, cache, 1), level1)

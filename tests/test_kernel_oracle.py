@@ -297,7 +297,7 @@ def _refined_draw():
     "eq, sha",
     [
         (make_bench_piecewise_equation(), "4b4e5f79afd079b1078594227ae109d69f5304e791ba94e8b4fd88882801f492"),
-        (_refined_draw(), "73b33554779e7a07d6df6ca8686665122f34cd0d71191f3ef0f30c1ddd46e56e"),
+        (_refined_draw(), "d95e8347f65afd54d5bdeda7a5cf6bc824ec4f647a3fdd585818f379bc155a17"),
     ],
     ids=["bench-piecewise", "refined"],
 )

@@ -125,6 +125,26 @@ def test_integration_validation(control_eq, demo_eq):
         integrate(demo_eq, short, 5.0, 1e-2)
 
 
+def test_lookup_slacks_scale_with_time():
+    # the demo with time scaled by 2^-66: an absolute slack of 1e-12 spans
+    # millions of its periods, so lookups far past either end passed (at
+    # 1000 t_end, x read -2.08e9), and far before a tabulated start too
+    c = 2.0**-66
+    eq = make_rescaled_equation(make_demo_equation(), c)
+    t_end = 10 * c
+    traj = integrate(eq, History.constant(1.0), t_end, 1e-3 * c)
+    assert math.isfinite(traj(t_end))
+    with pytest.raises(ValueError, match="beyond"):
+        traj.at(1000 * t_end)
+    assert count_sign_changes(traj, (0.0, t_end)) == count_sign_changes(traj)
+    with pytest.raises(ValueError, match="outside trajectory span"):
+        count_sign_changes(traj, (0.0, 100 * t_end))
+    tab = History.tabulated([-5 * c, 0.0], [1.0, 1.0])
+    assert tab(-5 * c) == 1.0
+    with pytest.raises(ValueError, match="insufficient history"):
+        tab(-5000 * c)
+
+
 def test_linearity(control_eq):
     # doubling the history doubles every float exactly: all RK operations
     # are linear and scaling by a power of two never rounds
